@@ -11,15 +11,14 @@ Examples:
 import argparse
 import sys
 
+from pivotboot.intervals import RECIPES
 from pivotboot.jsonio import dumps
 from pivotboot.simulation import run_coverage
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--recipe", required=True,
-                        choices=("population", "sample", "finitepop", "superpop",
-                                 "ecdf", "cdf"))
+    parser.add_argument("--recipe", required=True, choices=RECIPES)
     parser.add_argument("--model", required=True)
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--m", type=int, default=None)

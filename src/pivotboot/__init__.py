@@ -43,7 +43,6 @@ from .intervals import (
 )
 from .multi_bootstrap import (
     GENZ_LEVEL_B9,
-    QuadratureSpec,
     ReplicateSet,
     YDistribution,
     classical_cutoff_rank,

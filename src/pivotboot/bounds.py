@@ -93,15 +93,12 @@ def delta_n(p: BoundParams, plus_eps2: bool = True) -> float:
     return numerator / (p.C * p.third_abs_moment_ratio)
 
 
-def bound_terms(p: BoundParams, part: str = "A", plus_eps2: bool = True) -> tuple[float, float]:
+def bound_terms(p: BoundParams, plus_eps2: bool = True) -> tuple[float, float]:
     """The two summands of the bound.
 
-    Parts "A" (absolute-weight pivot) and "B" (signed-weight pivot) share
-    the identical right-hand side; the flag exists so call sites can record
-    which statement they invoke.
+    The statements for the absolute-weight and the signed-weight pivot
+    share this identical right-hand side.
     """
-    if part not in ("A", "B"):
-        raise ValueError("part must be 'A' or 'B'")
     n, m = p.n, p.m
     if n < 2:
         raise InadmissibleParamsError("the bound is singular at n = 1")
@@ -131,9 +128,9 @@ def bound_terms(p: BoundParams, part: str = "A", plus_eps2: bool = True) -> tupl
     return first, second
 
 
-def berry_esseen_bound(p: BoundParams, part: str = "A", plus_eps2: bool = True) -> float:
+def berry_esseen_bound(p: BoundParams, plus_eps2: bool = True) -> float:
     """Evaluate the full two-term error bound."""
-    first, second = bound_terms(p, part=part, plus_eps2=plus_eps2)
+    first, second = bound_terms(p, plus_eps2=plus_eps2)
     return first + second
 
 

@@ -13,7 +13,8 @@ mode are execution knobs and deliberately excluded from the manifest;
 ``--timestamp`` pins the one field that would otherwise change between
 reruns.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 degenerate weights
+Exit codes: 0 success, 2 usage or configuration error (including
+non-finite input data or a non-finite result), 3 degenerate weights
 exhausted the redraw budget.
 """
 
@@ -39,6 +40,7 @@ from .bounds import (
 from .errors import DegenerateWeightsError, PivotbootError
 from .estimators import Sample
 from .intervals import (
+    RECIPES,
     IntervalTarget,
     ci_ecdf,
     ci_finite_pop_mean,
@@ -55,7 +57,7 @@ from .multi_bootstrap import (
 )
 from .rng import substream
 from .simulation import MODELS, SimConfig, run_table1, run_table2
-from .weights import WeightScheme, WeightVector, center, draw_multinomial_weights
+from .weights import REDRAW_LIMIT, WeightScheme, WeightVector, center, draw_multinomial_weights
 
 __all__ = ["main"]
 
@@ -63,16 +65,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
-REDRAW_LIMIT = 100
 SEED_ENV_VAR = "PIVOTBOOT_SEED"
-
-_CI_METHODS = ("population", "sample", "finitepop", "superpop", "ecdf", "cdf")
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
-        super().__init__(message)
-        self.code = code
+    """A usage or configuration error (exit 2)."""
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -100,8 +97,8 @@ def _manifest(command: str, config: dict, seed: int, timestamp: str | None) -> d
 
 
 def _read_numbers(path: str, what: str) -> list[float]:
-    """One decimal literal per line; '#' comments and blank lines ignored;
-    LF and CRLF both accepted."""
+    """One finite decimal literal per line; '#' comments and blank lines
+    ignored; LF and CRLF both accepted."""
     try:
         with open(path, "r", newline="") as fh:
             raw = fh.read()
@@ -113,11 +110,14 @@ def _read_numbers(path: str, what: str) -> list[float]:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            values.append(float(stripped))
+            value = float(stripped)
         except ValueError as exc:
             raise _CliError(
                 f"{what} file {path!r}, line {lineno}: {stripped!r} is not a number"
             ) from exc
+        if not math.isfinite(value):
+            raise _CliError(f"{what} file {path!r}, line {lineno}: {stripped!r} is not finite")
+        values.append(value)
     return values
 
 
@@ -139,9 +139,7 @@ def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[WeightVector, int]:
         w = draw_multinomial_weights(n, m, stream)
         if center(w, n).sum_squares > 0.0:
             return w, attempt
-    raise _CliError(
-        f"weights stayed degenerate after {REDRAW_LIMIT} redraws", EXIT_DEGENERATE
-    )
+    raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
 
 
 def _cmd_ci(args: argparse.Namespace) -> dict:
@@ -162,29 +160,23 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
         w, redraws = _draw_nondegenerate(n, m, seed)
     cw = center(w, n)
     if cw.sum_squares <= 0.0:
-        raise _CliError("supplied weights are degenerate (all centered values zero)",
-                        EXIT_DEGENERATE)
+        raise DegenerateWeightsError("supplied weights are degenerate (all centered values zero)")
 
     method = args.method
     if method in ("ecdf", "cdf") and args.x is None:
         raise _CliError(f"method {method!r} requires --x")
-    try:
-        if method == "population":
-            interval = ci_population_mean(sample, cw, args.alpha)
-        elif method == "sample":
-            interval = ci_sample_mean(sample, w, cw, args.alpha)
-        elif method == "finitepop":
-            interval = ci_finite_pop_mean(sample, w, cw, args.alpha)
-        elif method == "superpop":
-            interval = ci_superpop_mean(sample, w, cw, args.alpha)
-        elif method == "ecdf":
-            interval = ci_ecdf(sample, w, cw, args.x, args.alpha, IntervalTarget.ECDF_VALUE)
-        else:
-            interval = ci_ecdf(sample, w, cw, args.x, args.alpha, IntervalTarget.CDF_VALUE)
-    except DegenerateWeightsError as exc:
-        raise _CliError(str(exc), EXIT_DEGENERATE) from exc
-    except PivotbootError as exc:
-        raise _CliError(str(exc)) from exc
+    if method == "population":
+        interval = ci_population_mean(sample, cw, args.alpha)
+    elif method == "sample":
+        interval = ci_sample_mean(sample, w, cw, args.alpha)
+    elif method == "finitepop":
+        interval = ci_finite_pop_mean(sample, w, cw, args.alpha)
+    elif method == "superpop":
+        interval = ci_superpop_mean(sample, w, cw, args.alpha)
+    elif method == "ecdf":
+        interval = ci_ecdf(sample, w, cw, args.x, args.alpha, IntervalTarget.ECDF_VALUE)
+    else:
+        interval = ci_ecdf(sample, w, cw, args.x, args.alpha, IntervalTarget.CDF_VALUE)
 
     config = {
         "data": args.data,
@@ -227,21 +219,18 @@ def _render_table(report_dict: dict) -> str:
 
 def _cmd_table(args: argparse.Namespace) -> dict | str:
     seed = _resolve_seed(args.seed)
-    try:
-        cfg = SimConfig(
-            model=args.model,
-            n=args.n,
-            m=args.m,
-            outer_reps=args.outer,
-            inner_reps=args.inner,
-            threshold=args.threshold,
-            nominal=args.nominal,
-            tolerance_band=args.band,
-            B=args.B,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    cfg = SimConfig(
+        model=args.model,
+        n=args.n,
+        m=args.m,
+        outer_reps=args.outer,
+        inner_reps=args.inner,
+        threshold=args.threshold,
+        nominal=args.nominal,
+        tolerance_band=args.band,
+        B=args.B,
+        seed=seed,
+    )
     runner = run_table1 if args.which == 1 else run_table2
     report = runner(cfg, threads=args.threads)
     payload = {
@@ -254,8 +243,6 @@ def _cmd_table(args: argparse.Namespace) -> dict | str:
 
 
 def _cmd_ydist(args: argparse.Namespace) -> dict:
-    if args.B < 2:
-        raise _CliError("B must be at least 2")
     dist = y_distribution(args.B)
     config = {"B": args.B}
     result = {
@@ -269,8 +256,6 @@ def _cmd_ydist(args: argparse.Namespace) -> dict:
         "uniform_value": 1.0 / (args.B + 1),
     }
     if args.alpha is not None:
-        if not 0.0 < args.alpha < 1.0:
-            raise _CliError("alpha must lie in (0, 1)")
         config["alpha"] = args.alpha
         y = y_quantile(args.B, args.alpha)
         result["y_quantile"] = y
@@ -285,10 +270,7 @@ def _cmd_ydist(args: argparse.Namespace) -> dict:
 def _cmd_bound(args: argparse.Namespace) -> dict:
     seed = _resolve_seed(args.seed)
     if args.kind is not None:
-        try:
-            kind = _parse_rate_kind(args.kind)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        kind = _parse_rate_kind(args.kind)
         if args.n is None or args.m is None:
             raise _CliError("rate evaluation requires --n and --m")
         config = {"kind": kind.value, "n": args.n, "m": args.m}
@@ -301,20 +283,17 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
     missing = [k for k, v in required.items() if v is None]
     if missing:
         raise _CliError(f"bound evaluation requires --{', --'.join(missing)}")
-    try:
-        params = BoundParams(
-            n=args.n, m=args.m, delta=args.delta, eps=args.eps,
-            eps1=args.eps1, eps2=args.eps2,
-            third_abs_moment_ratio=args.ratio,
-            p_var_dev=args.p_var_dev, C=args.C,
-        )
-        first, second = bound_terms(params, part=args.part)
-    except PivotbootError as exc:
-        raise _CliError(str(exc)) from exc
+    params = BoundParams(
+        n=args.n, m=args.m, delta=args.delta, eps=args.eps,
+        eps1=args.eps1, eps2=args.eps2,
+        third_abs_moment_ratio=args.ratio,
+        p_var_dev=args.p_var_dev, C=args.C,
+    )
+    first, second = bound_terms(params)
     config = {
         "n": args.n, "m": args.m, "delta": args.delta, "eps": args.eps,
         "eps1": args.eps1, "eps2": args.eps2, "ratio": args.ratio,
-        "p_var_dev": args.p_var_dev, "C": args.C, "part": args.part,
+        "p_var_dev": args.p_var_dev, "C": args.C,
     }
     return {
         "manifest": _manifest("bound", config, seed, args.timestamp),
@@ -326,10 +305,6 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
 
 
 def _cmd_weights(args: argparse.Namespace) -> dict:
-    if args.n is None or args.m is None:
-        raise _CliError("weights requires --n and --m")
-    if args.n < 1 or args.m < 1:
-        raise _CliError("n and m must be at least 1")
     seed = _resolve_seed(args.seed)
     w = draw_multinomial_weights(args.n, args.m, substream(seed, "cli.weights"))
     config = {"n": args.n, "m": args.m}
@@ -371,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ci = sub.add_parser("ci", help="confidence interval from a data file")
     p_ci.add_argument("data", help="text file, one number per line ('#' comments allowed)")
-    p_ci.add_argument("--method", choices=_CI_METHODS, required=True)
+    p_ci.add_argument("--method", choices=RECIPES, required=True)
     p_ci.add_argument("--alpha", type=float, default=0.1)
     p_ci.add_argument("--m", type=int, default=None, help="resample size for a drawn weight vector")
     p_ci.add_argument("--weights-file", default=None, help="read weights instead of drawing them")
@@ -416,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="third absolute moment ratio E|X-mu|^3 / sigma^(3/2)")
     p_bound.add_argument("--p-var-dev", type=float, default=0.0)
     p_bound.add_argument("--C", type=float, default=0.56)
-    p_bound.add_argument("--part", choices=("A", "B"), default="A")
     add_common(p_bound)
     p_bound.set_defaults(func=_cmd_bound)
 
@@ -433,17 +407,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.func(args)
-    except _CliError as exc:
+        # dumps rejects NaN and infinity, so a non-finite result (say, a
+        # variance that overflows) ends here with exit 2; numpy's
+        # floating-point warnings on the way would only repeat that.
+        with np.errstate(all="ignore"):
+            result = args.func(args)
+            text = result if isinstance(result, str) else dumps(result)
+    except DegenerateWeightsError as exc:
         print(f"pivotboot: error: {exc}", file=sys.stderr)
-        return exc.code
-    except (PivotbootError, ValueError) as exc:
+        return EXIT_DEGENERATE
+    except (_CliError, PivotbootError, ValueError) as exc:
         print(f"pivotboot: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if isinstance(result, str):
-        print(result)
-    else:
-        print(dumps(result))
+    print(text)
     return EXIT_OK
 
 

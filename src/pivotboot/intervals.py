@@ -37,6 +37,7 @@ from .gaussian import normal_quantile
 from .weights import CenteredWeights, WeightVector
 
 __all__ = [
+    "RECIPES",
     "IntervalTarget",
     "Interval",
     "normal_quantile",
@@ -46,6 +47,10 @@ __all__ = [
     "ci_superpop_mean",
     "ci_ecdf",
 ]
+
+# Names of the six recipes, in the table's order above: the ``ci`` methods
+# of the command line and the recipes of the coverage harness.
+RECIPES = ("population", "sample", "finitepop", "superpop", "ecdf", "cdf")
 
 
 class IntervalTarget(enum.Enum):
@@ -88,16 +93,10 @@ def _two_sided_cutoff(alpha: float) -> float:
     return normal_quantile(1.0 - alpha / 2.0)
 
 
-def _weight_norm(cw: CenteredWeights) -> float:
-    if cw.sum_squares <= 0.0:
-        raise DegenerateWeightsError("all centered weights are zero")
-    return math.sqrt(cw.sum_squares)
-
-
 def ci_population_mean(s: Sample, cw: CenteredWeights, alpha: float) -> Interval:
     """Interval for the underlying population mean."""
     z = _two_sided_cutoff(alpha)
-    norm = _weight_norm(cw)
+    norm = cw.norm
     if s.variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero")
     center_value = weighted_mean_estimator(s, cw)  # raises on sum_abs == 0
@@ -109,7 +108,7 @@ def ci_population_mean(s: Sample, cw: CenteredWeights, alpha: float) -> Interval
 def ci_sample_mean(s: Sample, w: WeightVector, cw: CenteredWeights, alpha: float) -> Interval:
     """Interval covering the observed sample mean."""
     z = _two_sided_cutoff(alpha)
-    norm = _weight_norm(cw)
+    norm = cw.norm
     if s.variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero")
     center_value = bootstrap_mean(s, w)
@@ -122,7 +121,7 @@ def ci_finite_pop_mean(s: Sample, w: WeightVector, cw: CenteredWeights, alpha: f
     """Interval covering a finite-population mean, scaled by the resampled
     standard deviation (the sample here plays the role of the population)."""
     z = _two_sided_cutoff(alpha)
-    norm = _weight_norm(cw)
+    norm = cw.norm
     resampled_var = bootstrap_variance(s, w)
     if resampled_var <= 0.0:
         raise ZeroBootstrapVarianceError("resampled variance is zero")
@@ -136,7 +135,7 @@ def ci_superpop_mean(s: Sample, w: WeightVector, cw: CenteredWeights, alpha: flo
     """Interval for the mean of the infinite super-population behind the
     observed finite population."""
     z = _two_sided_cutoff(alpha)
-    norm = _weight_norm(cw)
+    norm = cw.norm
     resampled_var = bootstrap_variance(s, w)
     if resampled_var <= 0.0:
         raise ZeroBootstrapVarianceError("resampled variance is zero")
@@ -159,7 +158,7 @@ def ci_ecdf(
     if target not in (IntervalTarget.ECDF_VALUE, IntervalTarget.CDF_VALUE):
         raise ValueError("target must be ECDF_VALUE or CDF_VALUE")
     z = _two_sided_cutoff(alpha)
-    norm = _weight_norm(cw)
+    norm = cw.norm
     f_star = bootstrap_ecdf(s, w, x)
     spread = f_star * (1.0 - f_star)
     if spread <= 0.0:

@@ -13,8 +13,10 @@ negative components reduces to the one-dimensional integral
 
 and Y is uniform on {0, ..., B}.  The refined cutoff picks the order
 statistic whose exact asymptotic coverage (y+1)/(B+1) first reaches the
-nominal level; a Monte Carlo (Genz-type) evaluation of the same quantity at
-B = 9 gives 0.9000169 where the closed form is exactly 0.9.
+nominal level, y = ceil((B+1)(1-alpha)) - 1; a Monte Carlo (Genz-type)
+evaluation of the same quantity at B = 9 gives 0.9000169 where the closed
+form is exactly 0.9.  :func:`y_distribution` keeps the quadrature route,
+which verifies the uniform law numerically.
 
 Order-statistic conventions (both count from the smallest replicate):
 
@@ -33,14 +35,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, NonIntegerRankError, ZeroVarianceError
+from .errors import DegenerateWeightsError, DomainError, NonIntegerRankError, ZeroVarianceError
 from .estimators import Sample
 from .gaussian import normal_cdf, normal_pdf
 from .pivots import t_star
-from .weights import center, draw_multinomial_weights
+from .weights import REDRAW_LIMIT, center, draw_multinomial_weights
 
 __all__ = [
-    "QuadratureSpec",
     "ReplicateSet",
     "YDistribution",
     "GENZ_LEVEL_B9",
@@ -56,18 +57,6 @@ __all__ = [
 # Monte Carlo (Genz algorithm) value of P(Y <= 8) at B = 9, kept for
 # reference next to the exact 0.9; the two differ by 1.69e-5.
 GENZ_LEVEL_B9 = 0.9000169
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive quadrature controls for the orthant integral."""
-
-    epsabs: float = 1e-13
-    epsrel: float = 1e-12
-    limit: int = 200
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -107,9 +96,7 @@ class YDistribution:
         return np.cumsum(self.pmf)
 
 
-def orthant_probability(
-    B: int, l: int, quadrature: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
+def orthant_probability(B: int, l: int) -> float:
     """Probability that exactly the first l of the B equicorrelated Gaussian
     components are negative and the rest positive, via 1-D quadrature."""
     if B < 1:
@@ -121,14 +108,7 @@ def orthant_probability(
         lower = normal_cdf(-z)
         return normal_pdf(z) * lower**l * (1.0 - lower) ** (B - l)
 
-    value, _ = quad(
-        integrand,
-        -np.inf,
-        np.inf,
-        epsabs=quadrature.epsabs,
-        epsrel=quadrature.epsrel,
-        limit=quadrature.limit,
-    )
+    value, _ = quad(integrand, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
     return float(value)
 
 
@@ -141,12 +121,12 @@ def orthant_probability_closed_form(B: int, l: int) -> float:
     return float(Fraction(math.factorial(l) * math.factorial(B - l), math.factorial(B + 1)))
 
 
-def y_distribution(B: int, quadrature: QuadratureSpec = DEFAULT_QUADRATURE) -> YDistribution:
+def y_distribution(B: int) -> YDistribution:
     """Distribution of the negative-component count: pmf[l] = C(B,l) * orthant."""
     if B < 2:
         raise DomainError("B must be at least 2")
     pmf = np.array(
-        [math.comb(B, l) * orthant_probability(B, l, quadrature) for l in range(B + 1)]
+        [math.comb(B, l) * orthant_probability(B, l) for l in range(B + 1)]
     )
     return YDistribution(B=B, pmf=pmf)
 
@@ -154,19 +134,15 @@ def y_distribution(B: int, quadrature: QuadratureSpec = DEFAULT_QUADRATURE) -> Y
 def y_quantile(B: int, alpha: float) -> int:
     """Smallest y with P(Y <= y) >= 1 - alpha.
 
-    Uses the exact uniform law P(Y <= y) = (y+1)/(B+1) in rational
-    arithmetic; :func:`y_distribution` provides the quadrature route for
-    verifying that law.
+    Under the exact uniform law P(Y <= y) = (y+1)/(B+1) this is
+    ceil((B+1)(1-alpha)) - 1, evaluated in rational arithmetic so that exact
+    boundaries such as (B+1)(1-alpha) = 4 are not lost to rounding.
     """
     if B < 2:
         raise DomainError("B must be at least 2")
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    target = 1 - Fraction(alpha)
-    for y in range(B + 1):
-        if Fraction(y + 1, B + 1) >= target:
-            return y
-    return B
+    return math.ceil((B + 1) * (1 - Fraction(alpha))) - 1
 
 
 def classical_cutoff_rank(B: int, alpha: float) -> int:
@@ -189,7 +165,8 @@ def draw_replicates(
     """Compute the signed-weight pivot on B independent multinomial draws.
 
     Draws whose centered weights all vanish leave the pivot undefined; they
-    are redrawn and counted in ``degenerate_redraws``.
+    are redrawn and counted in ``degenerate_redraws``, at most ``REDRAW_LIMIT``
+    times per vector before :class:`DegenerateWeightsError` is raised.
     """
     if s.variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero")
@@ -198,12 +175,13 @@ def draw_replicates(
     values = np.empty(B)
     redraws = 0
     for b in range(B):
-        while True:
-            w = draw_multinomial_weights(s.n, m, stream)
-            cw = center(w, s.n)
+        for attempt in range(REDRAW_LIMIT + 1):
+            cw = center(draw_multinomial_weights(s.n, m, stream), s.n)
             if cw.sum_squares > 0.0:
                 break
-            redraws += 1
+        else:
+            raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
+        redraws += attempt
         values[b] = t_star(s, cw)
     return ReplicateSet(values=values, B=B, m=m, degenerate_redraws=redraws)
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     DegenerateScaleError,
-    DegenerateWeightsError,
     MuArityError,
     ZeroBootstrapVarianceError,
     ZeroVarianceError,
@@ -78,12 +77,6 @@ _EMPIRICAL = {
 }
 
 
-def _weight_norm(cw: CenteredWeights) -> float:
-    if cw.sum_squares <= 0.0:
-        raise DegenerateWeightsError("all centered weights are zero")
-    return math.sqrt(cw.sum_squares)
-
-
 def student_t(s: Sample, mu: float) -> float:
     """Classical Studentized mean: (xbar - mu) / (S_n / sqrt(n))."""
     if s.variance <= 0.0:
@@ -98,14 +91,14 @@ def t_star(s: Sample, cw: CenteredWeights) -> float:
     """
     if s.variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero")
-    return float(cw.values @ s.values) / (s.std * _weight_norm(cw))
+    return float(cw.values @ s.values) / (s.std * cw.norm)
 
 
 def g_star(s: Sample, cw: CenteredWeights, mu: float) -> float:
     """Absolute-weight pivot for the population mean ``mu``."""
     if s.variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero")
-    return float(np.abs(cw.values) @ (s.values - mu)) / (s.std * _weight_norm(cw))
+    return float(np.abs(cw.values) @ (s.values - mu)) / (s.std * cw.norm)
 
 
 def starred_variant(
@@ -137,7 +130,7 @@ def starred_variant(
     else:
         numerator = float(cw.values @ s.values)
     if kind in (PivotKind.T_DOUBLE_STAR, PivotKind.G_DOUBLE_STAR):
-        return numerator / (resampled_std * _weight_norm(cw))
+        return numerator / (resampled_std * cw.norm)
     return numerator / (resampled_std / math.sqrt(w.m))
 
 
@@ -168,7 +161,7 @@ def empirical_pivot(
     elif f_true is not None:
         raise MuArityError(f"{kind.value} does not take f_true")
 
-    weight_norm = _weight_norm(cw)  # weight degeneracy checked even if substituted
+    weight_norm = cw.norm  # weight degeneracy checked even if substituted
     if inverse_root_m_scale:
         weight_norm = 1.0 / math.sqrt(w.m)
 

@@ -26,10 +26,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PivotbootError
+from .errors import DegenerateWeightsError, PivotbootError
 from .estimators import Sample, ecdf
 from .gaussian import normal_cdf
 from .intervals import (
+    RECIPES,
     IntervalTarget,
     ci_ecdf,
     ci_finite_pop_mean,
@@ -40,7 +41,14 @@ from .intervals import (
 from .multi_bootstrap import GENZ_LEVEL_B9, draw_replicates, refined_contains
 from .pivots import PivotKind, empirical_pivot, g_star, starred_variant, student_t, t_star
 from .rng import substream
-from .weights import WeightVector, WeightScheme, center, draw_multinomial_batch
+from .weights import (
+    REDRAW_LIMIT,
+    CenteredWeights,
+    WeightScheme,
+    WeightVector,
+    center,
+    draw_multinomial_batch,
+)
 
 __all__ = [
     "Model",
@@ -162,18 +170,19 @@ MODELS: dict[str, Model] = {
 }
 
 
-def resolve_model(name: str) -> Model:
-    model = MODELS.get(name.lower())
-    if model is None:
-        raise ValueError(f"unknown model {name!r}; choose from {sorted(MODELS)}")
-    return model
+def resolve_model(model: str | Model) -> Model:
+    """The model of that name (any case); a :class:`Model` is returned as is."""
+    if isinstance(model, Model):
+        return model
+    found = MODELS.get(model.lower())
+    if found is None:
+        raise ValueError(f"unknown model {model!r}; choose from {sorted(MODELS)}")
+    return found
 
 
 def sample_model(model: str | Model, n: int, stream: np.random.Generator) -> Sample:
     """Draw an i.i.d. sample of size n from a named model."""
-    if isinstance(model, str):
-        model = resolve_model(model)
-    return Sample.from_values(model.sample(stream, n))
+    return Sample.from_values(resolve_model(model).sample(stream, n))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +313,8 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     """Score the absolute-weight pivot conditionally on the weights.
 
     Outer loop: one multinomial weight realization per cell (degenerate
-    realizations redrawn and counted).  Inner loop: fresh data; the same
+    realizations redrawn and counted; :class:`DegenerateWeightsError` once
+    one cell exhausts ``REDRAW_LIMIT``).  Inner loop: fresh data; the same
     data feed both the conditional pivot and the Studentized mean.  A cell
     scores for a statistic when its inner frequency of staying below the
     threshold is within ``tolerance_band`` of ``nominal``.
@@ -319,14 +329,14 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
 
     def cell(s: int) -> tuple[bool, bool, int, int]:
         weight_rng = substream(seed, "table1.weights", s)
-        redraws = 0
-        while True:
+        for redraws in range(REDRAW_LIMIT + 1):
             counts = draw_multinomial_batch(n, m, 1, weight_rng)[0]
             centered = counts / m - 1.0 / n
             weight_norm_sq = float(centered @ centered)
             if weight_norm_sq > 0.0:
                 break
-            redraws += 1
+        else:
+            raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
         abs_centered = np.abs(centered)
         weight_norm = math.sqrt(weight_norm_sq)
 
@@ -447,7 +457,24 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
 # Generic interval-coverage and pivot-law harnesses
 # ---------------------------------------------------------------------------
 
-_RECIPES = ("population", "sample", "finitepop", "superpop", "ecdf", "cdf")
+def _draw_replicate(
+    model: Model, n: int, m: int, rng: np.random.Generator
+) -> tuple[Sample, WeightVector, CenteredWeights]:
+    """A joint replicate: the sample, then one multinomial weight row, both
+    drawn from the replicate's own stream ``rng`` in that order."""
+    sample = sample_model(model, n, rng)
+    counts = draw_multinomial_batch(n, m, 1, rng)[0]
+    w = WeightVector(counts=counts, m=float(m), scheme=WeightScheme.MULTINOMIAL)
+    return sample, w, center(w, n)
+
+
+def _tally(model: Model, n: int, statistic: str, outcomes: Sequence[bool | None]) -> CellResult:
+    """Score per-replicate outcomes (True hit, False miss, None degenerate):
+    the hit frequency among the nondegenerate replicates, 0.0 if none."""
+    degenerate = sum(1 for o in outcomes if o is None)
+    valid = len(outcomes) - degenerate
+    hits = sum(1 for o in outcomes if o)
+    return CellResult(model.name, n, statistic, hits / valid if valid else 0.0, degenerate)
 
 
 def run_coverage(
@@ -469,20 +496,15 @@ def run_coverage(
     model CDF at ``x`` (cdf).  Degenerate replicates are counted and
     excluded from the denominator.
     """
-    if interval_recipe not in _RECIPES:
-        raise ValueError(f"unknown recipe {interval_recipe!r}; choose from {_RECIPES}")
+    if interval_recipe not in RECIPES:
+        raise ValueError(f"unknown recipe {interval_recipe!r}; choose from {RECIPES}")
     if interval_recipe in ("ecdf", "cdf") and x is None:
         raise ValueError(f"recipe {interval_recipe!r} needs an evaluation point x")
-    if isinstance(model, str):
-        model = resolve_model(model)
+    model = resolve_model(model)
     purpose = f"coverage.{interval_recipe}"
 
-    def replicate(r: int) -> tuple[bool, bool]:
-        rng = substream(seed, purpose, r)
-        sample = sample_model(model, n, rng)
-        counts = draw_multinomial_batch(n, m, 1, rng)[0]
-        w = WeightVector(counts=counts, m=float(m), scheme=WeightScheme.MULTINOMIAL)
-        cw = center(w, n)
+    def replicate(r: int) -> bool | None:
+        sample, w, cw = _draw_replicate(model, n, m, substream(seed, purpose, r))
         try:
             if interval_recipe == "population":
                 interval, target = ci_population_mean(sample, cw, alpha), model.mean
@@ -499,21 +521,17 @@ def run_coverage(
                 interval = ci_ecdf(sample, w, cw, x, alpha, IntervalTarget.CDF_VALUE)
                 target = model.cdf(x)
         except PivotbootError:
-            return False, True
-        return target in interval, False
+            return None
+        return target in interval
 
-    rows = _run_outer_cells(replicate, reps, threads)
-    degenerate = sum(r[1] for r in rows)
-    covered = sum(r[0] for r in rows)
-    valid = reps - degenerate
-    frequency = covered / valid if valid else 0.0
+    outcomes = _run_outer_cells(replicate, reps, threads)
     config = {
         "recipe": interval_recipe, "model": model.name, "n": n, "m": m,
         "alpha": alpha, "reps": reps, "seed": seed,
     }
     if x is not None:
         config["x"] = x
-    cells = (CellResult(model.name, n, interval_recipe, frequency, degenerate),)
+    cells = (_tally(model, n, interval_recipe, outcomes),)
     return CoverageReport("coverage", seed, config, cells)
 
 
@@ -521,7 +539,7 @@ def _evaluate_pivot(
     kind: PivotKind,
     sample: Sample,
     w: WeightVector,
-    cw,
+    cw: CenteredWeights,
     mu: float,
     x: float | None,
     f_true: float | None,
@@ -555,8 +573,7 @@ def pivot_clt_frequencies(
     """Empirical frequency of each pivot staying below ``threshold`` under
     joint replication; the distribution-function kinds are evaluated at
     ``x`` with the model CDF as the true value."""
-    if isinstance(model, str):
-        model = resolve_model(model)
+    model = resolve_model(model)
     kinds = list(kinds)
     needs_x = {
         PivotKind.ALPHA1_HAT, PivotKind.ALPHA1_HAT_HAT,
@@ -566,12 +583,8 @@ def pivot_clt_frequencies(
         raise ValueError("an evaluation point x is required for distribution pivots")
     f_true = model.cdf(x) if x is not None else None
 
-    def replicate(r: int) -> tuple:
-        rng = substream(seed, "pivot_clt", r)
-        sample = sample_model(model, n, rng)
-        counts = draw_multinomial_batch(n, m, 1, rng)[0]
-        w = WeightVector(counts=counts, m=float(m), scheme=WeightScheme.MULTINOMIAL)
-        cw = center(w, n)
+    def replicate(r: int) -> tuple[bool | None, ...]:
+        sample, w, cw = _draw_replicate(model, n, m, substream(seed, "pivot_clt", r))
         out = []
         for kind in kinds:
             try:
@@ -581,22 +594,16 @@ def pivot_clt_frequencies(
         return tuple(out)
 
     rows = _run_outer_cells(replicate, reps, threads)
-    cells = []
-    for j, kind in enumerate(kinds):
-        col = [row[j] for row in rows]
-        degenerate = sum(1 for v in col if v is None)
-        valid = reps - degenerate
-        hits = sum(1 for v in col if v)
-        cells.append(
-            CellResult(model.name, n, kind.value, hits / valid if valid else 0.0, degenerate)
-        )
+    cells = tuple(
+        _tally(model, n, kind.value, [row[j] for row in rows]) for j, kind in enumerate(kinds)
+    )
     config = {
         "model": model.name, "n": n, "m": m, "threshold": threshold,
         "reps": reps, "seed": seed,
     }
     if x is not None:
         config["x"] = x
-    return CoverageReport("pivot_clt", seed, config, tuple(cells))
+    return CoverageReport("pivot_clt", seed, config, cells)
 
 
 def refined_ci_coverage(
@@ -612,28 +619,22 @@ def refined_ci_coverage(
     """Coverage of the replicate-cutoff bound: frequency with which the
     Studentized mean stays below the refined order statistic of B replicate
     pivots."""
-    if isinstance(model, str):
-        model = resolve_model(model)
+    model = resolve_model(model)
 
-    def replicate(r: int) -> tuple[bool, bool]:
+    def replicate(r: int) -> bool | None:
         rng = substream(seed, "refined_ci", r)
         sample = sample_model(model, n, rng)
         try:
             t_value = student_t(sample, model.mean)
             replicates = draw_replicates(sample, B, m, rng)
         except PivotbootError:
-            return False, True
-        return refined_contains(t_value, replicates, alpha), False
+            return None
+        return refined_contains(t_value, replicates, alpha)
 
-    rows = _run_outer_cells(replicate, reps, threads)
-    degenerate = sum(r[1] for r in rows)
-    valid = reps - degenerate
-    covered = sum(r[0] for r in rows)
+    outcomes = _run_outer_cells(replicate, reps, threads)
     config = {
         "model": model.name, "n": n, "m": m, "B": B,
         "alpha": alpha, "reps": reps, "seed": seed,
     }
-    cells = (
-        CellResult(model.name, n, "refined_boot", covered / valid if valid else 0.0, degenerate),
-    )
+    cells = (_tally(model, n, "refined_boot", outcomes),)
     return CoverageReport("refined_ci", seed, config, cells)

@@ -10,6 +10,7 @@ pivot statistic in this package.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import DegenerateWeightsError, DimensionMismatchError
 
 __all__ = [
+    "REDRAW_LIMIT",
     "WeightScheme",
     "WeightVector",
     "CenteredWeights",
@@ -30,6 +32,11 @@ __all__ = [
     "expected_sum_squares",
     "sixth_moment_expression",
 ]
+
+# Redraw budget of every loop that redraws a degenerate weight vector (all
+# centered weights zero): at most this many redraws per vector, after which
+# the loop raises DegenerateWeightsError.  At n = 1 every draw is degenerate.
+REDRAW_LIMIT = 100
 
 
 class WeightScheme(enum.Enum):
@@ -87,6 +94,13 @@ class CenteredWeights:
             raise ValueError("centered weights must sum to zero")
         if self.sum_squares < 0:
             raise ValueError("sum of squares cannot be negative")
+
+    @property
+    def norm(self) -> float:
+        """Euclidean norm sqrt(V^2); :class:`DegenerateWeightsError` if all values are zero."""
+        if self.sum_squares <= 0.0:
+            raise DegenerateWeightsError("all centered weights are zero")
+        return math.sqrt(self.sum_squares)
 
 
 def draw_multinomial_weights(n: int, m: int, stream: np.random.Generator) -> WeightVector:

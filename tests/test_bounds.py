@@ -117,10 +117,6 @@ class TestBerryEsseenBound:
                   for n in np.unique(np.logspace(3, 6, 40).astype(int))]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
-    def test_parts_share_rhs(self):
-        p = params(50, 80)
-        assert berry_esseen_bound(p, part="A") == berry_esseen_bound(p, part="B")
-
 
 class TestConvergenceRate:
     def test_examples(self):

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from pivotboot import cli
 from pivotboot.cli import main
 from pivotboot.jsonio import dumps
+from pivotboot.weights import WeightScheme, WeightVector
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +69,32 @@ class TestCiCommand:
                                "--weights-file", str(wfile), "--seed", "1")
         assert code == 3
         assert "degenerate" in err
+
+    def test_exhausted_redraw_budget_exits_3(self, capsys, data_file, monkeypatch):
+        def always_uniform(n, m, stream):
+            return WeightVector(np.full(n, m / n), float(m), WeightScheme.MULTINOMIAL)
+
+        monkeypatch.setattr(cli, "draw_multinomial_weights", always_uniform)
+        code, _, err = run_cli(capsys, "ci", data_file, "--method", "population",
+                               "--m", "2", "--seed", "1")
+        assert code == 3
+        assert "redraws" in err
+
+    @pytest.mark.parametrize("name, text, method", [
+        ("nan.txt", "1.5\n2.5\nnan\n3.5\n", "population"),
+        ("huge.txt", "1e308\n-1e308\n1e308\n-1e308\n", "sample"),
+    ])
+    def test_non_finite_data_exits_2(self, capsys, tmp_path, name, text, method):
+        # a nan is rejected when read; +-1e308 overflows the variance, and the
+        # non-finite interval is rejected when the report is written
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "ci", str(path), "--method", method, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        if name == "nan.txt":
+            assert name in err and "line 3" in err
 
     def test_weights_file_drives_interval(self, capsys, data_file, tmp_path):
         wfile = tmp_path / "w.txt"

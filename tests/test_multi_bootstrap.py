@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from pivotboot.errors import DomainError, NonIntegerRankError, ZeroVarianceError
+from pivotboot import multi_bootstrap
+from pivotboot.errors import (
+    DegenerateWeightsError,
+    DomainError,
+    NonIntegerRankError,
+    ZeroVarianceError,
+)
 from pivotboot.estimators import Sample
 from pivotboot.multi_bootstrap import (
     GENZ_LEVEL_B9,
@@ -19,6 +25,7 @@ from pivotboot.multi_bootstrap import (
     y_quantile,
 )
 from pivotboot.rng import substream
+from pivotboot.weights import REDRAW_LIMIT, WeightScheme, WeightVector
 
 
 class TestOrthantProbability:
@@ -149,6 +156,18 @@ class TestDrawReplicates:
     def test_constant_sample_raises(self):
         with pytest.raises(ZeroVarianceError):
             draw_replicates(Sample.from_values([1.0, 1.0]), 3, 2, substream(34, "reps"))
+
+    def test_redraw_budget_is_bounded(self, monkeypatch):
+        draws = []
+
+        def always_uniform(n, m, stream):
+            draws.append(1)
+            return WeightVector(np.full(n, m / n), float(m), WeightScheme.MULTINOMIAL)
+
+        monkeypatch.setattr(multi_bootstrap, "draw_multinomial_weights", always_uniform)
+        with pytest.raises(DegenerateWeightsError):
+            draw_replicates(Sample.from_values([1.0, 0.0]), 3, 2, substream(35, "reps"))
+        assert len(draws) == REDRAW_LIMIT + 1
 
 
 class TestRefinedContains:

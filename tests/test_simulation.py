@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from pivotboot.errors import DegenerateWeightsError
 from pivotboot.estimators import Sample
 from pivotboot.jsonio import dumps
 from pivotboot.pivots import PivotKind, g_star, student_t, t_star
@@ -105,6 +106,12 @@ class TestTableSmoke:
             SimConfig(model="normal01", n=10, B=1)
         with pytest.raises(ValueError):
             SimConfig(model="normal01", n=10, studentize_ddof=2)
+
+    def test_weights_degenerate_at_n_one_raise(self):
+        # every weight draw at n = 1 centres to zero; the redraw budget ends it
+        cfg = SimConfig(model="normal01", n=1, studentize_ddof=0, outer_reps=1, inner_reps=5)
+        with pytest.raises(DegenerateWeightsError):
+            run_table1(cfg)
 
 
 class TestDeterminism:
