@@ -26,12 +26,11 @@ def main() -> int:
     parser.add_argument("--reps", type=int, default=10_000)
     parser.add_argument("--x", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args()
 
     report = run_coverage(
         args.recipe, args.model, args.n, args.m if args.m is not None else args.n,
-        args.alpha, args.reps, args.seed, x=args.x, threads=args.threads,
+        args.alpha, args.reps, args.seed, x=args.x,
     )
     print(dumps(report.to_dict()))
     return 0

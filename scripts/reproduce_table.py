@@ -32,7 +32,6 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--which", type=int, choices=(1, 2), required=True)
     parser.add_argument("--seed", type=int, default=20260809)
-    parser.add_argument("--threads", type=int, default=2)
     parser.add_argument("--outer", type=int, default=500)
     parser.add_argument("--inner", type=int, default=500)
     parser.add_argument("--B", type=int, default=9, help="replicate pivots (table 2)")
@@ -46,7 +45,7 @@ def main() -> int:
         cfg = SimConfig(model=model, n=n, outer_reps=args.outer,
                         inner_reps=args.inner, B=args.B, seed=args.seed)
         start = time.perf_counter()
-        reports.append(runner(cfg, threads=args.threads))
+        reports.append(runner(cfg))
         elapsed = time.perf_counter() - start
         print(f"# {model}/{n} done in {elapsed:.0f}s", file=sys.stderr)
 

@@ -1,11 +1,10 @@
 """Weighted-resampling pivot statistics.
 
-Multinomial (and generalized positive i.i.d.) resampling weights, the pivot
-statistics they induce for sample/population means and distribution
-functions, the confidence intervals obtained by inverting those pivots,
-replicate-based bootstrap cutoffs with their exact calibration, a
-finite-sample normal-approximation error bound, and Monte Carlo harnesses
-for coverage-comparison experiments.
+Multinomial resampling weights, the pivot statistics they induce for
+sample/population means and distribution functions, the confidence
+intervals obtained by inverting those pivots, replicate-based bootstrap
+cutoffs with their exact calibration, a finite-sample normal-approximation
+error bound, and Monte Carlo harnesses for coverage-comparison experiments.
 """
 
 __version__ = "0.1.0"
@@ -72,10 +71,8 @@ from .weights import (
     WeightScheme,
     WeightVector,
     center,
-    draw_generalized_weights,
     draw_multinomial_weights,
     expected_sum_squares,
     max_ratio,
     sixth_moment_expression,
-    unit_exponential,
 )

@@ -57,7 +57,7 @@ from .multi_bootstrap import (
 )
 from .rng import substream
 from .simulation import MODELS, SimConfig, run_table1, run_table2
-from .weights import REDRAW_LIMIT, WeightScheme, WeightVector, center, draw_multinomial_weights
+from .weights import WeightScheme, WeightVector, center, draw_multinomial_weights, nondegenerate
 
 __all__ = ["main"]
 
@@ -135,11 +135,12 @@ def _weights_from_file(path: str, n: int) -> WeightVector:
 
 def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[WeightVector, int]:
     stream = substream(seed, "cli.ci")
-    for attempt in range(REDRAW_LIMIT + 1):
+
+    def draw() -> tuple[WeightVector, float]:
         w = draw_multinomial_weights(n, m, stream)
-        if center(w, n).sum_squares > 0.0:
-            return w, attempt
-    raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
+        return w, center(w, n).sum_squares
+
+    return nondegenerate(draw)
 
 
 def _cmd_ci(args: argparse.Namespace) -> dict:

@@ -35,11 +35,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DegenerateWeightsError, DomainError, NonIntegerRankError, ZeroVarianceError
+from .errors import DomainError, NonIntegerRankError, ZeroVarianceError
 from .estimators import Sample
 from .gaussian import normal_cdf, normal_pdf
 from .pivots import t_star
-from .weights import REDRAW_LIMIT, center, draw_multinomial_weights
+from .weights import CenteredWeights, center, draw_multinomial_weights, nondegenerate
 
 __all__ = [
     "ReplicateSet",
@@ -165,25 +165,21 @@ def draw_replicates(
     """Compute the signed-weight pivot on B independent multinomial draws.
 
     Draws whose centered weights all vanish leave the pivot undefined; they
-    are redrawn and counted in ``degenerate_redraws``, at most ``REDRAW_LIMIT``
-    times per vector before :class:`DegenerateWeightsError` is raised.
+    are redrawn within the budget of :func:`~pivotboot.weights.nondegenerate`
+    and counted in ``degenerate_redraws``.
     """
     if s.variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero")
     if B < 2:
         raise DomainError("B must be at least 2")
-    values = np.empty(B)
-    redraws = 0
-    for b in range(B):
-        for attempt in range(REDRAW_LIMIT + 1):
-            cw = center(draw_multinomial_weights(s.n, m, stream), s.n)
-            if cw.sum_squares > 0.0:
-                break
-        else:
-            raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
-        redraws += attempt
-        values[b] = t_star(s, cw)
-    return ReplicateSet(values=values, B=B, m=m, degenerate_redraws=redraws)
+
+    def draw() -> tuple[CenteredWeights, float]:
+        cw = center(draw_multinomial_weights(s.n, m, stream), s.n)
+        return cw, cw.sum_squares
+
+    draws = [nondegenerate(draw) for _ in range(B)]
+    return ReplicateSet(values=[t_star(s, cw) for cw, _ in draws], B=B, m=m,
+                        degenerate_redraws=sum(redraws for _, redraws in draws))
 
 
 def refined_contains(t_value: float, reps: ReplicateSet, alpha: float) -> bool:

@@ -2,16 +2,18 @@
 
 Every random draw in this package comes from a stream addressed by
 ``(master seed, purpose tag, *indices)``.  Streams are independent Philox
-generators: the 128-bit Philox key is derived from the seed and the purpose
-tag, and the stream indices are placed in the high words of the 256-bit
-Philox counter.  Two streams with different addresses never overlap (a
-single stream would have to consume 2^128 blocks to run into its
-neighbour), and results are identical no matter how many worker threads
-consume the streams or in which order.
+generators, each built directly from its 128-bit key and 256-bit counter:
+the key is the first 16 bytes of sha256(seed as little-endian int64 ||
+purpose), and the stream indices are placed in the high words of the
+counter.  Two streams with different addresses never overlap (a single
+stream would have to consume 2^128 blocks to run into its neighbour), and
+results are identical no matter how many worker threads consume the
+streams or in which order.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 
@@ -19,28 +21,18 @@ import numpy as np
 
 __all__ = ["substream"]
 
-_KEY_CACHE: dict[tuple[int, str], tuple[int, int]] = {}
-
 # Counter words 0..1 are left for the stream's own draw counter; words 2..3
 # hold up to four 32-bit user indices (two per word, high word first).
 _MAX_INDICES = 4
 
-# Constructing Philox from a key skips its seeding path but still gathers OS
-# entropy for the internal seed sequence, which dominates the cost in tight
-# replicate loops.  Instead, build from one cached SeedSequence and overwrite
-# the counter/key state; this is bit-identical to direct construction.
-_BASE_SEED_SEQUENCE = np.random.SeedSequence(0)
 
-
-def _philox_key(seed: int, purpose: str) -> tuple[int, int]:
-    cached = _KEY_CACHE.get((seed, purpose))
-    if cached is not None:
-        return cached
+# Philox takes its key and counter fastest as uint64 word arrays (low word
+# first); from Python ints it converts word by word, about a third slower.
+@functools.cache
+def _philox_key(seed: int, purpose: str) -> np.ndarray:
+    """The 128-bit key as two uint64 words, read-only (shared by the cache)."""
     digest = hashlib.sha256(struct.pack("<q", seed) + purpose.encode("utf-8")).digest()
-    key = int.from_bytes(digest[:16], "little")
-    words = (key & 0xFFFFFFFFFFFFFFFF, key >> 64)
-    _KEY_CACHE[(seed, purpose)] = words
-    return words
+    return np.frombuffer(digest[:16], dtype="<u8")
 
 
 def substream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
@@ -58,12 +50,6 @@ def substream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
             raise ValueError("stream indices must lie in [0, 2**32)")
         word, half = divmod(j, 2)
         counter[3 - word] |= ix << (32 * half)
-    bit_gen = np.random.Philox(_BASE_SEED_SEQUENCE)
-    state = bit_gen.state
-    state["state"]["counter"][:] = counter
-    state["state"]["key"][:] = _philox_key(seed, purpose)
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bit_gen.state = state
-    return np.random.Generator(bit_gen)
+    bit_generator = np.random.Philox(counter=np.array(counter, dtype=np.uint64),
+                                     key=_philox_key(seed, purpose))
+    return np.random.Generator(bit_generator)

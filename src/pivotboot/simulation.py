@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, PivotbootError
+from .errors import PivotbootError
 from .estimators import Sample, ecdf
 from .gaussian import normal_cdf
 from .intervals import (
@@ -42,12 +42,12 @@ from .multi_bootstrap import GENZ_LEVEL_B9, draw_replicates, refined_contains
 from .pivots import PivotKind, empirical_pivot, g_star, starred_variant, student_t, t_star
 from .rng import substream
 from .weights import (
-    REDRAW_LIMIT,
     CenteredWeights,
     WeightScheme,
     WeightVector,
     center,
     draw_multinomial_batch,
+    nondegenerate,
 )
 
 __all__ = [
@@ -231,7 +231,7 @@ class SimConfig:
             raise ValueError("n must exceed studentize_ddof")
 
     def resolved(self, default_threshold: float, default_nominal: float) -> dict:
-        cfg = {
+        return {
             "model": self.model.lower(),
             "n": self.n,
             "m": self.m if self.m is not None else self.n,
@@ -244,7 +244,6 @@ class SimConfig:
             "seed": self.seed,
             "studentize_ddof": self.studentize_ddof,
         }
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -278,16 +277,7 @@ class CoverageReport:
             "kind": self.kind,
             "seed": self.seed,
             "config": dict(self.config),
-            "cells": [
-                {
-                    "distribution": c.distribution,
-                    "n": c.n,
-                    "statistic": c.statistic,
-                    "frequency": c.frequency,
-                    "degenerate_count": c.degenerate_count,
-                }
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
             "results": {c.statistic: c.frequency for c in self.cells},
         }
 
@@ -299,10 +289,48 @@ def _run_outer_cells(worker: Callable[[int], tuple], count: int, threads: int) -
         return list(pool.map(worker, range(count)))
 
 
-def _within_band(inner_hits: int, inner_valid: int, nominal: float, band: float) -> bool:
-    if inner_valid == 0:
-        return False
-    return abs(inner_hits / inner_valid - nominal) <= band
+def _studentize(model: Model, base: np.ndarray, ddof: int) -> tuple[np.ndarray, ...]:
+    """Transform a cell's base variates (one replicate per row) and
+    Studentize them: the data, the standard deviations (divisor n - ddof;
+    1.0 where the variance vanishes), the mask of nonzero variances, and
+    the Studentized means sqrt(n) (mean - mu) / std."""
+    data = model.transform(base)
+    means = data.mean(axis=1)
+    variances = data.var(axis=1, ddof=ddof)
+    valid = variances > 0.0
+    stds = np.sqrt(variances, where=valid, out=np.ones_like(variances))
+    return data, stds, valid, (means - model.mean) * math.sqrt(data.shape[1]) / stds
+
+
+def _score(hits: np.ndarray, valid: np.ndarray) -> tuple[int, int, int]:
+    """One statistic's ``(hits, valid, degenerate)`` counts over a cell's
+    inner replicates; a hit counts only where the replicate is valid."""
+    n_valid = int(np.count_nonzero(valid))
+    return int(np.count_nonzero(hits & valid)), n_valid, valid.size - n_valid
+
+
+def _tabulate(kind: str, resolved: dict, model: Model, statistics: Sequence[str],
+              cell: Callable[[int], tuple], threads: int) -> CoverageReport:
+    """Run ``cell`` on every outer cell and band-score each statistic.
+
+    ``cell(s)`` returns one ``(hits, valid, degenerate)`` triple per
+    statistic.  An outer cell scores for a statistic when its inner
+    frequency hits/valid lies within ``tolerance_band`` of ``nominal``; the
+    reported frequency is the share of scoring outer cells, and the
+    degenerate counts are summed.
+    """
+    S, nominal, band = resolved["outer_reps"], resolved["nominal"], resolved["tolerance_band"]
+    rows = _run_outer_cells(cell, S, threads)
+    cells = tuple(
+        CellResult(
+            model.name, resolved["n"], statistic,
+            sum(valid > 0 and abs(hits / valid - nominal) <= band
+                for hits, valid, _ in column) / S,
+            sum(degenerate for _, _, degenerate in column),
+        )
+        for statistic, column in zip(statistics, zip(*rows))
+    )
+    return CoverageReport(kind, resolved["seed"], resolved, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -313,65 +341,36 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     """Score the absolute-weight pivot conditionally on the weights.
 
     Outer loop: one multinomial weight realization per cell (degenerate
-    realizations redrawn and counted; :class:`DegenerateWeightsError` once
-    one cell exhausts ``REDRAW_LIMIT``).  Inner loop: fresh data; the same
-    data feed both the conditional pivot and the Studentized mean.  A cell
-    scores for a statistic when its inner frequency of staying below the
-    threshold is within ``tolerance_band`` of ``nominal``.
+    realizations redrawn within the budget of
+    :func:`~pivotboot.weights.nondegenerate`, and added to the pivot's
+    degenerate count).  Inner loop: fresh data; the same data feed both the
+    conditional pivot and the Studentized mean.  A cell scores for a
+    statistic when its inner frequency of staying below the threshold is
+    within ``tolerance_band`` of ``nominal``.
     """
     resolved = cfg.resolved(TABLE1_THRESHOLD, TABLE1_NOMINAL)
     model = resolve_model(resolved["model"])
-    n, m = resolved["n"], resolved["m"]
-    S, T = resolved["outer_reps"], resolved["inner_reps"]
-    threshold, nominal, band = resolved["threshold"], resolved["nominal"], resolved["tolerance_band"]
-    seed, ddof = resolved["seed"], resolved["studentize_ddof"]
-    sqrt_n = math.sqrt(n)
+    n, m, T = resolved["n"], resolved["m"], resolved["inner_reps"]
+    threshold, seed = resolved["threshold"], resolved["seed"]
 
-    def cell(s: int) -> tuple[bool, bool, int, int]:
+    def cell(s: int) -> tuple[tuple[int, int, int], ...]:
         weight_rng = substream(seed, "table1.weights", s)
-        for redraws in range(REDRAW_LIMIT + 1):
-            counts = draw_multinomial_batch(n, m, 1, weight_rng)[0]
-            centered = counts / m - 1.0 / n
-            weight_norm_sq = float(centered @ centered)
-            if weight_norm_sq > 0.0:
-                break
-        else:
-            raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
-        abs_centered = np.abs(centered)
-        weight_norm = math.sqrt(weight_norm_sq)
 
+        def draw_weights() -> tuple[np.ndarray, float]:
+            centered = draw_multinomial_batch(n, m, 1, weight_rng)[0] / m - 1.0 / n
+            return centered, float(centered @ centered)
+
+        centered, redraws = nondegenerate(draw_weights)
         base = np.empty((T, n))
         for t in range(T):
             base[t] = model.draw_base(substream(seed, "table1.data", s, t), n)
-        data = model.transform(base)
-        means = data.mean(axis=1)
-        variances = data.var(axis=1, ddof=ddof)
-        valid = variances > 0.0
-        stds = np.sqrt(variances, where=valid, out=np.ones_like(variances))
+        data, stds, valid, pivot_t = _studentize(model, base, resolved["studentize_ddof"])
+        weight_norm = math.sqrt(float(centered @ centered))
+        pivot_g = ((data - model.mean) @ np.abs(centered)) / (stds * weight_norm)
+        hits_g, valid_g, degenerate_g = _score(pivot_g <= threshold, valid)
+        return (hits_g, valid_g, degenerate_g + redraws), _score(pivot_t <= threshold, valid)
 
-        pivot_g = ((data - model.mean) @ abs_centered) / (stds * weight_norm)
-        pivot_t = (means - model.mean) * sqrt_n / stds
-        hits_g = int(np.count_nonzero(pivot_g[valid] <= threshold))
-        hits_t = int(np.count_nonzero(pivot_t[valid] <= threshold))
-        n_valid = int(np.count_nonzero(valid))
-        return (
-            _within_band(hits_g, n_valid, nominal, band),
-            _within_band(hits_t, n_valid, nominal, band),
-            T - n_valid,
-            redraws,
-        )
-
-    rows = _run_outer_cells(cell, S, threads)
-    within_g = sum(r[0] for r in rows)
-    within_t = sum(r[1] for r in rows)
-    data_degenerate = sum(r[2] for r in rows)
-    weight_redraws = sum(r[3] for r in rows)
-
-    cells = (
-        CellResult(model.name, n, "emp_G_star", within_g / S, data_degenerate + weight_redraws),
-        CellResult(model.name, n, "emp_T", within_t / S, data_degenerate),
-    )
-    return CoverageReport("table1", seed, resolved, cells)
+    return _tabulate("table1", resolved, model, ("emp_G_star", "emp_T"), cell, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -388,69 +387,38 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     """
     resolved = cfg.resolved(TABLE2_THRESHOLD, TABLE2_NOMINAL)
     model = resolve_model(resolved["model"])
-    n, m, B = resolved["n"], resolved["m"], resolved["B"]
-    S, T = resolved["outer_reps"], resolved["inner_reps"]
-    threshold, nominal, band = resolved["threshold"], resolved["nominal"], resolved["tolerance_band"]
-    seed, ddof = resolved["seed"], resolved["studentize_ddof"]
-    sqrt_n = math.sqrt(n)
+    n, m, B, T = resolved["n"], resolved["m"], resolved["B"], resolved["inner_reps"]
+    threshold, seed = resolved["threshold"], resolved["seed"]
 
-    def cell(s: int) -> tuple[bool, bool, bool, int, int, int]:
+    def cell(s: int) -> tuple[tuple[int, int, int], ...]:
         base = np.empty((T, n))
         counts = np.empty((T, B + 1, n))
         for t in range(T):
             rng = substream(seed, "table2.joint", s, t)
             base[t] = model.draw_base(rng, n)
             counts[t] = draw_multinomial_batch(n, m, B + 1, rng)
-        data = model.transform(base)
+        data, stds, data_ok, pivot_t = _studentize(model, base, resolved["studentize_ddof"])
 
         centered = counts / m - 1.0 / n
         norm_sq = np.einsum("tbi,tbi->tb", centered, centered)
-        means = data.mean(axis=1)
-        variances = data.var(axis=1, ddof=ddof)
-        data_ok = variances > 0.0
-        stds = np.sqrt(variances, where=data_ok, out=np.ones_like(variances))
-
-        g_ok = norm_sq[:, 0] > 0.0
-        boot_ok = np.all(norm_sq[:, 1:] > 0.0, axis=1)
         norms = np.sqrt(norm_sq, where=norm_sq > 0.0, out=np.ones_like(norm_sq))
-
         pivot_g = (
             np.einsum("ti,ti->t", np.abs(centered[:, 0, :]), data - model.mean)
             / (stds * norms[:, 0])
         )
-        pivot_t = (means - model.mean) * sqrt_n / stds
         replicate_pivots = (
             np.einsum("tbi,ti->tb", centered[:, 1:, :], data)
             / (stds[:, None] * norms[:, 1:])
         )
-
-        valid_t = data_ok
-        valid_g = data_ok & g_ok
-        valid_boot = data_ok & boot_ok
-        hits_t = int(np.count_nonzero(pivot_t[valid_t] <= threshold))
-        hits_g = int(np.count_nonzero(pivot_g[valid_g] <= threshold))
-        hits_boot = int(
-            np.count_nonzero(pivot_t[valid_boot] <= replicate_pivots[valid_boot].max(axis=1))
-        )
         return (
-            _within_band(hits_g, int(valid_g.sum()), nominal, band),
-            _within_band(hits_t, int(valid_t.sum()), nominal, band),
-            _within_band(hits_boot, int(valid_boot.sum()), nominal, band),
-            int((~valid_g).sum()),
-            int((~valid_t).sum()),
-            int((~valid_boot).sum()),
+            _score(pivot_g <= threshold, data_ok & (norm_sq[:, 0] > 0.0)),
+            _score(pivot_t <= threshold, data_ok),
+            _score(pivot_t <= replicate_pivots.max(axis=1),
+                   data_ok & np.all(norm_sq[:, 1:] > 0.0, axis=1)),
         )
 
-    rows = _run_outer_cells(cell, S, threads)
-    cells = (
-        CellResult(model.name, n, "emp_G_star", sum(r[0] for r in rows) / S,
-                   sum(r[3] for r in rows)),
-        CellResult(model.name, n, "emp_T", sum(r[1] for r in rows) / S,
-                   sum(r[4] for r in rows)),
-        CellResult(model.name, n, "emp_boot", sum(r[2] for r in rows) / S,
-                   sum(r[5] for r in rows)),
-    )
-    return CoverageReport("table2", seed, resolved, cells)
+    return _tabulate("table2", resolved, model, ("emp_G_star", "emp_T", "emp_boot"), cell,
+                     threads)
 
 
 # ---------------------------------------------------------------------------

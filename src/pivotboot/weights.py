@@ -2,9 +2,9 @@
 
 A weight vector records how many times each of ``n`` sample indices is
 selected when resampling ``m`` times with replacement (multinomial counts),
-or, for the generalized scheme, ``n`` i.i.d. positive random weights.  The
-centered values ``w_i/m - 1/n`` and their squared/absolute sums drive every
-pivot statistic in this package.
+or ``n`` nonnegative real weights supplied by the caller.  The centered
+values ``w_i/m - 1/n`` and their squared/absolute sums drive every pivot
+statistic in this package.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -25,17 +25,16 @@ __all__ = [
     "CenteredWeights",
     "draw_multinomial_weights",
     "draw_multinomial_batch",
-    "draw_generalized_weights",
-    "unit_exponential",
+    "nondegenerate",
     "center",
     "max_ratio",
     "expected_sum_squares",
     "sixth_moment_expression",
 ]
 
-# Redraw budget of every loop that redraws a degenerate weight vector (all
-# centered weights zero): at most this many redraws per vector, after which
-# the loop raises DegenerateWeightsError.  At n = 1 every draw is degenerate.
+# Redraw budget of nondegenerate(): at most this many redraws of a
+# degenerate weight vector (all centered weights zero).  At n = 1 every draw
+# is degenerate.
 REDRAW_LIMIT = 100
 
 
@@ -120,34 +119,23 @@ def draw_multinomial_batch(n: int, m: int, size: int, stream: np.random.Generato
     return stream.multinomial(m, np.full(n, 1.0 / n), size=size).astype(float)
 
 
-def draw_generalized_weights(
-    n: int,
-    generator: Callable[[np.random.Generator, int], np.ndarray],
-    stream: np.random.Generator,
-) -> WeightVector:
-    """Draw ``n`` i.i.d. positive weights from ``generator`` and sum them to ``m``.
+_T = TypeVar("_T")
 
-    ``generator(stream, size)`` must return ``size`` draws from a positive
-    law.  Draws that come out nonpositive (or non-finite) are rejected and
-    redrawn, so the returned vector is always strictly positive.
+
+def nondegenerate(draw: Callable[[], tuple[_T, float]]) -> tuple[_T, int]:
+    """Call ``draw()``, which returns a weight draw and its squared centered
+    norm, until that norm is positive; return the draw and the number of
+    degenerate draws before it.
+
+    Every weight-redraw loop of the package goes through here, so all share
+    one budget: :class:`DegenerateWeightsError` after ``REDRAW_LIMIT``
+    redraws.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    values = np.asarray(generator(stream, n), dtype=float)
-    if values.shape != (n,):
-        raise ValueError("generator must return exactly n draws")
-    bad = ~(values > 0) | ~np.isfinite(values)
-    while np.any(bad):
-        redraw = np.asarray(generator(stream, int(bad.sum())), dtype=float)
-        values = values.copy()
-        values[bad] = redraw
-        bad = ~(values > 0) | ~np.isfinite(values)
-    return WeightVector(counts=values, m=float(values.sum()), scheme=WeightScheme.IID_POSITIVE)
-
-
-def unit_exponential(stream: np.random.Generator, size: int) -> np.ndarray:
-    """Built-in positive law for the generalized scheme: Exp(1) draws."""
-    return stream.standard_exponential(size)
+    for redraws in range(REDRAW_LIMIT + 1):
+        value, squared_norm = draw()
+        if squared_norm > 0.0:
+            return value, redraws
+    raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
 
 
 def center(w: WeightVector, n: int) -> CenteredWeights:

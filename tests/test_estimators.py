@@ -159,9 +159,3 @@ class TestEcdf:
             jump_right = bootstrap_ecdf(s, w, float(x) + 1e-12)
             assert jump_right == pytest.approx(bootstrap_ecdf(s, w, float(x)))
 
-
-class TestSampleCacheValidation:
-    def test_inconsistent_cache_rejected(self):
-        import numpy as np
-        with pytest.raises(ValueError):
-            Sample(values=np.array([1.0, 2.0]), mean=9.0, variance=0.25)

@@ -6,14 +6,21 @@ leave these bytes unchanged; a deliberate change of the random-stream
 layout shows up here as an explicit diff of the hashes.  The designs are
 small enough to include degenerate data, degenerate weights and weight
 redraws (n = 2), so the draw order of the redraw loops is pinned too.
+
+The same holds for the CLI's own streams (``cli.weights``, ``cli.ci``),
+pinned through the stdout of ``pivotboot weights`` and of ``pivotboot ci``
+with drawn weights, and for the stream layout itself: the first draws of
+``substream`` at zero to four indices.
 """
 
 import hashlib
 
 import pytest
 
+from pivotboot.cli import main
 from pivotboot.jsonio import dumps
 from pivotboot.pivots import PivotKind
+from pivotboot.rng import substream
 from pivotboot.simulation import (
     SimConfig,
     pivot_clt_frequencies,
@@ -109,3 +116,62 @@ GOLDEN = {
 def test_report_bytes_unchanged(case):
     digest = hashlib.sha256(dumps(CASES[case]().to_dict()).encode()).hexdigest()
     assert digest == GOLDEN[case]
+
+
+CLI_PINNED = ["--seed", "21", "--timestamp", "2000-01-01T00:00:00+00:00"]
+CLI_FILES = {
+    "data.txt": "9.5\n10.25\n11.0\n8.75\n10.5\n12.0\n9.0\n",
+    "two.txt": "1\n0\n",  # --m 2 redraws once at seed 21
+}
+CLI_CASES = {
+    "weights/n10m10": ["weights", "--n", "10", "--m", "10"],
+    "weights/n7m30": ["weights", "--n", "7", "--m", "30"],
+    "weights/n1m3": ["weights", "--n", "1", "--m", "3"],
+    **{f"ci/{recipe}": ["ci", "data.txt", "--method", recipe, "--m", "12",
+                        *(["--x", "10.0"] if recipe in ("ecdf", "cdf") else [])]
+       for recipe in RECIPES},
+    "ci/two/redraws": ["ci", "two.txt", "--method", "population", "--m", "2"],
+}
+CLI_GOLDEN = {
+    "weights/n10m10": "a087b24c5f3fc11cfa1c0bd66c7c164d9793651ceaf55d588b4664ebde454516",
+    "weights/n7m30": "cedb779873e171138856971a0b4be61d67e9f99a67499f91a457691f700874ae",
+    "weights/n1m3": "b49cc96130ecd9cdf2637b934a400ee5be18244de8fc97de6ca7e551fc001f45",
+    "ci/population": "f1235d824e875664a25bcc972a1109dbb8f21d32ed97b5cb3884ff3b2e222b1d",
+    "ci/sample": "0d61caf15f8e795c5317d7fc31659ce4b12d832c09bf703d304270bc69b7108b",
+    "ci/finitepop": "dd682df3352623871829a18bffea9464e27924d800e65c8ab892e03e5bdf7829",
+    "ci/superpop": "674db45cb0efb40048530a72704e25c90dbc93a42e6d281c5da152f34d1aaea6",
+    "ci/ecdf": "ccab9f91a89e53d22b1d091225e8a910b255c57c98c878295fb968e4d5756cd2",
+    "ci/cdf": "05b9cbb0526a266c18b5f2dfd8a535e3adb8120eb5d8e64f7a6510abf6921f03",
+    "ci/two/redraws": "69cf84f1895bb1e4aad3529b264a02c4350e94bef5a981571417ae55a8e92621",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_bytes_unchanged(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the manifest records the data file's path
+    for name, text in CLI_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(CLI_CASES[case] + CLI_PINNED) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CLI_GOLDEN[case]
+
+
+# substream(2024, "layout", *indices).random(4), as float.hex.
+STREAM_GOLDEN = {
+    (): ["0x1.70c02cf961a14p-1", "0x1.94cef4686f800p-7",
+         "0x1.ecaa3cbab280cp-1", "0x1.3ab009f9361f0p-3"],
+    (3,): ["0x1.29fc2b0146fccp-1", "0x1.3b2d2cfecafc0p-1",
+           "0x1.9f71d8b8b0c0ap-1", "0x1.0ad3e38a8fa68p-3"],
+    (3, 2**32 - 1): ["0x1.3380b944678ecp-2", "0x1.c0aea7732274cp-2",
+                     "0x1.18299d98db2cep-1", "0x1.3b4fbe0a81c8ap-1"],
+    (3, 2**32 - 1, 17): ["0x1.a25ea88bcdf74p-2", "0x1.eff1c86a70113p-1",
+                         "0x1.d8dd84c2e45fcp-2", "0x1.cdc548f20dd10p-4"],
+    (3, 2**32 - 1, 17, 65537): ["0x1.269da9859aba8p-1", "0x1.c673b2ea1e194p-1",
+                                "0x1.a194c98916237p-1", "0x1.4e7f820d8547cp-3"],
+}
+
+
+@pytest.mark.parametrize("indices", list(STREAM_GOLDEN), ids=lambda ix: f"{len(ix)}-indices")
+def test_stream_layout_unchanged(indices):
+    draws = substream(2024, "layout", *indices).random(4)
+    assert [float.hex(v) for v in draws] == STREAM_GOLDEN[indices]

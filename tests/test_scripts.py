@@ -21,8 +21,7 @@ def run_script(*argv):
 @pytest.mark.parametrize("which, stats", [("1", ["emp_G_star", "emp_T"]),
                                           ("2", ["emp_G_star", "emp_T", "emp_boot"])])
 def test_reproduce_table(which, stats):
-    proc = run_script("reproduce_table.py", "--which", which, "--outer", "1", "--inner", "5",
-                      "--threads", "1")
+    proc = run_script("reproduce_table.py", "--which", which, "--outer", "1", "--inner", "5")
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["Distribution", "n", *stats]
@@ -32,6 +31,6 @@ def test_reproduce_table(which, stats):
 
 def test_coverage_experiment():
     proc = run_script("coverage_experiment.py", "--recipe", "cdf", "--model", "exponential1",
-                      "--n", "20", "--reps", "5", "--x", "0.7", "--threads", "1")
+                      "--n", "20", "--reps", "5", "--x", "0.7")
     assert proc.returncode == 0, proc.stderr
     assert '"recipe": "cdf"' in proc.stdout

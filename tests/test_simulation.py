@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pivotboot.errors import DegenerateWeightsError
 from pivotboot.estimators import Sample
@@ -12,6 +14,7 @@ from pivotboot.jsonio import dumps
 from pivotboot.pivots import PivotKind, g_star, student_t, t_star
 from pivotboot.rng import substream
 from pivotboot.simulation import (
+    MODELS,
     SimConfig,
     TABLE1_NOMINAL,
     TABLE1_THRESHOLD,
@@ -142,15 +145,35 @@ class TestWhiteBoxConsistency:
     """Recompute tiny table cells with the scalar library functions on the
     same substreams and require identical reports."""
 
-    def test_table1_matches_scalar_path(self):
-        n, m, S, T, seed = 6, 6, 3, 8, 77
-        cfg = SimConfig(model="poisson1", n=n, outer_reps=S, inner_reps=T,
-                        seed=seed, studentize_ddof=0)
-        report = run_table1(cfg)
-        model = resolve_model("poisson1")
-        threshold, nominal, band = TABLE1_THRESHOLD, TABLE1_NOMINAL, 0.01
+    # The fixed designs of the original white-box cases, plus random designs:
+    # any law, n in 2..8, both Studentizing divisors.  The scalar pivots use
+    # divisor n; sqrt((n - ddof)/n) rescales them to the table's divisor.
+    # Random designs also draw the cutoff, the nominal level and the band:
+    # at the published ones, a cell of at most 30 inner replicates almost
+    # never lands in the band, and every frequency would read 0.
+    DESIGNS = dict(
+        model=st.sampled_from(sorted(MODELS)), n=st.integers(2, 8), m=st.integers(1, 10),
+        S=st.integers(1, 3), T=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+        ddof=st.sampled_from((0, 1)),
+        levels=st.tuples(st.sampled_from((-1.281648, -0.524401, 0.385320, 1.281648)),
+                         st.floats(0.05, 0.95), st.sampled_from((0.01, 0.1, 0.3))),
+    )
 
-        within_g = within_t = 0
+    @settings(max_examples=30, deadline=None)
+    @given(**DESIGNS)
+    @example(model="poisson1", n=6, m=6, S=3, T=8, seed=77, ddof=0,
+             levels=(TABLE1_THRESHOLD, TABLE1_NOMINAL, 0.01))
+    @example(model="poisson1", n=2, m=2, S=3, T=20, seed=12, ddof=1,  # weight redraws
+             levels=(0.385320, 0.5, 0.3))
+    def test_table1_matches_scalar_path(self, model, n, m, S, T, seed, ddof, levels):
+        threshold, nominal, band = levels
+        cfg = SimConfig(model=model, n=n, m=m, outer_reps=S, inner_reps=T, threshold=threshold,
+                        nominal=nominal, tolerance_band=band, seed=seed, studentize_ddof=ddof)
+        report = run_table1(cfg)
+        model = resolve_model(model)
+        scale = math.sqrt((n - ddof) / n)
+
+        within_g = within_t = redraws = 0
         for s in range(S):
             wrng = substream(seed, "table1.weights", s)
             while True:
@@ -159,6 +182,7 @@ class TestWhiteBoxConsistency:
                 cw = center(w, n)
                 if cw.sum_squares > 0:
                     break
+                redraws += 1
             hits_g = hits_t = valid = 0
             for t in range(T):
                 data = model.transform(model.draw_base(substream(seed, "table1.data", s, t), n))
@@ -166,20 +190,29 @@ class TestWhiteBoxConsistency:
                 if sample.variance <= 0:
                     continue
                 valid += 1
-                hits_g += g_star(sample, cw, model.mean) <= threshold
-                hits_t += student_t(sample, model.mean) <= threshold
+                hits_g += g_star(sample, cw, model.mean) * scale <= threshold
+                hits_t += student_t(sample, model.mean) * scale <= threshold
             within_g += _within(hits_g, valid, nominal, band)
             within_t += _within(hits_t, valid, nominal, band)
         assert report.frequency("emp_G_star") == within_g / S
         assert report.frequency("emp_T") == within_t / S
+        degenerate = {c.statistic: c.degenerate_count for c in report.cells}
+        assert degenerate["emp_G_star"] == degenerate["emp_T"] + redraws
 
-    def test_table2_matches_scalar_path(self):
-        n, m, B, S, T, seed = 5, 5, 3, 2, 10, 123
-        cfg = SimConfig(model="exponential1", n=n, outer_reps=S, inner_reps=T,
-                        B=B, seed=seed, studentize_ddof=0)
+    @settings(max_examples=30, deadline=None)
+    @given(B=st.integers(2, 5), **DESIGNS)
+    @example(model="exponential1", n=5, m=5, B=3, S=2, T=10, seed=123, ddof=0,
+             levels=(TABLE2_THRESHOLD, TABLE2_NOMINAL, 0.01))
+    @example(model="poisson1", n=2, m=2, B=2, S=3, T=20, seed=12, ddof=1,
+             levels=(0.385320, 0.5, 0.3))
+    def test_table2_matches_scalar_path(self, model, n, m, B, S, T, seed, ddof, levels):
+        threshold, nominal, band = levels
+        cfg = SimConfig(model=model, n=n, m=m, outer_reps=S, inner_reps=T, threshold=threshold,
+                        nominal=nominal, tolerance_band=band, B=B, seed=seed,
+                        studentize_ddof=ddof)
         report = run_table2(cfg)
-        model = resolve_model("exponential1")
-        threshold, nominal, band = TABLE2_THRESHOLD, TABLE2_NOMINAL, 0.01
+        model = resolve_model(model)
+        scale = math.sqrt((n - ddof) / n)
 
         within = {"emp_G_star": 0, "emp_T": 0, "emp_boot": 0}
         for s in range(S):
@@ -192,7 +225,7 @@ class TestWhiteBoxConsistency:
                 sample = Sample.from_values(data)
                 if sample.variance <= 0:
                     continue
-                t_val = student_t(sample, model.mean)
+                t_val = student_t(sample, model.mean) * scale
                 valid["emp_T"] += 1
                 hits["emp_T"] += t_val <= threshold
                 vectors = [WeightVector(c, float(m), WeightScheme.MULTINOMIAL)
@@ -200,10 +233,14 @@ class TestWhiteBoxConsistency:
                 centereds = [center(v, n) for v in vectors]
                 if centereds[0].sum_squares > 0:
                     valid["emp_G_star"] += 1
-                    hits["emp_G_star"] += g_star(sample, centereds[0], model.mean) <= threshold
+                    hits["emp_G_star"] += (
+                        g_star(sample, centereds[0], model.mean) * scale <= threshold)
                 if all(c.sum_squares > 0 for c in centereds[1:]):
                     valid["emp_boot"] += 1
-                    best = max(t_star(sample, c) for c in centereds[1:])
+                    best = max(t_star(sample, c) for c in centereds[1:]) * scale
+                    # Discrete laws can tie t with a replicate exactly; the two
+                    # paths round such a tie differently, so skip the design.
+                    assume(not math.isclose(t_val, best, rel_tol=1e-12, abs_tol=1e-12))
                     hits["emp_boot"] += t_val <= best
             for key in within:
                 within[key] += _within(hits[key], valid[key], nominal, band)

@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 from pivotboot.errors import DegenerateWeightsError, DimensionMismatchError
 from pivotboot.rng import substream
 from pivotboot.weights import (
+    REDRAW_LIMIT,
     CenteredWeights,
     WeightScheme,
     WeightVector,
     center,
-    draw_generalized_weights,
     draw_multinomial_batch,
     draw_multinomial_weights,
     expected_sum_squares,
     max_ratio,
+    nondegenerate,
     sixth_moment_expression,
-    unit_exponential,
 )
 
 
@@ -78,44 +78,21 @@ class TestDrawMultinomial:
             draw_multinomial_weights(5, 0, substream(0, "w"))
 
 
-class TestGeneralizedWeights:
-    def test_constant_generator_single(self):
-        w = draw_generalized_weights(1, lambda rng, size: np.full(size, 3.0), substream(5, "g"))
-        assert w.counts.tolist() == [3.0]
-        assert w.m == 3.0
-        assert w.scheme is WeightScheme.IID_POSITIVE
+class TestNondegenerate:
+    def test_returns_first_positive_draw_and_redraw_count(self):
+        draws = iter([("a", 0.0), ("b", 0.0), ("c", 0.5), ("d", 1.0)])
+        assert nondegenerate(lambda: next(draws)) == ("c", 2)
 
-    def test_constant_generator_gives_degenerate_centering(self):
-        w = draw_generalized_weights(4, lambda rng, size: np.ones(size), substream(5, "g"))
-        cw = center(w, 4)
-        assert cw.sum_squares == 0.0
-        assert np.all(cw.values == 0.0)
+    def test_budget_exhaustion_raises(self):
+        calls = []
 
-    def test_exponential_mean_weight_share(self):
-        # E[w_1/m] = 1/2 for two i.i.d. positive weights.
-        reps = 100_000
-        rng = substream(6, "g")
-        draws = rng.standard_exponential((reps, 2))
-        shares = draws[:, 0] / draws.sum(axis=1)
-        se = shares.std(ddof=1) / math.sqrt(reps)
-        assert abs(shares.mean() - 0.5) <= 3 * se
-        # and the library path produces positive weights with the right sum
-        w = draw_generalized_weights(2, unit_exponential, substream(6, "lib"))
-        assert np.all(w.counts > 0)
-        assert w.m == pytest.approx(w.counts.sum())
+        def draw():
+            calls.append(1)
+            return None, 0.0
 
-    def test_nonpositive_draws_are_redrawn(self):
-        calls = {"k": 0}
-
-        def flaky(rng, size):
-            calls["k"] += 1
-            if calls["k"] == 1:
-                return np.array([-1.0, 2.0, 0.0])
-            return rng.standard_exponential(size)
-
-        w = draw_generalized_weights(3, flaky, substream(7, "g"))
-        assert np.all(w.counts > 0)
-        assert calls["k"] >= 2
+        with pytest.raises(DegenerateWeightsError, match=f"after {REDRAW_LIMIT} redraws"):
+            nondegenerate(draw)
+        assert len(calls) == REDRAW_LIMIT + 1
 
 
 class TestCenter:
@@ -237,3 +214,10 @@ class TestWeightVectorValidation:
     def test_sum_mismatch_rejected(self):
         with pytest.raises(ValueError):
             WeightVector(np.array([1.0, 1.0]), 3, WeightScheme.MULTINOMIAL)
+
+    def test_iid_positive_takes_real_weights(self):
+        # the scheme of a CLI weights file with non-integer entries
+        w = WeightVector(np.array([3.0, 0.5]), 3.5, WeightScheme.IID_POSITIVE)
+        assert w.m == 3.5 and w.scheme is WeightScheme.IID_POSITIVE
+        with pytest.raises(ValueError):
+            WeightVector(np.array([3.0, 0.5]), 3.0, WeightScheme.IID_POSITIVE)
