@@ -249,10 +249,8 @@ def _cmd_ydist(args: argparse.Namespace) -> dict:
     result = {
         "B": args.B,
         "pmf_quadrature": [float(p) for p in dist.pmf],
-        "pmf_closed_form": [
-            math.comb(args.B, l) * orthant_probability_closed_form(args.B, l)
-            for l in range(args.B + 1)
-        ],
+        "pmf_closed_form": [math.comb(args.B, l) * orthant_probability_closed_form(args.B, l)
+                            for l in range(args.B + 1)],
         "cumulative": [float(c) for c in dist.cumulative()],
         "uniform_value": 1.0 / (args.B + 1),
     }

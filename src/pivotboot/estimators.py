@@ -26,14 +26,14 @@ __all__ = [
 @dataclass(frozen=True)
 class Sample:
     """Immutable observation vector with its mean and variance (divisor n),
-    computed once from the values."""
+    computed once from a private copy of the values."""
 
     values: np.ndarray
     mean: float = field(init=False)
     variance: float = field(init=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("a sample needs at least one observation")
         values.setflags(write=False)

@@ -10,8 +10,9 @@ normal cutoff z = Phi^{-1}(1 - alpha/2):
     ECDF value         F*(x) +/- z sqrt(F*(1-F*)) sqrt(V^2)
     CDF value          F*(x) +/- z sqrt(F*(1-F*)) sqrt(V^2) / sum|c|
 
-Membership of the target in an interval is algebraically equivalent to the
-matching pivot not exceeding z in absolute value.
+Membership of the target is equivalent to |pivot| <= z for the first five
+(G*, T*, T**, G**, alpha1-hat-hat), not for the CDF interval: it centres at
+F*(x), while alpha2-hat-hat weighs its indicators by |c|.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ _STARRED = {
     PivotKind.T_TILDE,
     PivotKind.G_TILDE,
 }
-_EMPIRICAL = {
+EMPIRICAL_KINDS = {
     PivotKind.ALPHA1_HAT,
     PivotKind.ALPHA1_HAT_HAT,
     PivotKind.ALPHA2_HAT,
@@ -150,7 +150,7 @@ def empirical_pivot(
     replaces the weight norm sqrt(V^2) by 1/sqrt(m), an asymptotically
     equivalent scale licensed for these pivots only.
     """
-    if kind not in _EMPIRICAL:
+    if kind not in EMPIRICAL_KINDS:
         raise ValueError(f"{kind} is not an empirical-distribution pivot")
     absolute = kind in (PivotKind.ALPHA2_HAT, PivotKind.ALPHA2_HAT_HAT)
     if absolute:

@@ -39,7 +39,8 @@ from .intervals import (
     ci_superpop_mean,
 )
 from .multi_bootstrap import GENZ_LEVEL_B9, draw_replicates, refined_contains
-from .pivots import PivotKind, empirical_pivot, g_star, starred_variant, student_t, t_star
+from .pivots import (EMPIRICAL_KINDS, PivotKind, empirical_pivot, g_star, starred_variant,
+                     student_t, t_star)
 from .rng import substream
 from .weights import (
     CenteredWeights,
@@ -543,11 +544,7 @@ def pivot_clt_frequencies(
     ``x`` with the model CDF as the true value."""
     model = resolve_model(model)
     kinds = list(kinds)
-    needs_x = {
-        PivotKind.ALPHA1_HAT, PivotKind.ALPHA1_HAT_HAT,
-        PivotKind.ALPHA2_HAT, PivotKind.ALPHA2_HAT_HAT,
-    }
-    if any(k in needs_x for k in kinds) and x is None:
+    if x is None and any(k in EMPIRICAL_KINDS for k in kinds):
         raise ValueError("an evaluation point x is required for distribution pivots")
     f_true = model.cdf(x) if x is not None else None
 

@@ -173,5 +173,5 @@ def sixth_moment_expression(n: int, m: int) -> float:
 
 
 def _validate_sizes(n: int, m: int) -> None:
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
+    if n < 1 or not 1 <= m < 2**63:  # numpy draws counts as int64
+        raise ValueError("n must be at least 1 and m in [1, 2**63)")

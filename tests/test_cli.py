@@ -1,12 +1,22 @@
 """CLI tests: exit codes, frozen interval values, report determinism."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotboot import cli
 from pivotboot.cli import main
+from pivotboot.intervals import RECIPES
 from pivotboot.jsonio import dumps
 from pivotboot.weights import WeightScheme, WeightVector
 
@@ -214,10 +224,24 @@ class TestYdistCommand:
         report = json.loads(out)
         assert report["pmf_closed_form"] == pytest.approx([1 / 3] * 3)
 
+    def test_large_b_pmf_matches_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "ydist", "--B", "100", "--alpha", "0.1",
+                               "--seed", "1", "--timestamp", "T0")
+        assert code == 0
+        report = json.loads(out)
+        assert np.allclose(report["pmf_quadrature"], report["pmf_closed_form"],
+                           rtol=0.0, atol=1e-12)
+
     def test_b1_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "ydist", "--B", "1", "--seed", "1")
         assert code == 2
         assert "B" in err
+
+    def test_b_above_1000_exits_2(self, capsys):
+        # C(B, l) overflows a float from B = 1030
+        code, _, err = run_cli(capsys, "ydist", "--B", "1001", "--seed", "1")
+        assert code == 2
+        assert "1000" in err
 
 
 class TestBoundCommand:
@@ -323,3 +347,75 @@ class TestMalformedInputs:
         code, _, err = run_cli(capsys, "weights", "--n", "-3", "--m", "5",
                                "--seed", "1")
         assert code == 2
+
+
+def run_cli_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code (argparse's SystemExit included) and stderr of one
+    in-process run; capsys cannot serve a hypothesis test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# Mostly parseable files, so that runs get past the parser, with up to two
+# noisy lines put in at random places.
+clean_lines = st.one_of(st.floats(-1e6, 1e6).map(repr), st.sampled_from(["# note", "", " 7 "]))
+noisy_lines = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "1e308", "-1e308", "1e-320"]),
+    st.text(max_size=8),
+)
+float_args = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([0.1, 0.05, 1e-320, 1.0, 0.0]))
+
+
+class TestExitCodeProperty:
+    """Whatever the input, the CLI exits 0, 2 or 3 and never with a traceback."""
+
+    @given(lines=st.lists(clean_lines, max_size=12),
+           noise=st.lists(st.tuples(st.integers(0, 12), noisy_lines), max_size=2),
+           crlf=st.booleans(),
+           method=st.sampled_from(RECIPES), alpha=float_args,
+           m=st.one_of(st.none(), st.integers(-3, 300), st.sampled_from([2**63, 10**30])),
+           x=st.one_of(st.none(), float_args))
+    @settings(max_examples=150, deadline=None)
+    def test_ci(self, lines, noise, crlf, method, alpha, m, x):
+        for at, line in noise:
+            lines.insert(at, line)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.txt")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(("\r\n" if crlf else "\n").join(lines))
+            argv = ["ci", path, "--method", method, f"--alpha={alpha!r}", "--seed", "3",
+                    "--timestamp", "T0"]
+            argv += [] if m is None else [f"--m={m}"]
+            argv += [] if x is None else [f"--x={x!r}"]
+            code, err = run_cli_quietly(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+    @given(B=st.one_of(st.integers(1, 60), st.sampled_from([0, -4, 1001, 10**30])),
+           alpha=st.one_of(st.none(), float_args))
+    @settings(max_examples=60, deadline=None)
+    def test_ydist(self, B, alpha):
+        argv = ["ydist", f"--B={B}", "--seed", "3", "--timestamp", "T0"]
+        argv += [] if alpha is None else [f"--alpha={alpha!r}"]
+        code, err = run_cli_quietly(argv)
+        assert code in (0, 2)
+        assert "Traceback" not in err
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        probe = ("import pivotboot.cli, sys; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                text=True, timeout=120, check=True)
+        assert result.stdout.strip() == "[]"

@@ -48,6 +48,14 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample.from_values([])
 
+    def test_callers_array_stays_writable_and_detached(self):
+        values = np.array([1.0, 2.0, 6.0])
+        s = Sample.from_values(values)
+        values[0] = 5.0
+        assert s.values.tolist() == [1.0, 2.0, 6.0]
+        assert s.mean == 3.0
+        assert not s.values.flags.writeable
+
 
 class TestBootstrapMean:
     def test_hand_examples(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from pivotboot.errors import (
@@ -11,7 +13,7 @@ from pivotboot.errors import (
     ZeroBootstrapVarianceError,
     ZeroVarianceError,
 )
-from pivotboot.estimators import Sample
+from pivotboot.estimators import Sample, ecdf
 from pivotboot.gaussian import normal_cdf, normal_quantile
 from pivotboot.intervals import (
     IntervalTarget,
@@ -21,7 +23,7 @@ from pivotboot.intervals import (
     ci_sample_mean,
     ci_superpop_mean,
 )
-from pivotboot.pivots import PivotKind, g_star, starred_variant, t_star
+from pivotboot.pivots import PivotKind, empirical_pivot, g_star, starred_variant, t_star
 from pivotboot.rng import substream
 from pivotboot.weights import WeightScheme, WeightVector, center, draw_multinomial_weights
 
@@ -201,6 +203,38 @@ class TestDualities:
             hits += 1
             assert (s.mean in interval) == (abs(pivot) <= z + 1e-10)
         assert hits > 150
+
+    # Properties: membership agrees with |pivot| <= z off a rounding-width
+    # band around the boundary.  The target sits at a random multiple of the
+    # half-width from the centre, often within 5% of an end of the interval.
+    @given(r=st.integers(0, 10**6), n=st.integers(2, 30), alpha=st.floats(0.01, 0.5),
+           offset=st.one_of(st.floats(-3.0, 3.0), st.floats(0.95, 1.05), st.floats(-1.05, -0.95)))
+    @settings(max_examples=200, deadline=None)
+    def test_superpop_duality_property(self, r, n, alpha, offset):
+        s, w, cw = random_instance(r, n)
+        try:
+            interval = ci_superpop_mean(s, w, cw, alpha)
+        except ZeroBootstrapVarianceError:
+            assume(False)
+        mu = (interval.lo + interval.hi) / 2 + offset * interval.width / 2
+        pivot = starred_variant(PivotKind.G_DOUBLE_STAR, s, w, cw, mu=mu)
+        z = normal_quantile(1 - alpha / 2)
+        assume(abs(abs(pivot) - z) > 1e-9)
+        assert (mu in interval) == (abs(pivot) <= z)
+
+    @given(r=st.integers(0, 10**6), n=st.integers(2, 30), alpha=st.floats(0.01, 0.5),
+           x=st.floats(-4.0, 5.0))
+    @settings(max_examples=200, deadline=None)
+    def test_ecdf_duality_property(self, r, n, alpha, x):
+        s, w, cw = random_instance(r, n)
+        try:
+            interval = ci_ecdf(s, w, cw, x, alpha, IntervalTarget.ECDF_VALUE)
+        except DegenerateScaleError:
+            assume(False)
+        pivot = empirical_pivot(PivotKind.ALPHA1_HAT_HAT, s, w, cw, x)
+        z = normal_quantile(1 - alpha / 2)
+        assume(abs(abs(pivot) - z) > 1e-9)
+        assert (ecdf(s, x) in interval) == (abs(pivot) <= z)
 
 
 class TestIntervalGeometry:

@@ -16,6 +16,7 @@ from pivotboot.estimators import Sample
 from pivotboot.multi_bootstrap import (
     GENZ_LEVEL_B9,
     ReplicateSet,
+    YDistribution,
     classical_cutoff_rank,
     draw_replicates,
     orthant_probability,
@@ -67,14 +68,22 @@ class TestOrthantProbability:
             orthant_probability(3, -1)
         with pytest.raises(DomainError):
             orthant_probability(3, 4)
+        with pytest.raises(DomainError):
+            orthant_probability(1001, 0)
 
 
 class TestYDistribution:
     def test_uniform_small_B(self):
-        for B in (2, 5, 9):
+        for B in (2, 5, 9, 31, 100, 199):
             dist = y_distribution(B)
-            assert np.allclose(dist.pmf, 1 / (B + 1), atol=1e-9)
+            assert np.allclose(dist.pmf, 1 / (B + 1), rtol=0.0, atol=1e-12)
             assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_containers_copy_the_callers_array(self):
+        pmf, values = np.full(3, 1 / 3), np.array([0.5, -1.0])
+        dist, reps = YDistribution(B=2, pmf=pmf), ReplicateSet(values=values, B=2, m=4)
+        pmf[0], values[0] = 1.0, 9.0
+        assert dist.pmf[0] == 1 / 3 and reps.values[0] == 0.5
 
     def test_monte_carlo_exchangeable_representation(self):
         # Z_b = (Z_0 + U_b)/sqrt(2) has the unit-variance, 1/2-correlation law
