@@ -73,15 +73,21 @@ class _CliError(Exception):
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    """The master seed: ``--seed``, else ``$PIVOTBOOT_SEED``, else a fresh
+    one; streams are keyed by the seed as an int64."""
+    source = "--seed"
+    if value is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return secrets.randbits(63)
+        source = SEED_ENV_VAR
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise _CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return secrets.randbits(63)
+    if not -2**63 <= value < 2**63:
+        raise _CliError(f"{source} must lie in [-2**63, 2**63), got {value}")
+    return value
 
 
 def _manifest(command: str, config: dict, seed: int, timestamp: str | None) -> dict:

@@ -13,8 +13,11 @@ compared against the maximum of B replicate pivots.
 
 Every (outer, inner) replicate owns a counter-based substream derived from
 (seed, purpose, s, t), so reports are byte-identical for any worker-thread
-count and any execution order.  Inner computations are vectorized per outer
-cell; the vectorized kernels agree with the scalar pivot functions (tested).
+count and any execution order.  The table kernels re-address one generator
+per outer cell to each replicate's stream (``rng.restreamer``: the same
+streams, the same bytes), so each worker thread owns its own.  Inner
+computations are vectorized per outer cell; the vectorized kernels agree
+with the scalar pivot functions (tested).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .intervals import (
 from .multi_bootstrap import GENZ_LEVEL_B9, draw_replicates, refined_contains
 from .pivots import (EMPIRICAL_KINDS, PivotKind, empirical_pivot, g_star, starred_variant,
                      student_t, t_star)
-from .rng import substream
+from .rng import restreamer, substream
 from .weights import (
     CenteredWeights,
     WeightScheme,
@@ -362,9 +365,10 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
             return centered, float(centered @ centered)
 
         centered, redraws = nondegenerate(draw_weights)
+        data_rng = restreamer(seed, "table1.data")
         base = np.empty((T, n))
         for t in range(T):
-            base[t] = model.draw_base(substream(seed, "table1.data", s, t), n)
+            base[t] = model.draw_base(data_rng(s, t), n)
         data, stds, valid, pivot_t = _studentize(model, base, resolved["studentize_ddof"])
         weight_norm = math.sqrt(float(centered @ centered))
         pivot_g = ((data - model.mean) @ np.abs(centered)) / (stds * weight_norm)
@@ -392,10 +396,11 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     threshold, seed = resolved["threshold"], resolved["seed"]
 
     def cell(s: int) -> tuple[tuple[int, int, int], ...]:
+        joint_rng = restreamer(seed, "table2.joint")
         base = np.empty((T, n))
         counts = np.empty((T, B + 1, n))
         for t in range(T):
-            rng = substream(seed, "table2.joint", s, t)
+            rng = joint_rng(s, t)
             base[t] = model.draw_base(rng, n)
             counts[t] = draw_multinomial_batch(n, m, B + 1, rng)
         data, stds, data_ok, pivot_t = _studentize(model, base, resolved["studentize_ddof"])

@@ -335,6 +335,14 @@ class TestManifestAndSerialization:
         text = out.rstrip("\n")
         assert dumps(json.loads(text)) == text
 
+    def test_env_seed_out_of_range_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PIVOTBOOT_SEED", "-99999999999999999999")
+        code, out, err = run_cli(capsys, "weights", "--n", "5", "--m", "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("pivotboot: error: PIVOTBOOT_SEED must lie in [-2**63, 2**63)")
+        assert err.count("\n") == 1
+
 
 class TestMalformedInputs:
     def test_bad_alpha_exits_2(self, capsys, data_file):
@@ -406,6 +414,22 @@ class TestExitCodeProperty:
         argv += [] if alpha is None else [f"--alpha={alpha!r}"]
         code, err = run_cli_quietly(argv)
         assert code in (0, 2)
+        assert "Traceback" not in err
+
+    @given(command=st.sampled_from(["weights", "ci", "ydist"]),
+           seed=st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-10**30, 10**30),
+                          st.sampled_from([2**63 - 1, -2**63, 2**63, -2**63 - 1])))
+    @settings(max_examples=100, deadline=None)
+    def test_seed(self, command, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("9.5\n10.25\n11.0\n8.75\n10.5\n")
+            argv = {"weights": ["weights", "--n", "5", "--m", "7"],
+                    "ci": ["ci", path, "--method", "population", "--m", "4"],
+                    "ydist": ["ydist", "--B", "9"]}[command]
+            code, err = run_cli_quietly(argv + [f"--seed={seed}", "--timestamp", "T0"])
+        assert code == (0 if -2**63 <= seed < 2**63 else 2)
         assert "Traceback" not in err
 
 
