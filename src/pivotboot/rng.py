@@ -13,8 +13,9 @@ streams or in which order.
 Because the counter is the address, one Philox can also be moved from
 stream to stream by assigning its key, counter and empty draw buffer:
 ``restreamer`` does that for loops that use each stream for one replicate
-only (the table kernels re-address one generator per outer cell), and
-draws the same values as ``substream`` at every address.
+only (the table kernels re-address one generator per outer cell, the
+harness loops one per worker thread), and draws the same values as
+``substream`` at every address.
 """
 
 from __future__ import annotations

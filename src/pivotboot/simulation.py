@@ -13,16 +13,19 @@ compared against the maximum of B replicate pivots.
 
 Every (outer, inner) replicate owns a counter-based substream derived from
 (seed, purpose, s, t), so reports are byte-identical for any worker-thread
-count and any execution order.  The table kernels re-address one generator
-per outer cell to each replicate's stream (``rng.restreamer``: the same
-streams, the same bytes), so each worker thread owns its own.  Inner
-computations are vectorized per outer cell; the vectorized kernels agree
-with the scalar pivot functions (tested).
+count and any execution order.  No loop builds a generator per replicate:
+the table kernels re-address one generator per outer cell to each
+replicate's stream, and the coverage, pivot-law and replicate-cutoff
+harnesses one generator per worker thread (``rng.restreamer``: the same
+streams, the same bytes).  Table-kernel inner computations are vectorized
+per outer cell; the vectorized kernels agree with the scalar pivot
+functions (tested).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
@@ -293,6 +296,20 @@ def _run_outer_cells(worker: Callable[[int], tuple], count: int, threads: int) -
         return list(pool.map(worker, range(count)))
 
 
+def _restreamer_per_thread(seed: int, purpose: str) -> Callable[..., np.random.Generator]:
+    """``rng.restreamer(seed, purpose)`` for a loop that may run on worker
+    threads: each thread re-addresses its own generator."""
+    local = threading.local()
+
+    def at(*indices: int) -> np.random.Generator:
+        own = getattr(local, "at", None)
+        if own is None:
+            own = local.at = restreamer(seed, purpose)
+        return own(*indices)
+
+    return at
+
+
 def _studentize(model: Model, base: np.ndarray, ddof: int) -> tuple[np.ndarray, ...]:
     """Transform a cell's base variates (one replicate per row) and
     Studentize them: the data, the standard deviations (divisor n - ddof;
@@ -475,10 +492,10 @@ def run_coverage(
     if interval_recipe in ("ecdf", "cdf") and x is None:
         raise ValueError(f"recipe {interval_recipe!r} needs an evaluation point x")
     model = resolve_model(model)
-    purpose = f"coverage.{interval_recipe}"
+    stream = _restreamer_per_thread(seed, f"coverage.{interval_recipe}")
 
     def replicate(r: int) -> bool | None:
-        sample, w, cw = _draw_replicate(model, n, m, substream(seed, purpose, r))
+        sample, w, cw = _draw_replicate(model, n, m, stream(r))
         try:
             if interval_recipe == "population":
                 interval, target = ci_population_mean(sample, cw, alpha), model.mean
@@ -552,9 +569,10 @@ def pivot_clt_frequencies(
     if x is None and any(k in EMPIRICAL_KINDS for k in kinds):
         raise ValueError("an evaluation point x is required for distribution pivots")
     f_true = model.cdf(x) if x is not None else None
+    stream = _restreamer_per_thread(seed, "pivot_clt")
 
     def replicate(r: int) -> tuple[bool | None, ...]:
-        sample, w, cw = _draw_replicate(model, n, m, substream(seed, "pivot_clt", r))
+        sample, w, cw = _draw_replicate(model, n, m, stream(r))
         out = []
         for kind in kinds:
             try:
@@ -590,9 +608,10 @@ def refined_ci_coverage(
     Studentized mean stays below the refined order statistic of B replicate
     pivots."""
     model = resolve_model(model)
+    stream = _restreamer_per_thread(seed, "refined_ci")
 
     def replicate(r: int) -> bool | None:
-        rng = substream(seed, "refined_ci", r)
+        rng = stream(r)
         sample = sample_model(model, n, rng)
         try:
             t_value = student_t(sample, model.mean)

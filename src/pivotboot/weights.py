@@ -57,10 +57,13 @@ class WeightVector:
         object.__setattr__(self, "counts", counts)
         if counts.ndim != 1 or counts.size < 1:
             raise ValueError("counts must be a non-empty 1-D sequence")
-        if np.any(counts < 0) or not np.all(np.isfinite(counts)):
+        # ndarray methods, not the np.any / np.all / np.array_equal wrappers,
+        # which cost a third of a vector's construction (tests/test_weights.py
+        # checks the two forms accept the same counts).
+        if (counts < 0).any() or not np.isfinite(counts).all():
             raise ValueError("counts must be finite and nonnegative")
         if self.scheme is WeightScheme.MULTINOMIAL:
-            if not np.array_equal(counts, np.round(counts)):
+            if not (counts.round() == counts).all():
                 raise ValueError("multinomial counts must be integers")
             if int(round(self.m)) != int(counts.sum()):
                 raise ValueError("resample size m must equal the count total")

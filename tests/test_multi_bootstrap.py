@@ -1,9 +1,12 @@
 """Replicate-cutoff tests: orthant integrals, count distribution, conventions."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pivotboot import multi_bootstrap
 from pivotboot.errors import (
@@ -25,8 +28,9 @@ from pivotboot.multi_bootstrap import (
     y_distribution,
     y_quantile,
 )
+from pivotboot.pivots import t_star
 from pivotboot.rng import substream
-from pivotboot.weights import REDRAW_LIMIT, WeightScheme, WeightVector
+from pivotboot.weights import REDRAW_LIMIT, center, draw_multinomial_weights, nondegenerate
 
 
 class TestOrthantProbability:
@@ -167,16 +171,67 @@ class TestDrawReplicates:
             draw_replicates(Sample.from_values([1.0, 1.0]), 3, 2, substream(34, "reps"))
 
     def test_redraw_budget_is_bounded(self, monkeypatch):
-        draws = []
+        rows = []
 
-        def always_uniform(n, m, stream):
-            draws.append(1)
-            return WeightVector(np.full(n, m / n), float(m), WeightScheme.MULTINOMIAL)
+        def always_uniform(n, m, size, stream):
+            rows.append(size)
+            return np.full((size, n), m / n)
 
-        monkeypatch.setattr(multi_bootstrap, "draw_multinomial_weights", always_uniform)
+        monkeypatch.setattr(multi_bootstrap, "draw_multinomial_batch", always_uniform)
         with pytest.raises(DegenerateWeightsError):
             draw_replicates(Sample.from_values([1.0, 0.0]), 3, 2, substream(35, "reps"))
-        assert len(draws) == REDRAW_LIMIT + 1
+        # the batch of B = 3, then one row per redraw until the budget is spent
+        assert rows[0] == 3 and set(rows[1:]) == {1}
+        assert sum(rows) == REDRAW_LIMIT + 1
+
+
+def _sequential_replicates(s, B: int, m: int, stream) -> tuple[list[float], int]:
+    """Reference for draw_replicates: one row per draw_multinomial_weights
+    call, centered and fed to t_star, each slot redrawn by nondegenerate."""
+
+    def draw():
+        cw = center(draw_multinomial_weights(s.n, m, stream), s.n)
+        return cw, cw.sum_squares
+
+    draws = [nondegenerate(draw) for _ in range(B)]
+    return [t_star(s, cw) for cw, _ in draws], sum(redraws for _, redraws in draws)
+
+
+def _outcome(replicates, stream):
+    """What a path returned or raised, and the stream's next draw (so the
+    rows it consumed)."""
+    try:
+        result = replicates()
+    except DegenerateWeightsError:
+        result = DegenerateWeightsError
+    return result, stream.random()
+
+
+class TestBatchedEqualsSequential:
+    @given(n=st.integers(2, 8), m=st.integers(1, 10), B=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, m=2, B=12, seed=0)  # about half the rows are degenerate
+    @example(n=1, m=3, B=4, seed=0)   # every row is degenerate: the budget runs out
+    def test_same_values_redraws_and_rows(self, n, m, B, seed):
+        if n == 1:
+            # A one-point Sample has zero variance; a unit-variance stand-in
+            # lets both paths reach the weight draws.
+            s = SimpleNamespace(n=1, values=np.ones(1), variance=1.0, std=1.0)
+        else:
+            s = Sample.from_values(substream(seed, "batched.data").standard_normal(n))
+        batched_stream = substream(seed, "batched.weights")
+        reference_stream = substream(seed, "batched.weights")
+        batched, batched_next = _outcome(lambda: draw_replicates(s, B, m, batched_stream),
+                                         batched_stream)
+        reference, reference_next = _outcome(
+            lambda: _sequential_replicates(s, B, m, reference_stream), reference_stream)
+        assert batched_next == reference_next
+        if reference is DegenerateWeightsError:
+            assert batched is DegenerateWeightsError
+            return
+        values, redraws = reference
+        np.testing.assert_allclose(batched.values, values, rtol=1e-12, atol=0.0)
+        assert batched.degenerate_redraws == redraws
 
 
 class TestRefinedContains:

@@ -2,6 +2,7 @@
 of the vectorized kernels against the scalar pivot functions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -131,10 +132,43 @@ class TestDeterminism:
         cfg = SimConfig(model="lognormal01", n=10, outer_reps=15, inner_reps=15, seed=9)
         assert dumps(run_table1(cfg).to_dict()) == dumps(run_table1(cfg).to_dict())
 
+    # The harness loops re-address one generator per worker thread; a
+    # generator shared across threads would interleave draws and change
+    # bytes.  A short switch interval makes such interleaving likely.
+    @pytest.fixture
+    def frequent_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.usefixtures("frequent_thread_switches")
     def test_coverage_thread_invariance(self):
-        a = run_coverage("population", "normal01", 20, 20, 0.1, 200, seed=3, threads=1)
-        b = run_coverage("population", "normal01", 20, 20, 0.1, 200, seed=3, threads=5)
-        assert dumps(a.to_dict()) == dumps(b.to_dict())
+        for recipe in ("population", "sample", "finitepop", "superpop", "ecdf", "cdf"):
+            x = 0.0 if recipe in ("ecdf", "cdf") else None
+            reports = {dumps(run_coverage(recipe, "normal01", 20, 20, 0.1, 200, seed=3, x=x,
+                                          threads=threads).to_dict())
+                       for threads in (1, 2, 8)}
+            assert len(reports) == 1, recipe
+
+    @pytest.mark.usefixtures("frequent_thread_switches")
+    def test_pivot_clt_thread_invariance(self):
+        reports = {dumps(pivot_clt_frequencies(list(PivotKind), "lognormal01", 15, 12,
+                                               1.644854, 200, seed=4, x=1.0,
+                                               threads=threads).to_dict())
+                   for threads in (1, 2, 8)}
+        assert len(reports) == 1
+
+    @pytest.mark.usefixtures("frequent_thread_switches")
+    def test_refined_ci_thread_invariance(self):
+        # n = 2, m = 2 redraws about half of all weight rows
+        for n, m in ((2, 2), (30, 30)):
+            reports = {dumps(refined_ci_coverage("poisson1", n, m, 9, 0.1, 200, seed=5,
+                                                 threads=threads).to_dict())
+                       for threads in (1, 2, 8)}
+            assert len(reports) == 1, (n, m)
 
 
 def _within(hits: int, valid: int, nominal: float, band: float) -> bool:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pivotboot.errors import DegenerateWeightsError, DimensionMismatchError
 from pivotboot.rng import substream
@@ -221,3 +222,56 @@ class TestWeightVectorValidation:
         assert w.m == 3.5 and w.scheme is WeightScheme.IID_POSITIVE
         with pytest.raises(ValueError):
             WeightVector(np.array([3.0, 0.5]), 3.0, WeightScheme.IID_POSITIVE)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        for scheme in WeightScheme:
+            with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
+                WeightVector(np.array([1.0, bad]), 2.0, scheme)
+
+    @pytest.mark.parametrize("counts", [np.ones((2, 2)), np.array([])])
+    def test_two_dimensional_or_empty_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="^counts must be a non-empty 1-D sequence$"):
+            WeightVector(counts, 4.0, WeightScheme.MULTINOMIAL)
+
+    @given(
+        counts=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5),
+            elements=st.one_of(st.integers(-2, 5).map(float),
+                               st.floats(-2.0, 5.0, allow_nan=False, allow_infinity=False),
+                               st.sampled_from([math.nan, math.inf, -math.inf])),
+        ),
+        m=st.one_of(st.none(), st.floats(-1.0, 30.0, allow_nan=False, allow_infinity=False)),
+        scheme=st.sampled_from(WeightScheme),
+    )
+    def test_checks_agree_with_the_np_any_all_array_equal_predicate(self, counts, m, scheme):
+        if m is None:  # the count total, so that valid vectors are drawn too
+            m = float(counts.sum()) if np.isfinite(counts).all() else 1.0
+        expected = _reference_rejection(counts, m, scheme)
+        if expected is None:
+            WeightVector(counts, m, scheme)
+        else:
+            with pytest.raises(ValueError) as info:
+                WeightVector(counts, m, scheme)
+            assert str(info.value) == expected
+
+
+def _reference_rejection(counts: np.ndarray, m: float, scheme: WeightScheme) -> str | None:
+    """WeightVector's checks as first written, with np.any, np.all and
+    np.array_equal: the message of the first failing check, or None."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 1 or counts.size < 1:
+        return "counts must be a non-empty 1-D sequence"
+    if np.any(counts < 0) or not np.all(np.isfinite(counts)):
+        return "counts must be finite and nonnegative"
+    if scheme is WeightScheme.MULTINOMIAL:
+        if not np.array_equal(counts, np.round(counts)):
+            return "multinomial counts must be integers"
+        if int(round(m)) != int(counts.sum()):
+            return "resample size m must equal the count total"
+    elif not np.isclose(m, counts.sum(), rtol=1e-12, atol=0.0):
+        return "resample size m must equal the count total"
+    if m <= 0:
+        return "resample size m must be positive"
+    return None
