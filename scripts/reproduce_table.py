@@ -11,7 +11,7 @@ whose maximum replicate pivot serves as the bootstrap cutoff; scores the
 three methods side by side.
 
 Runs all nine published design points (500 outer x 500 inner each) and
-prints the scored band frequencies.  Expect a few minutes per cell on
+prints the scored band frequencies.  Expect a few seconds per cell on
 laptop-class hardware.
 """
 

@@ -68,11 +68,20 @@ def bootstrap_mean(s: Sample, w: WeightVector) -> float:
 
 
 def bootstrap_variance(s: Sample, w: WeightVector) -> float:
-    """Resampled variance about the resampled mean, divisor m."""
+    """Resampled variance about the resampled mean, divisor m; exactly 0.0
+    when every resampled value is the same one."""
     _check_lengths(s, w)
     resampled_mean = w.counts @ s.values / w.m
     deviations = s.values - resampled_mean
-    return float(w.counts @ (deviations * deviations) / w.m)
+    variance = float(w.counts @ (deviations * deviations) / w.m)
+    # The resampled mean of one repeated value x can round away from x and
+    # leave a variance of about (1e-16 x)^2; only that small a variance
+    # needs the exact test.
+    if variance <= 1e-28 * resampled_mean * resampled_mean:
+        drawn = s.values[w.counts > 0]
+        if drawn.min() == drawn.max():
+            return 0.0
+    return variance
 
 
 def weighted_mean_estimator(s: Sample, cw: CenteredWeights) -> float:

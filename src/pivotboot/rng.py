@@ -10,12 +10,14 @@ stream would have to consume 2^128 blocks to run into its neighbour), and
 results are identical no matter how many worker threads consume the
 streams or in which order.
 
-Because the counter is the address, one Philox can also be moved from
-stream to stream by assigning its key, counter and empty draw buffer:
-``restreamer`` does that for loops that use each stream for one replicate
-only (the table kernels re-address one generator per outer cell, the
-harness loops one per worker thread), and draws the same values as
-``substream`` at every address.
+The unit of work that owns a stream is the caller's choice: the table
+kernels address one stream per outer cell and draw all of that cell's
+variates from it (stream layout 2), the harness loops one stream per
+replicate.  Because the counter is the address, one Philox can also be
+moved from stream to stream by assigning its key, counter and empty draw
+buffer: ``restreamer`` does that for loops that use each stream for one
+replicate only (the harness loops re-address one generator per worker
+thread), and draws the same values as ``substream`` at every address.
 """
 
 from __future__ import annotations

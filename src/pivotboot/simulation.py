@@ -11,15 +11,19 @@ replicate and scores three one-sided methods side by side: the
 absolute-weight pivot, the Studentized mean, and the Studentized mean
 compared against the maximum of B replicate pivots.
 
-Every (outer, inner) replicate owns a counter-based substream derived from
-(seed, purpose, s, t), so reports are byte-identical for any worker-thread
-count and any execution order.  No loop builds a generator per replicate:
-the table kernels re-address one generator per outer cell to each
-replicate's stream, and the coverage, pivot-law and replicate-cutoff
-harnesses one generator per worker thread (``rng.restreamer``: the same
-streams, the same bytes).  Table-kernel inner computations are vectorized
-per outer cell; the vectorized kernels agree with the scalar pivot
-functions (tested).
+Every random draw comes from a counter-based substream addressed by the
+seed and the unit of work, so reports are byte-identical for any
+worker-thread count and any execution order.  The table kernels address
+one stream per outer cell (stream layout 2, recorded as ``rng_layout`` in
+every table report's config): the cell draws all its inner replicates' base
+variates in one call, then its weights (table1: the cell's one weight
+vector; table2: all B + 1 count rows of every inner replicate in one
+:func:`~pivotboot.weights.draw_resample_counts` call).
+The coverage, pivot-law and replicate-cutoff harnesses give every
+replicate its own stream and re-address one generator per worker thread to
+it (``rng.restreamer``).  Table-kernel inner computations are vectorized per
+outer cell; the vectorized kernels agree with the scalar pivot functions
+(tested).
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .weights import (
     WeightVector,
     center,
     draw_multinomial_batch,
+    draw_resample_counts,
     nondegenerate,
 )
 
@@ -82,6 +87,10 @@ TABLE1_THRESHOLD = 1.644854
 TABLE1_NOMINAL = 0.95
 TABLE2_THRESHOLD = 1.281648
 TABLE2_NOMINAL = GENZ_LEVEL_B9
+
+# The table kernels' stream layout, recorded in every table report's config:
+# 2 is one stream per outer cell (1, retired, was one per inner replicate).
+RNG_LAYOUT = 2
 
 # (model, n) design points of the two printed comparison grids.  The
 # conditional table's exponential row ends at n = 50, the joint table's at
@@ -250,6 +259,7 @@ class SimConfig:
             "B": self.B,
             "seed": self.seed,
             "studentize_ddof": self.studentize_ddof,
+            "rng_layout": RNG_LAYOUT,
         }
 
 
@@ -361,13 +371,14 @@ def _tabulate(kind: str, resolved: dict, model: Model, statistics: Sequence[str]
 def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     """Score the absolute-weight pivot conditionally on the weights.
 
-    Outer loop: one multinomial weight realization per cell (degenerate
+    Outer loop: one stream per cell, which draws the data of every inner
+    replicate, then one multinomial weight realization (degenerate
     realizations redrawn within the budget of
     :func:`~pivotboot.weights.nondegenerate`, and added to the pivot's
-    degenerate count).  Inner loop: fresh data; the same data feed both the
-    conditional pivot and the Studentized mean.  A cell scores for a
-    statistic when its inner frequency of staying below the threshold is
-    within ``tolerance_band`` of ``nominal``.
+    degenerate count).  Inner loop: the same data feed both the conditional
+    pivot and the Studentized mean.  A cell scores for a statistic when its
+    inner frequency of staying below the threshold is within
+    ``tolerance_band`` of ``nominal``.
     """
     resolved = cfg.resolved(TABLE1_THRESHOLD, TABLE1_NOMINAL)
     model = resolve_model(resolved["model"])
@@ -375,17 +386,14 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     threshold, seed = resolved["threshold"], resolved["seed"]
 
     def cell(s: int) -> tuple[tuple[int, int, int], ...]:
-        weight_rng = substream(seed, "table1.weights", s)
+        rng = substream(seed, "table1.cell", s)
+        base = model.draw_base(rng, T * n).reshape(T, n)
 
         def draw_weights() -> tuple[np.ndarray, float]:
-            centered = draw_multinomial_batch(n, m, 1, weight_rng)[0] / m - 1.0 / n
+            centered = draw_multinomial_batch(n, m, 1, rng)[0] / m - 1.0 / n
             return centered, float(centered @ centered)
 
         centered, redraws = nondegenerate(draw_weights)
-        data_rng = restreamer(seed, "table1.data")
-        base = np.empty((T, n))
-        for t in range(T):
-            base[t] = model.draw_base(data_rng(s, t), n)
         data, stds, valid, pivot_t = _studentize(model, base, resolved["studentize_ddof"])
         weight_norm = math.sqrt(float(centered @ centered))
         pivot_g = ((data - model.mean) @ np.abs(centered)) / (stds * weight_norm)
@@ -405,7 +413,8 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     Every inner replicate draws data, one weight vector for the
     absolute-weight pivot, and B further weight vectors for the replicate
     pivots; the replicate criterion compares the Studentized mean against
-    the maximum of the B replicate pivots.
+    the maximum of the B replicate pivots.  Each outer cell's stream draws
+    the data of all its inner replicates, then all their weight rows.
     """
     resolved = cfg.resolved(TABLE2_THRESHOLD, TABLE2_NOMINAL)
     model = resolve_model(resolved["model"])
@@ -413,16 +422,13 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     threshold, seed = resolved["threshold"], resolved["seed"]
 
     def cell(s: int) -> tuple[tuple[int, int, int], ...]:
-        joint_rng = restreamer(seed, "table2.joint")
-        base = np.empty((T, n))
-        counts = np.empty((T, B + 1, n))
-        for t in range(T):
-            rng = joint_rng(s, t)
-            base[t] = model.draw_base(rng, n)
-            counts[t] = draw_multinomial_batch(n, m, B + 1, rng)
+        rng = substream(seed, "table2.cell", s)
+        base = model.draw_base(rng, T * n).reshape(T, n)
+        centered = draw_resample_counts(n, m, T * (B + 1), rng).reshape(T, B + 1, n)
+        centered /= m  # in place: the counts are this cell's largest array
+        centered -= 1.0 / n
         data, stds, data_ok, pivot_t = _studentize(model, base, resolved["studentize_ddof"])
 
-        centered = counts / m - 1.0 / n
         norm_sq = np.einsum("tbi,tbi->tb", centered, centered)
         norms = np.sqrt(norm_sq, where=norm_sq > 0.0, out=np.ones_like(norm_sq))
         pivot_g = (

@@ -26,6 +26,7 @@ __all__ = [
     "CenteredWeights",
     "draw_multinomial_weights",
     "draw_multinomial_batch",
+    "draw_resample_counts",
     "nondegenerate",
     "center",
     "max_ratio",
@@ -37,6 +38,11 @@ __all__ = [
 # degenerate weight vector (all centered weights zero).  At n = 1 every draw
 # is degenerate.
 REDRAW_LIMIT = 100
+
+# draw_resample_counts draws its resample indices in blocks of whole rows of
+# at most this many entries (512 KB as int64) where m allows, so memory
+# stays bounded at any row count; larger blocks are no faster.
+_INDEX_BLOCK = 2**16
 
 
 class WeightScheme(enum.Enum):
@@ -131,6 +137,33 @@ def draw_multinomial_batch(n: int, m: int, size: int, stream: np.random.Generato
     """Draw ``size`` independent multinomial(m; 1/n, ...) count rows at once."""
     _validate_sizes(n, m)
     return stream.multinomial(m, _uniform_pvals(n), size=size).astype(float)
+
+
+def draw_resample_counts(n: int, m: int, rows: int, stream: np.random.Generator) -> np.ndarray:
+    """Draw ``rows`` independent multinomial(m; 1/n, ..., 1/n) count rows, as
+    a ``(rows, n)`` float array (as :func:`draw_multinomial_batch`).
+
+    Each row counts m uniform indices in [0, n): the bootstrap's resampling
+    with replacement, drawn as it is defined, at O(m) per row.  numpy's
+    multinomial sampler costs O(n) per row and grows only slowly with m;
+    counting is faster up to m of about 10n to 16n (measured at n = 20 and
+    n = 100), so rows with m > 8n come from the sampler, in one call.
+    Otherwise the indices are drawn in blocks of whole rows of at most
+    max(_INDEX_BLOCK, m) entries; a block draws the same indices as one call
+    for all rows would, so the counts do not depend on the block size.
+    """
+    if m > 8 * n:
+        return draw_multinomial_batch(n, m, rows, stream)
+    _validate_sizes(n, m)
+    counts = np.empty((rows, n))
+    step = max(1, _INDEX_BLOCK // m)
+    for start in range(0, rows, step):
+        block = min(step, rows - start)
+        indices = stream.integers(0, n, (block, m))
+        indices += np.arange(0, block * n, n)[:, None]  # row j counts into [j*n, (j+1)*n)
+        counts[start:start + block] = np.bincount(
+            indices.ravel(), minlength=block * n).reshape(block, n)
+    return counts
 
 
 _T = TypeVar("_T")

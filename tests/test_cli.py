@@ -3,15 +3,17 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pivotboot import cli
@@ -414,6 +416,50 @@ class TestExitCodeProperty:
         argv += [] if alpha is None else [f"--alpha={alpha!r}"]
         code, err = run_cli_quietly(argv)
         assert code in (0, 2)
+        assert "Traceback" not in err
+
+    # Valid table arguments, kept small (a run allocates outer x inner x
+    # (B + 1) x n counts), and values that a flag must reject.  A run breaks
+    # up to two flags, so most runs get past the configuration.
+    TABLE_ARGS = {
+        "--which": st.sampled_from(["1", "2"]),
+        "--model": st.sampled_from(["poisson1", "lognormal01", "exponential1", "normal01"]),
+        "--n": st.integers(2, 40),
+        "--m": st.one_of(st.none(), st.integers(1, 400), st.sampled_from([10**6, 10**12])),
+        "--B": st.one_of(st.none(), st.integers(2, 12)),
+        "--outer": st.integers(1, 3),
+        "--inner": st.integers(1, 3),
+        "--band": st.one_of(st.none(), st.floats(1e-3, 0.5)),
+        "--nominal": st.one_of(st.none(), st.floats(0.01, 0.99)),
+    }
+    TABLE_REJECTS = [
+        *(("--which", v) for v in ("0", "3")),
+        *(("--model", v) for v in ("cauchy", "")),
+        *(("--n", v) for v in (1, 0, -1)),
+        *(("--m", v) for v in (0, -2, 2**63, 10**30)),
+        *(("--B", v) for v in (1, 0, -1)),
+        *((flag, v) for flag in ("--outer", "--inner") for v in (0, -1)),
+        *((flag, v) for flag in ("--band", "--nominal")
+          for v in (math.nan, math.inf, -math.inf, 0.0, -0.25)),
+        *(("--nominal", v) for v in (1.0, 2.5)),
+    ]
+
+    @given(values=st.fixed_dictionaries(TABLE_ARGS),
+           broken=st.lists(st.sampled_from(TABLE_REJECTS), max_size=2))
+    @settings(max_examples=150, deadline=None)
+    @example(values={"--which": "2", "--model": "poisson1", "--n": 20, "--m": 10**6,
+                     "--B": None, "--outer": 1, "--inner": 5, "--band": None,
+                     "--nominal": None},
+             broken=[])
+    def test_table(self, values, broken):
+        values.update(broken)
+        argv = ["table", "--seed", "3", "--timestamp", "T0"]
+        argv += [f"{flag}={value!r}" if isinstance(value, (int, float)) else f"{flag}={value}"
+                 for flag, value in values.items() if value is not None]
+        start = time.perf_counter()
+        code, err = run_cli_quietly(argv)
+        assert time.perf_counter() - start < 20.0
+        assert code == (2 if broken else 0)
         assert "Traceback" not in err
 
     @given(command=st.sampled_from(["weights", "ci", "ydist"]),

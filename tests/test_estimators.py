@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pivotboot.errors import DegenerateWeightsError, DimensionMismatchError
@@ -103,6 +103,14 @@ class TestBootstrapVariance:
         assert bootstrap_variance(s, mw([1, 1])) == pytest.approx(0.25)
         s3 = Sample.from_values([1.0, 0.0, 2.0])
         assert bootstrap_variance(s3, mw([2, 1, 0])) == pytest.approx(2 / 9)
+
+    # All m draws on one value: the resampled mean can round away from that
+    # value (about one draw in ten), but the variance is exactly zero.
+    @given(x=st.floats(-1e6, 1e6), other=st.floats(-1e6, 1e6), m=st.integers(1, 60))
+    @example(x=float.fromhex("0x1.dc06755a93979p+0"), other=0.5, m=5)
+    def test_one_resampled_value_has_zero_variance(self, x, other, m):
+        s = Sample.from_values([other, x, other])
+        assert bootstrap_variance(s, mw([0, m, 0])) == 0.0
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12),
            st.floats(-100, 100))

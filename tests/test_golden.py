@@ -10,7 +10,9 @@ redraws (n = 2), so the draw order of the redraw loops is pinned too.
 The same holds for the CLI's own streams (``cli.weights``, ``cli.ci``),
 pinned through the stdout of ``pivotboot weights`` and of ``pivotboot ci``
 with drawn weights, and for the stream layout itself: the first draws of
-``substream`` at zero to four indices.
+``substream`` at zero to four indices, and the first draws of a table2
+outer cell's stream (layout 2: the cell's base variates, then its count
+rows).
 """
 
 import hashlib
@@ -25,10 +27,12 @@ from pivotboot.simulation import (
     SimConfig,
     pivot_clt_frequencies,
     refined_ci_coverage,
+    resolve_model,
     run_coverage,
     run_table1,
     run_table2,
 )
+from pivotboot.weights import draw_resample_counts
 
 RECIPES = ("population", "sample", "finitepop", "superpop", "ecdf", "cdf")
 
@@ -94,21 +98,21 @@ GOLDEN = {
     "refined_ci/normal01/n2":
         "e1c623f792666041aa3bf2cf5675b2509a65efaec8053eaeac5ac01799f03d1f",
     "table1/exponential1/10":
-        "4d89a2dc2b1006c762eac2d0bd8b556ce863b2527cc256994fdc81301b124071",
+        "a78d2269da6dc2194a64ae56b62aa53848daedf7108cbace3dc007d6cc989115",
     "table1/lognormal01/10":
-        "5a13b7412ca1f61bf2c98781760136157df2548b6ce44d6f2256ebf24473c28f",
+        "de6fdb10018ee9774fc4ee542aef1d706be9218743037159e8aaf075c46db1fb",
     "table1/normal01/2":
-        "154bbd48ea8aceb93696e29021afa49998ba6289ad47c2f9b0c801d4933b08cb",
+        "e255e7d227e1a3dee0719f5283e949e9e8e6f8f5dd66782b8efcded69c863da0",
     "table1/poisson1/10":
-        "40afc79d1199ecfb83e2a01e393865ab0410f01ec2dd1f36d8cec5d13755ab87",
+        "bc54cb5f56ed64bc208c09a060728997c174314358cc474d66c7e5002aa9890c",
     "table2/exponential1/10":
-        "849f986cbc3cc85d113fef09c57dc2dd037f89227fdf13da210eab21344916d9",
+        "4eca4270f393151c655d82c9df5006df3346b3c7291aeed39156a291c98cb65e",
     "table2/lognormal01/10":
-        "18b79c3fadb10d0da2fcb5c20b7672d4b84a2238fe312a7769bb2d741bbe50ea",
+        "58676d490cffab587456e7047de4ff0a1465f02a74e9d1c7e37af58c97bbce04",
     "table2/normal01/2":
-        "2744c657e0406c77a45a0cb39a91bf05656a51fc0fd8c267fe89608b78fa1297",
+        "ec94cf0432e8833b523c271acbd22ddee542c438f129c01e91f954978a26e5ca",
     "table2/poisson1/10":
-        "ead31897575ba12c15c17ba837dcc262c69f883d9335aba486a51e51ad06e4ce",
+        "596d15106d69d39de25b5b4f2d5c9ea8239fffc1983b81a7bf8600097d11eaa9",
 }
 
 
@@ -175,3 +179,15 @@ STREAM_GOLDEN = {
 def test_stream_layout_unchanged(indices):
     draws = substream(2024, "layout", *indices).random(4)
     assert [float.hex(v) for v in draws] == STREAM_GOLDEN[indices]
+
+
+def test_table_cell_layout_unchanged():
+    # A table2 cell of poisson1, n = m = 5, B = 2, 3 inner replicates, at
+    # seed 2024, outer cell 0: the first base variates, then the first count
+    # row (index counting, m <= 8n).
+    rng = substream(2024, "table2.cell", 0)
+    base = resolve_model("poisson1").draw_base(rng, 3 * 5)
+    assert [float.hex(v) for v in base[:4]] == [
+        "0x1.e7b0f163e1c9cp-3", "0x1.5454015906e40p-7",
+        "0x1.22256c54d93e8p-1", "0x1.19c131fcfdf62p-2"]
+    assert draw_resample_counts(5, 5, 3 * 3, rng)[0].tolist() == [1, 2, 2, 0, 0]

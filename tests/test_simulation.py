@@ -177,7 +177,11 @@ def _within(hits: int, valid: int, nominal: float, band: float) -> bool:
 
 class TestWhiteBoxConsistency:
     """Recompute tiny table cells with the scalar library functions on the
-    same substreams and require identical reports."""
+    same substreams and require identical reports.
+
+    The scalar paths derive stream layout 2 on their own: one stream per
+    outer cell, read one inner replicate (and, in table2, one count row) at
+    a time, where the kernels draw each cell's blocks in one call."""
 
     # The fixed designs of the original white-box cases, plus random designs:
     # any law, n in 2..8, both Studentizing divisors.  The scalar pivots use
@@ -199,6 +203,8 @@ class TestWhiteBoxConsistency:
              levels=(TABLE1_THRESHOLD, TABLE1_NOMINAL, 0.01))
     @example(model="poisson1", n=2, m=2, S=3, T=20, seed=12, ddof=1,  # weight redraws
              levels=(0.385320, 0.5, 0.3))
+    @example(model="lognormal01", n=3, m=40, S=2, T=12, seed=5, ddof=1,  # m > 8n
+             levels=(0.385320, 0.6, 0.3))
     def test_table1_matches_scalar_path(self, model, n, m, S, T, seed, ddof, levels):
         threshold, nominal, band = levels
         cfg = SimConfig(model=model, n=n, m=m, outer_reps=S, inner_reps=T, threshold=threshold,
@@ -209,18 +215,18 @@ class TestWhiteBoxConsistency:
 
         within_g = within_t = redraws = 0
         for s in range(S):
-            wrng = substream(seed, "table1.weights", s)
+            rng = substream(seed, "table1.cell", s)
+            samples = [Sample.from_values(model.transform(model.draw_base(rng, n)))
+                       for _ in range(T)]
             while True:
-                counts = draw_multinomial_batch(n, m, 1, wrng)[0]
+                counts = draw_multinomial_batch(n, m, 1, rng)[0]
                 w = WeightVector(counts, float(m), WeightScheme.MULTINOMIAL)
                 cw = center(w, n)
                 if cw.sum_squares > 0:
                     break
                 redraws += 1
             hits_g = hits_t = valid = 0
-            for t in range(T):
-                data = model.transform(model.draw_base(substream(seed, "table1.data", s, t), n))
-                sample = Sample.from_values(data)
+            for sample in samples:
                 if sample.variance <= 0:
                     continue
                 valid += 1
@@ -239,6 +245,10 @@ class TestWhiteBoxConsistency:
              levels=(TABLE2_THRESHOLD, TABLE2_NOMINAL, 0.01))
     @example(model="poisson1", n=2, m=2, B=2, S=3, T=20, seed=12, ddof=1,
              levels=(0.385320, 0.5, 0.3))
+    @example(model="exponential1", n=3, m=40, B=4, S=2, T=12, seed=5, ddof=1,  # m > 8n
+             levels=(0.385320, 0.6, 0.3))
+    @example(model="normal01", n=2, m=16, B=3, S=2, T=12, seed=6, ddof=0,  # m = 8n
+             levels=(-0.524401, 0.3, 0.1))
     def test_table2_matches_scalar_path(self, model, n, m, B, S, T, seed, ddof, levels):
         threshold, nominal, band = levels
         cfg = SimConfig(model=model, n=n, m=m, outer_reps=S, inner_reps=T, threshold=threshold,
@@ -248,14 +258,20 @@ class TestWhiteBoxConsistency:
         model = resolve_model(model)
         scale = math.sqrt((n - ddof) / n)
 
+        def count_row(rng):
+            # m uniform resample indices, counted; numpy's sampler past m = 8n
+            if m > 8 * n:
+                return rng.multinomial(m, [1.0 / n] * n)
+            return np.bincount(rng.integers(0, n, m), minlength=n)
+
         within = {"emp_G_star": 0, "emp_T": 0, "emp_boot": 0}
         for s in range(S):
             hits = {"emp_G_star": 0, "emp_T": 0, "emp_boot": 0}
             valid = {"emp_G_star": 0, "emp_T": 0, "emp_boot": 0}
-            for t in range(T):
-                rng = substream(seed, "table2.joint", s, t)
-                data = model.transform(model.draw_base(rng, n))
-                counts = draw_multinomial_batch(n, m, B + 1, rng)
+            rng = substream(seed, "table2.cell", s)
+            samples = [model.transform(model.draw_base(rng, n)) for _ in range(T)]
+            rows = [[count_row(rng) for _ in range(B + 1)] for _ in range(T)]
+            for data, counts in zip(samples, rows):
                 sample = Sample.from_values(data)
                 if sample.variance <= 0:
                     continue
@@ -282,23 +298,30 @@ class TestWhiteBoxConsistency:
             assert report.frequency(key) == total / S
 
     def test_ddof_one_matches_direct_recompute(self):
-        n, m, S, T, seed = 6, 6, 2, 6, 31
-        cfg = SimConfig(model="normal01", n=n, outer_reps=S, inner_reps=T, seed=seed)
+        # At this nominal level and band 4 of the 6 cells score with divisor
+        # n - 1 and 3 with divisor n, so the comparison resolves the divisor.
+        n, S, T, seed, nominal, band = 6, 6, 40, 31, 0.9, 0.03
+        cfg = SimConfig(model="normal01", n=n, outer_reps=S, inner_reps=T, seed=seed,
+                        nominal=nominal, tolerance_band=band)
         assert cfg.studentize_ddof == 1
         report = run_table1(cfg)
         model = resolve_model("normal01")
-        within_t = 0
+        within = {0: 0, 1: 0}
         for s in range(S):
-            hits = valid = 0
+            rng = substream(seed, "table1.cell", s)
+            hits, valid = {0: 0, 1: 0}, 0
             for t in range(T):
-                data = model.transform(model.draw_base(substream(seed, "table1.data", s, t), n))
-                sd = data.std(ddof=1)
-                if sd <= 0:
+                data = model.transform(model.draw_base(rng, n))
+                if data.std() <= 0:
                     continue
                 valid += 1
-                hits += (data.mean() - model.mean) * math.sqrt(n) / sd <= TABLE1_THRESHOLD
-            within_t += _within(hits, valid, TABLE1_NOMINAL, 0.01)
-        assert report.frequency("emp_T") == within_t / S
+                for ddof in within:
+                    t_value = (data.mean() - model.mean) * math.sqrt(n) / data.std(ddof=ddof)
+                    hits[ddof] += t_value <= TABLE1_THRESHOLD
+            for ddof in within:
+                within[ddof] += _within(hits[ddof], valid, nominal, band)
+        assert 0 < within[1] < S and within[0] != within[1]
+        assert report.frequency("emp_T") == within[1] / S
 
 
 class TestRunCoverage:

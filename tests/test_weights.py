@@ -3,13 +3,15 @@
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pivotboot import weights
 from pivotboot.errors import DegenerateWeightsError, DimensionMismatchError
 from pivotboot.rng import substream
 from pivotboot.weights import (
@@ -20,6 +22,7 @@ from pivotboot.weights import (
     center,
     draw_multinomial_batch,
     draw_multinomial_weights,
+    draw_resample_counts,
     expected_sum_squares,
     max_ratio,
     nondegenerate,
@@ -77,6 +80,61 @@ class TestDrawMultinomial:
             draw_multinomial_weights(0, 5, substream(0, "w"))
         with pytest.raises(ValueError):
             draw_multinomial_weights(5, 0, substream(0, "w"))
+
+
+class TestDrawResampleCounts:
+    """Count rows by index counting (m <= 8n) or numpy's sampler (m > 8n)."""
+
+    def test_n2_m2_distribution_matches_enumeration(self):
+        oracle = enumerate_index_draws(2, 2)
+        counts = draw_resample_counts(2, 2, 100_000, substream(3, "rows"))
+        for key, prob in oracle.items():
+            freq = np.mean(np.all(counts == key, axis=1))
+            se = math.sqrt(prob * (1 - prob) / len(counts))
+            assert abs(freq - prob) <= 3 * se
+
+    # Index counting at m <= 8n, the sampler at m > 8n, as in criterion 2.
+    @pytest.mark.parametrize("n, m", [(10, 10), (20, 40), (4, 32), (4, 33), (3, 40), (5, 200)])
+    def test_moment_identity(self, n, m):
+        counts = draw_resample_counts(n, m, 50_000, substream(9, "rows", n, m))
+        centered = counts / m - 1.0 / n
+        v2 = np.einsum("ri,ri->r", centered, centered)
+        se = v2.std(ddof=1) / math.sqrt(len(v2))
+        assert abs(v2.mean() - expected_sum_squares(n, m)) <= 3 * se
+
+    def test_invalid_sizes(self):
+        for n, m in ((0, 5), (5, 0), (5, 2**63)):
+            with pytest.raises(ValueError):
+                draw_resample_counts(n, m, 3, substream(0, "rows"))
+
+    # Rows are drawn one after another from the stream: m uniform indices,
+    # counted (m <= 8n), or one multinomial row (m > 8n).
+    @staticmethod
+    def _row_by_row(n, m, rows, stream):
+        def row():
+            if m > 8 * n:
+                return stream.multinomial(m, [1.0 / n] * n)
+            return np.bincount(stream.integers(0, n, m), minlength=n)
+
+        return np.array([row() for _ in range(rows)], dtype=np.int64).reshape(rows, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 12), m=st.integers(1, 120), rows=st.integers(0, 40),
+           block=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    @example(n=4, m=32, rows=7, block=64, seed=1)  # m = 8n: index counting
+    @example(n=4, m=33, rows=7, block=64, seed=1)  # m = 8n + 1: the sampler
+    @example(n=1, m=5, rows=3, block=1, seed=2)    # n = 1: indices consume no draws
+    def test_rows_sum_to_m_and_block_size_does_not_change_them(self, n, m, rows, block, seed):
+        counts = draw_resample_counts(n, m, rows, substream(seed, "rows"))
+        assert counts.shape == (rows, n)
+        assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == m)
+        again = substream(seed, "rows")
+        with mock.patch.object(weights, "_INDEX_BLOCK", block):
+            blocked = draw_resample_counts(n, m, rows, again)
+        reference = substream(seed, "rows")
+        assert np.array_equal(blocked, counts)
+        assert np.array_equal(self._row_by_row(n, m, rows, reference), counts)
+        assert again.random() == reference.random()  # the same draws consumed
 
 
 class TestNondegenerate:
