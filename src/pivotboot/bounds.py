@@ -15,7 +15,6 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InadmissibleParamsError
-from .weights import sixth_moment_expression
 
 __all__ = [
     "BoundParams",
@@ -24,6 +23,7 @@ __all__ = [
     "bound_terms",
     "berry_esseen_bound",
     "convergence_rate",
+    "sixth_moment_expression",
 ]
 
 # Published universal constant for the classical normal-approximation
@@ -79,6 +79,14 @@ class RateKind(enum.Enum):
     T_STAR_RATE = "t_star_rate"
     G_DOUBLE_STAR_RATE = "g_double_star_rate"
     T_DOUBLE_STAR_RATE = "t_double_star_rate"
+
+
+def sixth_moment_expression(n: int, m: int) -> float:
+    """Sixth central moment bound for a single multinomial count:
+    15 m^3/n^3 + 25 m^2/n^2 + m/n, for the sizes the weights module draws."""
+    if n < 1 or not 1 <= m < 2**63:  # numpy draws counts as int64
+        raise ValueError("n must be at least 1 and m in [1, 2**63)")
+    return 15.0 * m**3 / n**3 + 25.0 * m**2 / n**2 + m / n
 
 
 def delta_n(p: BoundParams, plus_eps2: bool = True) -> float:

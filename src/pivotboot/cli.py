@@ -14,8 +14,14 @@ mode are execution knobs and deliberately excluded from the manifest;
 reruns.
 
 Exit codes: 0 success, 2 usage or configuration error (including
-non-finite input data or a non-finite result), 3 degenerate weights
-exhausted the redraw budget.
+non-finite input data, a non-finite result or a design too large for
+memory), 3 degenerate weights exhausted the redraw budget.
+
+Each subcommand imports only the modules it runs: the library names that
+the commands call are bound here to stubs that import their module on first
+call, and the parser needs no numpy.  So ``bound`` and a ``ci`` whose data
+file is rejected never load numpy, only ``table`` loads the simulation
+module, and only ``ydist`` loads ``multi_bootstrap``.
 """
 
 from __future__ import annotations
@@ -24,12 +30,11 @@ import argparse
 import datetime as _dt
 import math
 import os
-import secrets
 import sys
+import warnings
+from importlib import import_module
 
-import numpy as np
-
-from . import __version__
+from . import RECIPES, __version__
 from .bounds import (
     BoundParams,
     RateKind,
@@ -38,26 +43,32 @@ from .bounds import (
     delta_n,
 )
 from .errors import DegenerateWeightsError, PivotbootError
-from .estimators import Sample
-from .intervals import (
-    RECIPES,
-    IntervalTarget,
-    ci_ecdf,
-    ci_finite_pop_mean,
-    ci_population_mean,
-    ci_sample_mean,
-    ci_superpop_mean,
-)
 from .jsonio import dumps
-from .multi_bootstrap import (
-    GENZ_LEVEL_B9,
-    orthant_probability_closed_form,
-    y_distribution,
-    y_quantile,
-)
-from .rng import substream
-from .simulation import MODELS, SimConfig, run_table1, run_table2
-from .weights import WeightScheme, WeightVector, center, draw_multinomial_weights, nondegenerate
+
+
+def _lazy(module: str, name: str):
+    """``pivotboot.<module>.<name>``, imported on its first call.  The
+    commands call these through this module's globals, so patching one here
+    redirects them."""
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = name
+    return call
+
+
+substream = _lazy("rng", "substream")
+WeightVector = _lazy("weights", "WeightVector")
+center = _lazy("weights", "center")
+draw_multinomial_weights = _lazy("weights", "draw_multinomial_weights")
+ci_population_mean = _lazy("intervals", "ci_population_mean")
+ci_sample_mean = _lazy("intervals", "ci_sample_mean")
+ci_finite_pop_mean = _lazy("intervals", "ci_finite_pop_mean")
+ci_superpop_mean = _lazy("intervals", "ci_superpop_mean")
+ci_ecdf = _lazy("intervals", "ci_ecdf")
+y_distribution = _lazy("multi_bootstrap", "y_distribution")
+run_table1 = _lazy("simulation", "run_table1")
+run_table2 = _lazy("simulation", "run_table2")
 
 __all__ = ["main"]
 
@@ -79,6 +90,8 @@ def _resolve_seed(value: int | None) -> int:
     if value is None:
         env = os.environ.get(SEED_ENV_VAR)
         if env is None:
+            import secrets  # pulls in hashlib and random: only unpinned runs pay
+
             return secrets.randbits(63)
         source = SEED_ENV_VAR
         try:
@@ -128,6 +141,10 @@ def _read_numbers(path: str, what: str) -> list[float]:
 
 
 def _weights_from_file(path: str, n: int) -> WeightVector:
+    import numpy as np
+
+    from .weights import WeightScheme
+
     values = _read_numbers(path, "weights")
     if len(values) != n:
         raise _CliError(f"weights file has {len(values)} entries, data has {n}")
@@ -140,6 +157,8 @@ def _weights_from_file(path: str, n: int) -> WeightVector:
 
 
 def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[WeightVector, int]:
+    from .weights import nondegenerate
+
     stream = substream(seed, "cli.ci")
 
     def draw() -> tuple[WeightVector, float]:
@@ -153,6 +172,10 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
     data = _read_numbers(args.data, "data")
     if len(data) < 2:
         raise _CliError(f"data file {args.data!r} must contain at least 2 values")
+    # numpy loads from here on, once the data file has passed.
+    from .estimators import Sample
+    from .intervals import IntervalTarget
+
     sample = Sample.from_values(data)
     n = sample.n
     seed = _resolve_seed(args.seed)
@@ -225,6 +248,8 @@ def _render_table(report_dict: dict) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> dict | str:
+    from .simulation import SimConfig
+
     seed = _resolve_seed(args.seed)
     cfg = SimConfig(
         model=args.model,
@@ -250,6 +275,8 @@ def _cmd_table(args: argparse.Namespace) -> dict | str:
 
 
 def _cmd_ydist(args: argparse.Namespace) -> dict:
+    from .multi_bootstrap import GENZ_LEVEL_B9, orthant_probability_closed_form, y_quantile
+
     dist = y_distribution(args.B)
     config = {"B": args.B}
     result = {
@@ -361,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="run one design point of a comparison table")
     p_table.add_argument("--which", type=int, choices=(1, 2), required=True)
-    p_table.add_argument("--model", required=True, help=f"one of {sorted(MODELS)}")
+    p_table.add_argument("--model", required=True,
+                         help="data model, e.g. poisson1 (an unknown name lists them all)")
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--m", type=int, default=None)
     p_table.add_argument("--outer", type=int, default=500)
@@ -413,16 +441,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # dumps rejects NaN and infinity, so a non-finite result (say, a
-        # variance that overflows) ends here with exit 2; numpy's
-        # floating-point warnings on the way would only repeat that.
-        with np.errstate(all="ignore"):
+        # variance that overflows) ends here with exit 2, as does a float
+        # overflow in plain arithmetic; numpy's floating-point warnings on
+        # the way would only repeat that.  (A filter, not np.errstate, so
+        # that commands which need no numpy never import it.)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             result = args.func(args)
             text = result if isinstance(result, str) else dumps(result)
     except DegenerateWeightsError as exc:
         print(f"pivotboot: error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (_CliError, PivotbootError, ValueError) as exc:
+    except (_CliError, PivotbootError, ValueError, ArithmeticError) as exc:
         print(f"pivotboot: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("pivotboot: error: design too large for the available memory", file=sys.stderr)
         return EXIT_USAGE
     print(text)
     return EXIT_OK

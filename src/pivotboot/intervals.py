@@ -21,6 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from . import RECIPES
 from .errors import (
     DegenerateScaleError,
     DegenerateWeightsError,
@@ -48,10 +49,6 @@ __all__ = [
     "ci_superpop_mean",
     "ci_ecdf",
 ]
-
-# Names of the six recipes, in the table's order above: the ``ci`` methods
-# of the command line and the recipes of the coverage harness.
-RECIPES = ("population", "sample", "finitepop", "superpop", "ecdf", "cdf")
 
 
 class IntervalTarget(enum.Enum):

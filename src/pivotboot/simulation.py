@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -302,6 +301,8 @@ class CoverageReport:
 def _run_outer_cells(worker: Callable[[int], tuple], count: int, threads: int) -> list[tuple]:
     if threads <= 1:
         return [worker(s) for s in range(count)]
+    from concurrent.futures import ThreadPoolExecutor  # serial runs skip this import
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(count)))
 

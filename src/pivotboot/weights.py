@@ -31,7 +31,6 @@ __all__ = [
     "center",
     "max_ratio",
     "expected_sum_squares",
-    "sixth_moment_expression",
 ]
 
 # Redraw budget of nondegenerate(): at most this many redraws of a
@@ -210,13 +209,6 @@ def expected_sum_squares(n: int, m: int) -> float:
     """Expected squared norm of centered multinomial weights: (1 - 1/n)/m."""
     _validate_sizes(n, m)
     return (1.0 - 1.0 / n) / m
-
-
-def sixth_moment_expression(n: int, m: int) -> float:
-    """Sixth central moment bound for a single multinomial count:
-    15 m^3/n^3 + 25 m^2/n^2 + m/n."""
-    _validate_sizes(n, m)
-    return 15.0 * m**3 / n**3 + 25.0 * m**2 / n**2 + m / n
 
 
 def _validate_sizes(n: int, m: int) -> None:

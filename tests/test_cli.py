@@ -160,6 +160,18 @@ class TestTableCommand:
         assert code == 2
         assert "cauchy" in err
 
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def too_large(cfg, threads):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_table2", too_large)
+        code, out, err = run_cli(capsys, "table", "--which", "2", "--model", "poisson1",
+                                 "--n", "20", "--B", "1000000000", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("pivotboot: error: design too large")
+        assert err.count("\n") == 1
+
     def test_json_fields_present(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--which", "1", "--model", "poisson1", "--n", "12",
@@ -462,6 +474,41 @@ class TestExitCodeProperty:
         assert code == (2 if broken else 0)
         assert "Traceback" not in err
 
+    # The error bound and rate functions: a run leaves each flag out, gives it
+    # an admissible value or one that the bound must reject.
+    BOUND_FLOATS = {
+        "--delta": st.floats(0.0, 2.0),
+        "--eps": st.floats(0.0, 1.5),
+        "--eps1": st.floats(0.0, 0.5),
+        "--eps2": st.floats(0.0, 0.5),
+        "--ratio": st.floats(0.0, 5.0),
+        "--p-var-dev": st.floats(-0.5, 1.5),
+        "--C": st.floats(0.0, 2.0),
+    }
+    bound_sizes = st.one_of(st.none(), st.integers(-2, 5000),
+                            st.sampled_from([2**63 - 1, 2**63, 10**200, 10**400]))
+
+    @given(kind=st.one_of(st.none(), st.sampled_from(
+               ["GStarRate", "t_star", "TDoubleStarRate", "g-double-star-rate", "bogus", ""])),
+           n=bound_sizes, m=bound_sizes,
+           floats=st.fixed_dictionaries(
+               {flag: st.one_of(st.none(), values, float_args)
+                for flag, values in BOUND_FLOATS.items()}))
+    @settings(max_examples=200, deadline=None)
+    @example(kind=None, n=100, m=100, floats={
+        "--delta": 0.5, "--eps": 0.5, "--eps1": 0.1, "--eps2": 0.1, "--ratio": 1.0,
+        "--p-var-dev": None, "--C": None})
+    @example(kind="GStarRate", n=10**400, m=3, floats={})
+    def test_bound(self, kind, n, m, floats):
+        argv = ["bound", "--seed", "3", "--timestamp", "T0"]
+        argv += [] if kind is None else [f"--kind={kind}"]
+        sizes = {"--n": n, "--m": m}
+        argv += [f"{flag}={value!r}" for flag, value in {**sizes, **floats}.items()
+                 if value is not None]
+        code, err = run_cli_quietly(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
     @given(command=st.sampled_from(["weights", "ci", "ydist"]),
            seed=st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-10**30, 10**30),
                           st.sampled_from([2**63 - 1, -2**63, 2**63, -2**63 - 1])))
@@ -480,12 +527,79 @@ class TestExitCodeProperty:
 
 
 class TestRuntimeDependencies:
-    def test_cli_import_loads_no_scipy(self):
+    """Each subcommand imports only what it runs, seen in a fresh interpreter."""
+
+    WATCHED = ("numpy", "scipy", "concurrent.futures", "pivotboot.simulation",
+               "pivotboot.multi_bootstrap")
+
+    @staticmethod
+    def fresh_python(*args: str) -> str:
+        """stdout of ``python *args`` in a fresh interpreter importing this
+        checkout's package."""
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                                text=True, timeout=120, check=True)
+        return result.stdout
+
+    def loaded_by(self, *argv: str) -> tuple[int, set]:
+        """Exit code of ``main(argv)`` and the watched modules it loaded."""
+        probe = ("import contextlib, io, json, sys\n"
+                 "from pivotboot.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()), "
+                 "contextlib.redirect_stderr(io.StringIO()):\n"
+                 "    code = main(sys.argv[1:])\n"
+                 f"print(json.dumps([code, [m for m in {self.WATCHED!r} if m in sys.modules]]))")
+        code, loaded = json.loads(self.fresh_python("-c", probe, *argv))
+        return code, set(loaded)
+
+    def test_cli_import_loads_no_scipy(self):
         probe = ("import pivotboot.cli, sys; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                text=True, timeout=120, check=True)
-        assert result.stdout.strip() == "[]"
+        assert self.fresh_python("-c", probe).strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "50", "--m", "50", "--delta", "0.5", "--eps", "0.5", "--eps1", "0.1",
+         "--eps2", "0.1", "--ratio", "1"],
+        ["--kind", "GStarRate", "--n", "50", "--m", "50"],
+    ])
+    def test_bound_loads_no_numpy(self, argv):
+        assert self.loaded_by("bound", *argv, "--timestamp", "T0") == (0, set())
+
+    def test_rejected_data_file_loads_no_numpy(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("1.5\n2.5\nnan\n3.5\n")
+        code, loaded = self.loaded_by("ci", str(path), "--method", "population", "--seed", "1")
+        assert (code, loaded) == (2, set())
+
+    def test_ci_loads_no_harness(self, tmp_path):
+        data, weights = tmp_path / "data.txt", tmp_path / "weights.txt"
+        data.write_text("9.5\n10.25\n11.0\n8.75\n10.5\n")
+        weights.write_text("1\n0\n2\n1\n1\n")
+        code, loaded = self.loaded_by("ci", str(data), "--method", "cdf", "--x", "10",
+                                      "--weights-file", str(weights), "--seed", "1")
+        assert code == 0
+        assert loaded == {"numpy"}
+
+    def test_package_names_resolve_lazily(self):
+        probe = """
+import importlib, sys
+import pivotboot
+assert "numpy" not in sys.modules
+assert set(pivotboot.__all__) <= set(dir(pivotboot))
+modules = [importlib.import_module(f"pivotboot.{name}") for name in (
+    "bounds", "errors", "estimators", "gaussian", "intervals", "multi_bootstrap", "pivots",
+    "rng", "simulation", "weights")]
+for name in pivotboot.__all__:
+    value = getattr(pivotboot, name)
+    assert any(name in vars(m) and vars(m)[name] is value for m in modules), name
+namespace = {}
+exec("from pivotboot import *", namespace)
+assert set(namespace) - {"__builtins__"} == set(pivotboot.__all__)
+try:
+    pivotboot.no_such_name
+except AttributeError:
+    print("ok")
+"""
+        assert self.fresh_python("-c", probe).strip() == "ok"

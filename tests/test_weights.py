@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pivotboot import weights
+from pivotboot.bounds import sixth_moment_expression
 from pivotboot.errors import DegenerateWeightsError, DimensionMismatchError
 from pivotboot.rng import substream
 from pivotboot.weights import (
@@ -26,7 +27,6 @@ from pivotboot.weights import (
     expected_sum_squares,
     max_ratio,
     nondegenerate,
-    sixth_moment_expression,
 )
 
 
