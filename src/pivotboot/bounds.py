@@ -39,7 +39,7 @@ class BoundParams:
     and ``p_var_dev`` the probability that the sample variance deviates from
     sigma^2 by more than eps1^2; both describe a known data distribution and
     are supplied by the caller (analytically or via Monte Carlo).
-    Admissibility requires delta > (eps1/eps)^2 + p_var_dev + eps2.
+    Admissibility requires 0 < eps < 1 and delta > (eps1/eps)^2 + p_var_dev + eps2.
     """
 
     n: int
@@ -58,8 +58,8 @@ class BoundParams:
         object.__setattr__(self, "m", int(self.m))
         if self.n < 1 or self.m < 1:
             raise InadmissibleParamsError("n and m must be at least 1")
-        if self.delta <= 0 or self.eps <= 0:
-            raise InadmissibleParamsError("delta and eps must be positive")
+        if not (self.delta > 0 and 0 < self.eps < 1):  # the first term has (1 - eps)^-3
+            raise InadmissibleParamsError("delta must be positive and eps in (0, 1)")
         if self.eps1 < 0 or self.eps2 < 0:
             raise InadmissibleParamsError("eps1 and eps2 cannot be negative")
         if not 0.0 <= self.p_var_dev <= 1.0:

@@ -10,14 +10,10 @@ stream would have to consume 2^128 blocks to run into its neighbour), and
 results are identical no matter how many worker threads consume the
 streams or in which order.
 
-The unit of work that owns a stream is the caller's choice: the table
-kernels address one stream per outer cell and draw all of that cell's
-variates from it (stream layout 2), the harness loops one stream per
-replicate.  Because the counter is the address, one Philox can also be
-moved from stream to stream by assigning its key, counter and empty draw
-buffer: ``restreamer`` does that for loops that use each stream for one
-replicate only (the harness loops re-address one generator per worker
-thread), and draws the same values as ``substream`` at every address.
+The unit of work that owns a stream is the caller's choice.  Under stream
+layout 2 the simulation harnesses address one stream per table outer cell
+and one per block of harness replicates, and draw all of that unit's
+variates from it in order.
 """
 
 from __future__ import annotations
@@ -25,15 +21,20 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["substream"]
+__all__ = ["check_seed", "substream"]
 
 # Counter words 0..1 are left for the stream's own draw counter; words 2..3
 # hold up to four 32-bit user indices (two per word, high word first).
 _MAX_INDICES = 4
+
+
+def check_seed(seed: int) -> None:
+    """Raise ``ValueError`` unless ``seed`` fits the int64 that keys the streams."""
+    if not -2**63 <= seed < 2**63:
+        raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed}")
 
 
 # Philox takes its key and counter fastest as uint64 word arrays (low word
@@ -41,8 +42,7 @@ _MAX_INDICES = 4
 @functools.cache
 def _philox_key(seed: int, purpose: str) -> np.ndarray:
     """The 128-bit key as two uint64 words, read-only (shared by the cache)."""
-    if not -2**63 <= seed < 2**63:
-        raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed}")
+    check_seed(seed)
     digest = hashlib.sha256(struct.pack("<q", seed) + purpose.encode("utf-8")).digest()
     return np.frombuffer(digest[:16], dtype="<u8")
 
@@ -70,28 +70,3 @@ def substream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
     bit_generator = np.random.Philox(counter=np.array(_counter(indices), dtype=np.uint64),
                                      key=_philox_key(seed, purpose))
     return np.random.Generator(bit_generator)
-
-
-def restreamer(seed: int, purpose: str) -> Callable[..., np.random.Generator]:
-    """Return ``at``: ``at(*indices)`` draws what ``substream(seed, purpose,
-    *indices)`` draws, without building a generator per address.
-
-    ``at`` re-addresses one Philox and returns one and the same
-    ``Generator`` on every call, so a stream it returned is valid only
-    until the next call; each worker thread needs its own ``at``.
-    """
-    key = _philox_key(seed, purpose)
-    bit_generator = np.random.Philox(key=key)
-    generator = np.random.Generator(bit_generator)
-    # A new Philox's state: the counter, an empty buffer of 64-bit outputs
-    # and no spare 32-bit half.  Python ints assign faster than uint64 words.
-    state = {"bit_generator": "Philox", "state": {"counter": None, "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-
-    def at(*indices: int) -> np.random.Generator:
-        state["state"]["counter"] = _counter(indices)
-        bit_generator.state = state
-        return generator
-
-    return at

@@ -13,23 +13,21 @@ compared against the maximum of B replicate pivots.
 
 Every random draw comes from a counter-based substream addressed by the
 seed and the unit of work, so reports are byte-identical for any
-worker-thread count and any execution order.  The table kernels address
-one stream per outer cell (stream layout 2, recorded as ``rng_layout`` in
-every table report's config): the cell draws all its inner replicates' base
-variates in one call, then its weights (table1: the cell's one weight
-vector; table2: all B + 1 count rows of every inner replicate in one
-:func:`~pivotboot.weights.draw_resample_counts` call).
-The coverage, pivot-law and replicate-cutoff harnesses give every
-replicate its own stream and re-address one generator per worker thread to
-it (``rng.restreamer``).  Table-kernel inner computations are vectorized per
-outer cell; the vectorized kernels agree with the scalar pivot functions
-(tested).
+worker-thread count and any execution order.  Under stream layout 2,
+recorded as ``rng_layout`` in every report's config, the unit is an outer
+cell of a table or a block of ``BLOCK`` replicates of the coverage,
+pivot-law and replicate-cutoff harnesses.  A table cell draws all its inner
+replicates' base variates in one call, then its weights (table1: the cell's
+one weight vector; table2: all B + 1 count rows of every inner replicate in
+one :func:`~pivotboot.weights.draw_resample_counts` call), and its inner
+computations are vectorized; the vectorized kernels agree with the scalar
+pivot functions (tested).  A harness block's replicates draw one after
+another from the block's stream, each with the scalar library functions.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -50,7 +48,7 @@ from .intervals import (
 from .multi_bootstrap import GENZ_LEVEL_B9, draw_replicates, refined_contains
 from .pivots import (EMPIRICAL_KINDS, PivotKind, empirical_pivot, g_star, starred_variant,
                      student_t, t_star)
-from .rng import restreamer, substream
+from .rng import check_seed, substream
 from .weights import (
     CenteredWeights,
     WeightScheme,
@@ -87,9 +85,12 @@ TABLE1_NOMINAL = 0.95
 TABLE2_THRESHOLD = 1.281648
 TABLE2_NOMINAL = GENZ_LEVEL_B9
 
-# The table kernels' stream layout, recorded in every table report's config:
-# 2 is one stream per outer cell (1, retired, was one per inner replicate).
+# The stream layout, recorded in every report's config: 2 is one stream per
+# table outer cell or harness block (1, retired, was one per replicate).
 RNG_LAYOUT = 2
+# Replicates per block of the coverage, pivot-law and replicate-cutoff
+# harnesses: block k reads the stream (seed, purpose, k).
+BLOCK = 32
 
 # (model, n) design points of the two printed comparison grids.  The
 # conditional table's exponential row ends at n = 50, the joint table's at
@@ -230,6 +231,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         resolve_model(self.model)
+        check_seed(self.seed)
         if self.n < 1 or (self.m is not None and self.m < 1):
             raise ValueError("sample and resample sizes must be positive")
         if self.outer_reps < 1 or self.inner_reps < 1:
@@ -298,27 +300,15 @@ class CoverageReport:
         }
 
 
-def _run_outer_cells(worker: Callable[[int], tuple], count: int, threads: int) -> list[tuple]:
+def _run_units(worker: Callable[[int], tuple], count: int, threads: int) -> list[tuple]:
+    """``worker(k)`` for units of work k < count (table outer cells or harness
+    blocks) on up to ``threads`` threads, in order of k."""
     if threads <= 1:
         return [worker(s) for s in range(count)]
     from concurrent.futures import ThreadPoolExecutor  # serial runs skip this import
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(count)))
-
-
-def _restreamer_per_thread(seed: int, purpose: str) -> Callable[..., np.random.Generator]:
-    """``rng.restreamer(seed, purpose)`` for a loop that may run on worker
-    threads: each thread re-addresses its own generator."""
-    local = threading.local()
-
-    def at(*indices: int) -> np.random.Generator:
-        own = getattr(local, "at", None)
-        if own is None:
-            own = local.at = restreamer(seed, purpose)
-        return own(*indices)
-
-    return at
 
 
 def _studentize(model: Model, base: np.ndarray, ddof: int) -> tuple[np.ndarray, ...]:
@@ -352,7 +342,7 @@ def _tabulate(kind: str, resolved: dict, model: Model, statistics: Sequence[str]
     degenerate counts are summed.
     """
     S, nominal, band = resolved["outer_reps"], resolved["nominal"], resolved["tolerance_band"]
-    rows = _run_outer_cells(cell, S, threads)
+    rows = _run_units(cell, S, threads)
     cells = tuple(
         CellResult(
             model.name, resolved["n"], statistic,
@@ -455,24 +445,48 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
 # Generic interval-coverage and pivot-law harnesses
 # ---------------------------------------------------------------------------
 
-def _draw_replicate(
-    model: Model, n: int, m: int, rng: np.random.Generator
-) -> tuple[Sample, WeightVector, CenteredWeights]:
+def _draw_replicate(model: Model, n: int, m: int,
+                    rng: np.random.Generator) -> tuple[Sample, WeightVector, CenteredWeights]:
     """A joint replicate: the sample, then one multinomial weight row, both
-    drawn from the replicate's own stream ``rng`` in that order."""
+    drawn from the block's stream ``rng`` in that order."""
     sample = sample_model(model, n, rng)
     counts = draw_multinomial_batch(n, m, 1, rng)[0]
     w = WeightVector(counts=counts, m=float(m), scheme=WeightScheme.MULTINOMIAL)
     return sample, w, center(w, n)
 
 
-def _tally(model: Model, n: int, statistic: str, outcomes: Sequence[bool | None]) -> CellResult:
-    """Score per-replicate outcomes (True hit, False miss, None degenerate):
-    the hit frequency among the nondegenerate replicates, 0.0 if none."""
-    degenerate = sum(1 for o in outcomes if o is None)
-    valid = len(outcomes) - degenerate
-    hits = sum(1 for o in outcomes if o)
-    return CellResult(model.name, n, statistic, hits / valid if valid else 0.0, degenerate)
+def _replicates(purpose: str, config: dict, statistics: Sequence[str],
+                replicate: Callable[[np.random.Generator], Sequence[bool | None]],
+                threads: int) -> CoverageReport:
+    """Run ``config["reps"]`` replicates, block by block, and score each statistic.
+
+    Block k reads ``substream(seed, purpose, k)``; ``replicate(rng)`` draws
+    one replicate from it and returns one outcome per statistic: True (hit),
+    False (miss) or None (degenerate).  A statistic's frequency is its hits
+    among its nondegenerate replicates, 0.0 if none.  The report's kind is
+    ``purpose`` up to its first dot.
+    """
+    reps, seed = config["reps"], config["seed"]
+    if reps < 1:
+        raise ValueError("reps must be positive")
+
+    def block(k: int) -> list[list[int]]:
+        rng = substream(seed, purpose, k)
+        counts = [[0, 0, 0] for _ in statistics]  # hits, valid, degenerate
+        for _ in range(min(BLOCK, reps - k * BLOCK)):
+            for tally, outcome in zip(counts, replicate(rng)):
+                tally[0] += bool(outcome)
+                tally[1 if outcome is not None else 2] += 1
+        return counts
+
+    rows = _run_units(block, -(-reps // BLOCK), threads)
+    cells = []
+    for statistic, column in zip(statistics, zip(*rows)):
+        hits, valid, degenerate = map(sum, zip(*column))
+        cells.append(CellResult(config["model"], config["n"], statistic,
+                                hits / valid if valid else 0.0, degenerate))
+    return CoverageReport(purpose.partition(".")[0], seed,
+                          {**config, "rng_layout": RNG_LAYOUT}, tuple(cells))
 
 
 def run_coverage(
@@ -499,10 +513,9 @@ def run_coverage(
     if interval_recipe in ("ecdf", "cdf") and x is None:
         raise ValueError(f"recipe {interval_recipe!r} needs an evaluation point x")
     model = resolve_model(model)
-    stream = _restreamer_per_thread(seed, f"coverage.{interval_recipe}")
 
-    def replicate(r: int) -> bool | None:
-        sample, w, cw = _draw_replicate(model, n, m, stream(r))
+    def replicate(rng: np.random.Generator) -> tuple[bool | None]:
+        sample, w, cw = _draw_replicate(model, n, m, rng)
         try:
             if interval_recipe == "population":
                 interval, target = ci_population_mean(sample, cw, alpha), model.mean
@@ -519,29 +532,19 @@ def run_coverage(
                 interval = ci_ecdf(sample, w, cw, x, alpha, IntervalTarget.CDF_VALUE)
                 target = model.cdf(x)
         except PivotbootError:
-            return None
-        return target in interval
+            return (None,)
+        return (target in interval,)
 
-    outcomes = _run_outer_cells(replicate, reps, threads)
-    config = {
-        "recipe": interval_recipe, "model": model.name, "n": n, "m": m,
-        "alpha": alpha, "reps": reps, "seed": seed,
-    }
+    config = {"recipe": interval_recipe, "model": model.name, "n": n, "m": m, "alpha": alpha,
+              "reps": reps, "seed": seed}
     if x is not None:
         config["x"] = x
-    cells = (_tally(model, n, interval_recipe, outcomes),)
-    return CoverageReport("coverage", seed, config, cells)
+    return _replicates(f"coverage.{interval_recipe}", config, (interval_recipe,), replicate,
+                       threads)
 
 
-def _evaluate_pivot(
-    kind: PivotKind,
-    sample: Sample,
-    w: WeightVector,
-    cw: CenteredWeights,
-    mu: float,
-    x: float | None,
-    f_true: float | None,
-) -> float:
+def _evaluate_pivot(kind: PivotKind, sample: Sample, w: WeightVector, cw: CenteredWeights,
+                    mu: float, x: float | None, f_true: float | None) -> float:
     if kind is PivotKind.STUDENT_T:
         return student_t(sample, mu)
     if kind is PivotKind.T_STAR:
@@ -576,10 +579,9 @@ def pivot_clt_frequencies(
     if x is None and any(k in EMPIRICAL_KINDS for k in kinds):
         raise ValueError("an evaluation point x is required for distribution pivots")
     f_true = model.cdf(x) if x is not None else None
-    stream = _restreamer_per_thread(seed, "pivot_clt")
 
-    def replicate(r: int) -> tuple[bool | None, ...]:
-        sample, w, cw = _draw_replicate(model, n, m, stream(r))
+    def replicate(rng: np.random.Generator) -> tuple[bool | None, ...]:
+        sample, w, cw = _draw_replicate(model, n, m, rng)
         out = []
         for kind in kinds:
             try:
@@ -588,17 +590,11 @@ def pivot_clt_frequencies(
                 out.append(None)
         return tuple(out)
 
-    rows = _run_outer_cells(replicate, reps, threads)
-    cells = tuple(
-        _tally(model, n, kind.value, [row[j] for row in rows]) for j, kind in enumerate(kinds)
-    )
-    config = {
-        "model": model.name, "n": n, "m": m, "threshold": threshold,
-        "reps": reps, "seed": seed,
-    }
+    config = {"model": model.name, "n": n, "m": m, "threshold": threshold, "reps": reps,
+              "seed": seed}
     if x is not None:
         config["x"] = x
-    return CoverageReport("pivot_clt", seed, config, cells)
+    return _replicates("pivot_clt", config, [kind.value for kind in kinds], replicate, threads)
 
 
 def refined_ci_coverage(
@@ -615,22 +611,16 @@ def refined_ci_coverage(
     Studentized mean stays below the refined order statistic of B replicate
     pivots."""
     model = resolve_model(model)
-    stream = _restreamer_per_thread(seed, "refined_ci")
 
-    def replicate(r: int) -> bool | None:
-        rng = stream(r)
+    def replicate(rng: np.random.Generator) -> tuple[bool | None]:
         sample = sample_model(model, n, rng)
         try:
             t_value = student_t(sample, model.mean)
             replicates = draw_replicates(sample, B, m, rng)
         except PivotbootError:
-            return None
-        return refined_contains(t_value, replicates, alpha)
+            return (None,)
+        return (refined_contains(t_value, replicates, alpha),)
 
-    outcomes = _run_outer_cells(replicate, reps, threads)
-    config = {
-        "model": model.name, "n": n, "m": m, "B": B,
-        "alpha": alpha, "reps": reps, "seed": seed,
-    }
-    cells = (_tally(model, n, "refined_boot", outcomes),)
-    return CoverageReport("refined_ci", seed, config, cells)
+    config = {"model": model.name, "n": n, "m": m, "B": B, "alpha": alpha, "reps": reps,
+              "seed": seed}
+    return _replicates("refined_ci", config, ("refined_boot",), replicate, threads)

@@ -212,5 +212,7 @@ def expected_sum_squares(n: int, m: int) -> float:
 
 
 def _validate_sizes(n: int, m: int) -> None:
-    if n < 1 or not 1 <= m < 2**63:  # numpy draws counts as int64
-        raise ValueError("n must be at least 1 and m in [1, 2**63)")
+    # numpy draws counts as int64; WeightVector keeps them as floats, whose
+    # sums are exact only up to 2**53
+    if n < 1 or not 1 <= m <= 2**53:
+        raise ValueError("n must be at least 1 and m in [1, 2**53]")

@@ -52,7 +52,7 @@ def params(n, m, **kw):
 
 class TestDeltaN:
     def test_all_reductions(self):
-        p = BoundParams(n=2, m=2, delta=1.0, eps=1.0, eps1=0.0, eps2=0.0,
+        p = BoundParams(n=2, m=2, delta=1.0, eps=0.5, eps1=0.0, eps2=0.0,
                         third_abs_moment_ratio=1.0, C=1.0)
         assert delta_n(p) == pytest.approx(1.0)
 
@@ -62,9 +62,18 @@ class TestDeltaN:
         assert delta_n(p) == pytest.approx(0.5)
 
     def test_boundary_inadmissible(self):
-        with pytest.raises(InadmissibleParamsError):
-            BoundParams(n=2, m=2, delta=1.0, eps=1.0, eps1=1.0, eps2=0.0,
+        # (eps1/eps)^2 = delta exactly
+        with pytest.raises(InadmissibleParamsError, match="delta >"):
+            BoundParams(n=2, m=2, delta=1.0, eps=0.5, eps1=0.5, eps2=0.0,
                         third_abs_moment_ratio=1.0, C=1.0)
+
+    def test_eps_must_lie_below_one(self):
+        # the first term carries (1 - eps)^-3: eps = 1 divides by zero and
+        # eps > 1 made the bound negative
+        for eps in (1.0, 1.2, float("nan")):
+            with pytest.raises(InadmissibleParamsError, match="eps in \\(0, 1\\)"):
+                params(50, 50, eps=eps)
+        assert berry_esseen_bound(params(50, 50, eps=0.999)) > 0.0
 
     def test_eps2_sign_variants(self):
         p = params(10, 10)

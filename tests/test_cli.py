@@ -286,6 +286,17 @@ class TestBoundCommand:
         assert code == 2
         assert "delta > (eps1/eps)^2 + p_var_dev + eps2" in err
 
+    @pytest.mark.parametrize("eps", ["1", "1.2"])
+    def test_eps_at_least_one_exits_2(self, capsys, eps):
+        # eps = 1.2 printed a negative total (-98.95) with exit 0
+        code, out, err = run_cli(
+            capsys, "bound", "--n", "50", "--m", "50", "--delta", "0.5",
+            "--eps", eps, "--eps1", "0.1", "--eps2", "0.1", "--ratio", "1",
+            "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "eps in (0, 1)" in err
+
     def test_singular_n_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "bound", "--n", "1", "--m", "10", "--delta", "0.5",
@@ -507,6 +518,21 @@ class TestExitCodeProperty:
                  if value is not None]
         code, err = run_cli_quietly(argv)
         assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+    # n stays at most 10**4 so that no run allocates a huge array; m reaches
+    # past the 2**53 up to which float count totals are exact, and past int64.
+    @given(n=st.one_of(st.integers(-3, 10**4), st.sampled_from([0, -10**30])),
+           m=st.one_of(st.integers(-3, 10**6),
+                       st.sampled_from([0, -1, 2**53, 2**53 + 1, 2**63 - 1, 2**63,
+                                        -2**63 - 1, 10**30])))
+    @settings(max_examples=100, deadline=None)
+    @example(n=10**4, m=2**53)
+    @example(n=10**4, m=2**63 - 1)  # a valid int64 total that the float counts lost
+    def test_weights(self, n, m):
+        code, err = run_cli_quietly(["weights", f"--n={n}", f"--m={m}", "--seed", "3",
+                                     "--timestamp", "T0"])
+        assert code == (0 if n >= 1 and 1 <= m <= 2**53 else 2)
         assert "Traceback" not in err
 
     @given(command=st.sampled_from(["weights", "ci", "ydist"]),

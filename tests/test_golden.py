@@ -66,37 +66,37 @@ CASES = {
 
 GOLDEN = {
     "coverage/cdf/normal01":
-        "54bce634e0d74b111b9b67aacfd2ee955167a835a87872c782c49732d8afd6ee",
+        "56714e7cd381d5999959068f92d4f76b657a0a09407442b44ffbc43df2d1423f",
     "coverage/cdf/poisson1":
-        "a2a38beab393fb0540eda6dd237237087d83bb312289fe3367c88573adaa6e2e",
+        "309f0f164301e7eef3f65681d7517a7e3d97fe3d3a874e59f3a756f61a8b4f87",
     "coverage/ecdf/normal01":
-        "bf3e3dd65c99498da885b1d0a9781e79ad527962d5e50750ca6720f7ddbc0af2",
+        "b1a7d7003481b368effa8e2a1333381071ec0f4180a4c1d3573dfceee0b88cfb",
     "coverage/ecdf/poisson1":
-        "cb88b55de95630e1d9104406d6841deb7d4f95fcd881aa91ef25ee128080ffae",
+        "d29e6f98ab0469cfea225dbae737ab2ba23d639ccfcbb97a4c807c71ac0c01b8",
     "coverage/finitepop/normal01":
-        "71fe104577318b6352b9d102c838078ab238cff66e1ca5122f5bb204493ea537",
+        "844a9de37605dde7e60fbbf614d99c20a7e2d8e2f023666854c63b75d2645975",
     "coverage/finitepop/poisson1":
-        "1caa31db6aa9eba53a36c2df3e7248bde924993120aa99f3ba14c362eab75e0d",
+        "b786e864d71580ceb5f994236a9f72091451c5ec52938eaa23161327f829add8",
     "coverage/population/normal01":
-        "57d839bcfe245ca232eb2d9c81035abbf1a0baacccfe7dc40f0ffa5c5c2f1994",
+        "89ad305e10773bed66a284bd6be9a166ba7ca82f541e70c2761136f17c17d975",
     "coverage/population/poisson1":
-        "fb19d1e193f0af307a381641bc8f7cb343e39289205681df9f423e21729456da",
+        "731c99fb19bfc67458d0ec4082c800747bf559b64b5e2c81d706a5d7548047f4",
     "coverage/sample/normal01":
-        "b84054a3e09fbce273ebb7c34649cb68995dc6555a87522dd7fff97e7b6ee451",
+        "47dd2326ff0a9ad2fbfa8746edcdabdd26c99e32dd33da3d562197da019363fd",
     "coverage/sample/poisson1":
-        "af3c17a8fa195e9cbae3bc42a9b40bb8df6564f63d5d912c676f7bad29085df8",
+        "df0ff49a1da56f27fa453958218c8fb2e899307e1231e5bd3ce9df937a620cad",
     "coverage/superpop/normal01":
-        "2b65d0f395fbf70451193f5bef0ed22e4af584229be29c1e8e0d92774c2ceec7",
+        "10ee6529e060e5a6e5aed6d094e07caee88e4d1c4509aa7becc470b34d93a3c0",
     "coverage/superpop/poisson1":
-        "7a41d8b6bb80fe5aa83151f3e7e985b8afe403918614685107b1bdc7a1644c8e",
+        "a6210d372786f052c47a18c244372180149b835bdf8a9593b16ceb01fc291b53",
     "pivot_clt/normal01":
-        "1fece18fe772d2e6c94e0d2b25cbd5648e7d9d716b5b8df672416d1a2de5cd25",
+        "b12435e2affd8ddf062f23ce41075a68f8a5c1243514f9fa0df6735f75350a38",
     "pivot_clt/poisson1":
-        "354d3729f667ff812e9d82d60bbac318e5c6dac58d8be8916736c0f0fb73eaf3",
+        "1934fdb967116caeeb478b9497376c0bb35c4ef8aaf64dc717d4703af4ead1e4",
     "refined_ci/lognormal01":
-        "642053599be034646237e4ef5fc928999b3b1a6f4dd74707c02cbd011309c2fd",
+        "0b084c6a6cf842e3b721b3d3535545d2995e6bd82e10cdb09bdfee788bb7797e",
     "refined_ci/normal01/n2":
-        "e1c623f792666041aa3bf2cf5675b2509a65efaec8053eaeac5ac01799f03d1f",
+        "3c4fec1f0691807bcfeaeed1af18e32b12f08950f58b3a70f6de5708399ba5d0",
     "table1/exponential1/10":
         "a78d2269da6dc2194a64ae56b62aa53848daedf7108cbace3dc007d6cc989115",
     "table1/lognormal01/10":

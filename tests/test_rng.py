@@ -2,10 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from pivotboot.rng import restreamer, substream
+from pivotboot.rng import substream
 
 
 class TestSubstream:
@@ -47,55 +45,3 @@ class TestSubstream:
         substream(2**63 - 1, "p")
         substream(-2**63, "p")
 
-
-seeds = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([0, 2**63 - 1, -2**63]))
-addresses = st.lists(st.integers(0, 2**32 - 1), max_size=4).map(tuple)
-DRAWS = ("random", "standard_normal", "multinomial", "int32")
-
-
-def draw(rng: np.random.Generator, how: str) -> np.ndarray:
-    """Three values of one kind.  Three 32-bit integers use one and a half
-    64-bit outputs, so they leave a spare 32-bit half behind."""
-    if how == "random":
-        return rng.random(3)
-    if how == "standard_normal":
-        return rng.standard_normal(3)
-    if how == "multinomial":
-        return rng.multinomial(7, [0.2] * 5, size=3)
-    return rng.integers(0, 2**31 - 1, size=3, dtype=np.int32)
-
-
-class TestRestreamer:
-    """One re-addressed generator draws what a fresh substream draws."""
-
-    @given(seed=seeds, purpose=st.text(max_size=12),
-           visits=st.lists(st.tuples(addresses, st.lists(st.sampled_from(DRAWS), min_size=1,
-                                                           max_size=4)),
-                           min_size=1, max_size=6))
-    @example(seed=2024, purpose="layout",
-             visits=[((), ["int32"]), ((1, 2, 3, 4), ["int32", "random"]), ((1,), ["random"])])
-    @settings(max_examples=200, deadline=None)
-    def test_matches_fresh_substream(self, seed, purpose, visits):
-        at = restreamer(seed, purpose)
-        for indices, hows in visits:
-            reused, fresh = at(*indices), substream(seed, purpose, *indices)
-            for how in hows:
-                assert np.array_equal(draw(reused, how), draw(fresh, how))
-
-    def test_returns_one_generator(self):
-        at = restreamer(7, "p")
-        assert at(1) is at(2, 3)
-
-    def test_index_validation(self):
-        at = restreamer(1, "p")
-        with pytest.raises(ValueError):
-            at(-1)
-        with pytest.raises(ValueError):
-            at(2**32)
-        with pytest.raises(ValueError):
-            at(1, 2, 3, 4, 5)
-
-    def test_seed_validation(self):
-        for seed in (2**63, -2**63 - 1):
-            with pytest.raises(ValueError, match="2\\*\\*63"):
-                restreamer(seed, "p")

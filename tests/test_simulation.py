@@ -9,10 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pivotboot.errors import DegenerateWeightsError
-from pivotboot.estimators import Sample
+from pivotboot.errors import DegenerateWeightsError, PivotbootError
+from pivotboot.estimators import Sample, ecdf
+from pivotboot.intervals import (IntervalTarget, ci_ecdf, ci_finite_pop_mean,
+                                 ci_population_mean, ci_sample_mean, ci_superpop_mean)
 from pivotboot.jsonio import dumps
-from pivotboot.pivots import PivotKind, g_star, student_t, t_star
+from pivotboot.multi_bootstrap import ReplicateSet, refined_contains
+from pivotboot.pivots import (EMPIRICAL_KINDS, PivotKind, empirical_pivot, g_star,
+                              starred_variant, student_t, t_star)
 from pivotboot.rng import substream
 from pivotboot.simulation import (
     MODELS,
@@ -29,7 +33,8 @@ from pivotboot.simulation import (
     run_table2,
     sample_model,
 )
-from pivotboot.weights import WeightScheme, WeightVector, center, draw_multinomial_batch
+from pivotboot.weights import (WeightScheme, WeightVector, center, draw_multinomial_batch,
+                               draw_multinomial_weights, nondegenerate)
 
 
 class TestModels:
@@ -101,6 +106,13 @@ class TestTableSmoke:
         assert r2.config["threshold"] == TABLE2_THRESHOLD
         assert r2.config["nominal"] == TABLE2_NOMINAL
 
+    def test_seed_must_fit_int64(self):
+        for seed in (2**63, -2**63 - 1):
+            with pytest.raises(ValueError, match=r"seed must lie in \[-2\*\*63, 2\*\*63\)"):
+                SimConfig(model="poisson1", n=5, seed=seed)
+        for seed in (2**63 - 1, -2**63):
+            assert SimConfig(model="poisson1", n=5, seed=seed).seed == seed
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(model="nope", n=10)
@@ -132,9 +144,9 @@ class TestDeterminism:
         cfg = SimConfig(model="lognormal01", n=10, outer_reps=15, inner_reps=15, seed=9)
         assert dumps(run_table1(cfg).to_dict()) == dumps(run_table1(cfg).to_dict())
 
-    # The harness loops re-address one generator per worker thread; a
-    # generator shared across threads would interleave draws and change
-    # bytes.  A short switch interval makes such interleaving likely.
+    # Each block of harness replicates reads its own generator; a generator
+    # shared across threads would interleave draws and change bytes.  A
+    # short switch interval makes such interleaving likely.
     @pytest.fixture
     def frequent_thread_switches(self):
         interval = sys.getswitchinterval()
@@ -322,6 +334,160 @@ class TestWhiteBoxConsistency:
                 within[ddof] += _within(hits[ddof], valid, nominal, band)
         assert 0 < within[1] < S and within[0] != within[1]
         assert report.frequency("emp_T") == within[1] / S
+
+
+# Stream layout 2 of the harnesses: replicates in blocks of this many.
+BLOCK = 32
+
+
+def block_streams(seed: int, purpose: str, reps: int):
+    """Each replicate's stream, in replicate order: block k's stream
+    ``substream(seed, purpose, k)`` for each of its up to BLOCK replicates."""
+    for k in range(-(-reps // BLOCK)):
+        rng = substream(seed, purpose, k)
+        for _ in range(min(BLOCK, reps - k * BLOCK)):
+            yield rng
+
+
+def scalar_replicate(model, n: int, m: int, rng):
+    """One joint replicate by hand: n data values, then one weight row."""
+    sample = Sample.from_values(model.transform(model.draw_base(rng, n)))
+    w = draw_multinomial_weights(n, m, rng)
+    return sample, w, center(w, n)
+
+
+def scalar_pivot(kind, sample, w, cw, mu, x, f_true):
+    """Each kind's scalar pivot function, with the arguments its family takes."""
+    if kind in EMPIRICAL_KINDS:
+        absolute = kind in (PivotKind.ALPHA2_HAT, PivotKind.ALPHA2_HAT_HAT)
+        return empirical_pivot(kind, sample, w, cw, x, f_true if absolute else None)
+    if kind in (PivotKind.T_DOUBLE_STAR, PivotKind.T_TILDE):
+        return starred_variant(kind, sample, w, cw)
+    if kind in (PivotKind.G_DOUBLE_STAR, PivotKind.G_TILDE):
+        return starred_variant(kind, sample, w, cw, mu=mu)
+    if kind is PivotKind.STUDENT_T:
+        return student_t(sample, mu)
+    return t_star(sample, cw) if kind is PivotKind.T_STAR else g_star(sample, cw, mu)
+
+
+def assert_cell(cell, outcomes):
+    """The report cell holds the hits, valid and degenerate counts of the
+    outcomes (True hit, False miss, None degenerate)."""
+    degenerate = outcomes.count(None)
+    valid = len(outcomes) - degenerate
+    hits = outcomes.count(True)
+    assert cell.degenerate_count == degenerate
+    assert cell.frequency == (hits / valid if valid else 0.0)
+
+
+class TestHarnessWhiteBox:
+    """Re-derive each harness report by hand on stream layout 2, with the
+    scalar draws and the scalar interval, pivot or refined-cutoff call of
+    every replicate, in order."""
+
+    DESIGN = dict(model=st.sampled_from(sorted(MODELS)), n=st.integers(2, 6),
+                  m=st.integers(1, 8), reps=st.sampled_from((1, 31, 32, 33, 67)),  # block edges
+                  seed=st.integers(0, 2**32 - 1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(recipe=st.sampled_from(("population", "sample", "finitepop", "superpop", "ecdf",
+                                   "cdf")),
+           **DESIGN)
+    @example(recipe="population", model="normal01", n=2, m=2, reps=67, seed=2)
+    def test_coverage(self, recipe, model, n, m, reps, seed):
+        alpha, x = 0.2, 0.5
+        report = run_coverage(recipe, model, n, m, alpha, reps, seed,
+                              x=x if recipe in ("ecdf", "cdf") else None)
+        model = resolve_model(model)
+        outcomes = []
+        for rng in block_streams(seed, f"coverage.{recipe}", reps):
+            sample, w, cw = scalar_replicate(model, n, m, rng)
+            calls = {
+                "population": lambda: (ci_population_mean(sample, cw, alpha), model.mean),
+                "sample": lambda: (ci_sample_mean(sample, w, cw, alpha), sample.mean),
+                "finitepop": lambda: (ci_finite_pop_mean(sample, w, cw, alpha), sample.mean),
+                "superpop": lambda: (ci_superpop_mean(sample, w, cw, alpha), model.mean),
+                "ecdf": lambda: (ci_ecdf(sample, w, cw, x, alpha, IntervalTarget.ECDF_VALUE),
+                                 ecdf(sample, x)),
+                "cdf": lambda: (ci_ecdf(sample, w, cw, x, alpha, IntervalTarget.CDF_VALUE),
+                                model.cdf(x)),
+            }
+            try:
+                interval, target = calls[recipe]()
+            except PivotbootError:
+                outcomes.append(None)
+                continue
+            outcomes.append(target in interval)
+        assert report.config["rng_layout"] == 2
+        assert_cell(report.cells[0], outcomes)
+
+    @settings(max_examples=25, deadline=None)
+    @given(**DESIGN)
+    @example(model="poisson1", n=2, m=2, reps=67, seed=13)
+    def test_pivot_clt(self, model, n, m, reps, seed):
+        kinds, threshold, x = list(PivotKind), 0.385320, 0.5
+        report = pivot_clt_frequencies(kinds, model, n, m, threshold, reps, seed, x=x)
+        model = resolve_model(model)
+        outcomes = {kind: [] for kind in kinds}
+        for rng in block_streams(seed, "pivot_clt", reps):
+            sample, w, cw = scalar_replicate(model, n, m, rng)
+            for kind in kinds:
+                try:
+                    value = scalar_pivot(kind, sample, w, cw, model.mean, x, model.cdf(x))
+                except PivotbootError:
+                    outcomes[kind].append(None)
+                    continue
+                outcomes[kind].append(value <= threshold)
+        assert [cell.statistic for cell in report.cells] == [kind.value for kind in kinds]
+        for cell, kind in zip(report.cells, kinds):
+            assert_cell(cell, outcomes[kind])
+
+    @settings(max_examples=25, deadline=None)
+    @given(B=st.integers(2, 6), **DESIGN)
+    @example(model="normal01", n=2, m=2, B=4, reps=67, seed=14)  # half the rows redraw
+    @example(model="poisson1", n=2, m=3, B=3, reps=33, seed=5)
+    def test_refined_ci(self, model, n, m, B, reps, seed):
+        alpha = 0.2
+        report = refined_ci_coverage(model, n, m, B, alpha, reps, seed)
+        model = resolve_model(model)
+        outcomes = []
+        for rng in block_streams(seed, "refined_ci", reps):
+            sample = Sample.from_values(model.transform(model.draw_base(rng, n)))
+            if sample.variance <= 0.0:
+                outcomes.append(None)  # the weight rows are not drawn
+                continue
+            t_value = student_t(sample, model.mean)
+
+            def row():  # one weight row at a time, redrawn in stream order
+                cw = center(draw_multinomial_weights(n, m, rng), n)
+                return cw, cw.sum_squares
+
+            try:
+                rows = [nondegenerate(row)[0] for _ in range(B)]
+            except DegenerateWeightsError:
+                outcomes.append(None)
+                continue
+            # draw_replicates' array expression gives t_star's values to the
+            # bit, so ties compare alike and no design is excluded
+            values = [t_star(sample, cw) for cw in rows]
+            outcomes.append(refined_contains(t_value, ReplicateSet(values, B, m), alpha))
+        assert_cell(report.cells[0], outcomes)
+
+
+HARNESSES = {
+    "coverage": lambda reps: run_coverage("population", "normal01", 20, 20, 0.1, reps, seed=0),
+    "pivot_clt": lambda reps: pivot_clt_frequencies([PivotKind.T_STAR], "normal01", 20, 20, 1.6,
+                                                    reps, seed=0),
+    "refined_ci": lambda reps: refined_ci_coverage("normal01", 20, 20, 9, 0.1, reps, seed=0),
+}
+
+
+@pytest.mark.parametrize("harness", sorted(HARNESSES))
+@pytest.mark.parametrize("reps", [0, -1])
+def test_harness_rejects_reps_below_one(harness, reps):
+    # reps = 0 reported a frequency of 0.0 from zero replicates
+    with pytest.raises(ValueError, match="reps must be positive"):
+        HARNESSES[harness](reps)
 
 
 class TestRunCoverage:
