@@ -89,19 +89,18 @@ def sixth_moment_expression(n: int, m: int) -> float:
     return 15.0 * m**3 / n**3 + 25.0 * m**2 / n**2 + m / n
 
 
-def delta_n(p: BoundParams, plus_eps2: bool = True) -> float:
+def delta_n(p: BoundParams) -> float:
     """Normalized slack entering the third-moment term.
 
-    The printed form adds eps2 in the numerator; ``plus_eps2=False``
-    evaluates the subtracted-eps2 reading implied by the admissibility
-    inequality.  Both are positive for admissible parameters.
+    This is the printed form, which adds eps2 in the numerator; the
+    admissibility inequality implies a subtracted-eps2 reading, and both are
+    positive for admissible parameters.
     """
-    sign = 1.0 if plus_eps2 else -1.0
-    numerator = p.delta - (p.eps1 / p.eps) ** 2 - p.p_var_dev + sign * p.eps2
+    numerator = p.delta - (p.eps1 / p.eps) ** 2 - p.p_var_dev + p.eps2
     return numerator / (p.C * p.third_abs_moment_ratio)
 
 
-def bound_terms(p: BoundParams, plus_eps2: bool = True) -> tuple[float, float]:
+def bound_terms(p: BoundParams) -> tuple[float, float]:
     """The two summands of the bound.
 
     The statements for the absolute-weight and the signed-weight pivot
@@ -110,7 +109,7 @@ def bound_terms(p: BoundParams, plus_eps2: bool = True) -> tuple[float, float]:
     n, m = p.n, p.m
     if n < 2:
         raise InadmissibleParamsError("the bound is singular at n = 1")
-    dn = delta_n(p, plus_eps2=plus_eps2)
+    dn = delta_n(p)
     one_less = 1.0 - 1.0 / n
 
     first = (
@@ -136,9 +135,9 @@ def bound_terms(p: BoundParams, plus_eps2: bool = True) -> tuple[float, float]:
     return first, second
 
 
-def berry_esseen_bound(p: BoundParams, plus_eps2: bool = True) -> float:
+def berry_esseen_bound(p: BoundParams) -> float:
     """Evaluate the full two-term error bound."""
-    first, second = bound_terms(p, plus_eps2=plus_eps2)
+    first, second = bound_terms(p)
     return first + second
 
 

@@ -310,9 +310,12 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
             "manifest": _manifest("bound", config, seed, args.timestamp),
             "rate": convergence_rate(kind, args.n, args.m),
         }
-    required = {"n": args.n, "m": args.m, "delta": args.delta, "eps": args.eps,
-                "eps1": args.eps1, "eps2": args.eps2, "ratio": args.ratio}
-    missing = [k for k, v in required.items() if v is None]
+    config = {
+        "n": args.n, "m": args.m, "delta": args.delta, "eps": args.eps,
+        "eps1": args.eps1, "eps2": args.eps2, "ratio": args.ratio,
+        "p_var_dev": args.p_var_dev, "C": args.C,
+    }
+    missing = [k for k, v in config.items() if v is None]  # the last two have defaults
     if missing:
         raise _CliError(f"bound evaluation requires --{', --'.join(missing)}")
     params = BoundParams(
@@ -322,11 +325,6 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
         p_var_dev=args.p_var_dev, C=args.C,
     )
     first, second = bound_terms(params)
-    config = {
-        "n": args.n, "m": args.m, "delta": args.delta, "eps": args.eps,
-        "eps1": args.eps1, "eps2": args.eps2, "ratio": args.ratio,
-        "p_var_dev": args.p_var_dev, "C": args.C,
-    }
     return {
         "manifest": _manifest("bound", config, seed, args.timestamp),
         "delta_n": delta_n(params),

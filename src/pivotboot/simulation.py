@@ -23,6 +23,10 @@ one :func:`~pivotboot.weights.draw_resample_counts` call), and its inner
 computations are vectorized; the vectorized kernels agree with the scalar
 pivot functions (tested).  A harness block's replicates draw one after
 another from the block's stream, each with the scalar library functions.
+
+Each unit of work counts, per statistic, its hit, valid and degenerate
+replicates; one builder band-scores the units (the tables) or pools them
+(the harnesses) into the report.
 """
 
 from __future__ import annotations
@@ -88,6 +92,8 @@ TABLE2_NOMINAL = GENZ_LEVEL_B9
 # The stream layout, recorded in every report's config: 2 is one stream per
 # table outer cell or harness block (1, retired, was one per replicate).
 RNG_LAYOUT = 2
+# The divisor n - STUDENTIZE_DDOF of the tables' Studentizing variance.
+STUDENTIZE_DDOF = 1
 # Replicates per block of the coverage, pivot-law and replicate-cutoff
 # harnesses: block k reads the stream (seed, purpose, k).
 BLOCK = 32
@@ -209,12 +215,9 @@ def sample_model(model: str | Model, n: int, stream: np.random.Generator) -> Sam
 class SimConfig:
     """Design of one table cell: law, sizes, repetition counts, cutoffs.
 
-    ``studentize_ddof`` selects the divisor of the Studentizing standard
-    deviation inside the table harnesses: 1 (divisor n-1) reproduces the
-    published comparison tables, 0 gives the divisor-n convention used by
-    the library's pivot functions.  The two differ only by the scale factor
-    sqrt(n/(n-1)), but the scored band frequencies are sensitive enough to
-    resolve it.
+    The table harnesses Studentize with divisor n - 1 (``STUDENTIZE_DDOF``,
+    recorded as ``studentize_ddof`` in the config), the convention the
+    published comparison tables were computed under, so n must be at least 2.
     """
 
     model: str
@@ -227,13 +230,12 @@ class SimConfig:
     tolerance_band: float = 0.01
     B: int = 9
     seed: int = 0
-    studentize_ddof: int = 1
 
     def __post_init__(self) -> None:
         resolve_model(self.model)
         check_seed(self.seed)
-        if self.n < 1 or (self.m is not None and self.m < 1):
-            raise ValueError("sample and resample sizes must be positive")
+        if self.n < 2 or (self.m is not None and self.m < 1):
+            raise ValueError("n must be at least 2 and m positive")
         if self.outer_reps < 1 or self.inner_reps < 1:
             raise ValueError("repetition counts must be positive")
         if self.tolerance_band <= 0.0:
@@ -242,10 +244,6 @@ class SimConfig:
             raise ValueError("nominal level must lie in (0, 1)")
         if self.B < 2:
             raise ValueError("B must be at least 2")
-        if self.studentize_ddof not in (0, 1):
-            raise ValueError("studentize_ddof must be 0 or 1")
-        if self.n <= self.studentize_ddof:
-            raise ValueError("n must exceed studentize_ddof")
 
     def resolved(self, default_threshold: float, default_nominal: float) -> dict:
         return {
@@ -259,8 +257,7 @@ class SimConfig:
             "tolerance_band": self.tolerance_band,
             "B": self.B,
             "seed": self.seed,
-            "studentize_ddof": self.studentize_ddof,
-            "rng_layout": RNG_LAYOUT,
+            "studentize_ddof": STUDENTIZE_DDOF,
         }
 
 
@@ -300,59 +297,54 @@ class CoverageReport:
         }
 
 
-def _run_units(worker: Callable[[int], tuple], count: int, threads: int) -> list[tuple]:
-    """``worker(k)`` for units of work k < count (table outer cells or harness
-    blocks) on up to ``threads`` threads, in order of k."""
-    if threads <= 1:
-        return [worker(s) for s in range(count)]
-    from concurrent.futures import ThreadPoolExecutor  # serial runs skip this import
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(count)))
-
-
-def _studentize(model: Model, base: np.ndarray, ddof: int) -> tuple[np.ndarray, ...]:
+def _studentize(model: Model, base: np.ndarray) -> tuple[np.ndarray, ...]:
     """Transform a cell's base variates (one replicate per row) and
-    Studentize them: the data, the standard deviations (divisor n - ddof;
+    Studentize them: the data, the standard deviations (divisor n - 1;
     1.0 where the variance vanishes), the mask of nonzero variances, and
     the Studentized means sqrt(n) (mean - mu) / std."""
     data = model.transform(base)
     means = data.mean(axis=1)
-    variances = data.var(axis=1, ddof=ddof)
+    variances = data.var(axis=1, ddof=STUDENTIZE_DDOF)
     valid = variances > 0.0
     stds = np.sqrt(variances, where=valid, out=np.ones_like(variances))
     return data, stds, valid, (means - model.mean) * math.sqrt(data.shape[1]) / stds
 
 
 def _score(hits: np.ndarray, valid: np.ndarray) -> tuple[int, int, int]:
-    """One statistic's ``(hits, valid, degenerate)`` counts over a cell's
-    inner replicates; a hit counts only where the replicate is valid."""
+    """One statistic's ``(hits, valid, degenerate)`` counts over a unit of
+    work's replicates (a table cell's inner replicates, or a harness block's);
+    a hit counts only where the replicate is valid."""
     n_valid = int(np.count_nonzero(valid))
     return int(np.count_nonzero(hits & valid)), n_valid, valid.size - n_valid
 
 
-def _tabulate(kind: str, resolved: dict, model: Model, statistics: Sequence[str],
-              cell: Callable[[int], tuple], threads: int) -> CoverageReport:
-    """Run ``cell`` on every outer cell and band-score each statistic.
-
-    ``cell(s)`` returns one ``(hits, valid, degenerate)`` triple per
-    statistic.  An outer cell scores for a statistic when its inner
-    frequency hits/valid lies within ``tolerance_band`` of ``nominal``; the
-    reported frequency is the share of scoring outer cells, and the
-    degenerate counts are summed.
+def _report(kind: str, config: dict, statistics: Sequence[str], unit: Callable[[int], tuple],
+            units: int, threads: int, banded: bool = False) -> CoverageReport:
+    """Run ``unit(k)`` for each unit of work k < ``units`` (table outer cells
+    or harness blocks) on up to ``threads`` threads and score each statistic
+    from the units' :func:`_score` triples.  Banded (the tables), the
+    frequency is the share of units whose hits/valid lies within
+    ``tolerance_band`` of ``nominal``; pooled (the harnesses), it is hits over
+    valid replicates, 0.0 if none is valid.  Degenerate counts are summed, and
+    the config gains ``rng_layout``.
     """
-    S, nominal, band = resolved["outer_reps"], resolved["nominal"], resolved["tolerance_band"]
-    rows = _run_units(cell, S, threads)
-    cells = tuple(
-        CellResult(
-            model.name, resolved["n"], statistic,
-            sum(valid > 0 and abs(hits / valid - nominal) <= band
-                for hits, valid, _ in column) / S,
-            sum(degenerate for _, _, degenerate in column),
-        )
-        for statistic, column in zip(statistics, zip(*rows))
-    )
-    return CoverageReport(kind, resolved["seed"], resolved, cells)
+    if threads <= 1:
+        rows = [unit(k) for k in range(units)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # serial runs skip this import
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(unit, range(units)))
+    cells = []
+    for statistic, column in zip(statistics, zip(*rows)):
+        hits, valid, degenerate = map(sum, zip(*column))
+        if banded:
+            nominal, band = config["nominal"], config["tolerance_band"]
+            frequency = sum(v > 0 and abs(h / v - nominal) <= band for h, v, _ in column) / units
+        else:
+            frequency = hits / valid if valid else 0.0
+        cells.append(CellResult(config["model"], config["n"], statistic, frequency, degenerate))
+    return CoverageReport(kind, config["seed"], {**config, "rng_layout": RNG_LAYOUT}, tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +377,14 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
             return centered, float(centered @ centered)
 
         centered, redraws = nondegenerate(draw_weights)
-        data, stds, valid, pivot_t = _studentize(model, base, resolved["studentize_ddof"])
+        data, stds, valid, pivot_t = _studentize(model, base)
         weight_norm = math.sqrt(float(centered @ centered))
         pivot_g = ((data - model.mean) @ np.abs(centered)) / (stds * weight_norm)
         hits_g, valid_g, degenerate_g = _score(pivot_g <= threshold, valid)
         return (hits_g, valid_g, degenerate_g + redraws), _score(pivot_t <= threshold, valid)
 
-    return _tabulate("table1", resolved, model, ("emp_G_star", "emp_T"), cell, threads)
+    return _report("table1", resolved, ("emp_G_star", "emp_T"), cell, resolved["outer_reps"],
+                   threads, banded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +411,7 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
         centered = draw_resample_counts(n, m, T * (B + 1), rng).reshape(T, B + 1, n)
         centered /= m  # in place: the counts are this cell's largest array
         centered -= 1.0 / n
-        data, stds, data_ok, pivot_t = _studentize(model, base, resolved["studentize_ddof"])
+        data, stds, data_ok, pivot_t = _studentize(model, base)
 
         norm_sq = np.einsum("tbi,tbi->tb", centered, centered)
         norms = np.sqrt(norm_sq, where=norm_sq > 0.0, out=np.ones_like(norm_sq))
@@ -437,8 +430,8 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
                    data_ok & np.all(norm_sq[:, 1:] > 0.0, axis=1)),
         )
 
-    return _tabulate("table2", resolved, model, ("emp_G_star", "emp_T", "emp_boot"), cell,
-                     threads)
+    return _report("table2", resolved, ("emp_G_star", "emp_T", "emp_boot"), cell,
+                   resolved["outer_reps"], threads, banded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -458,35 +451,26 @@ def _draw_replicate(model: Model, n: int, m: int,
 def _replicates(purpose: str, config: dict, statistics: Sequence[str],
                 replicate: Callable[[np.random.Generator], Sequence[bool | None]],
                 threads: int) -> CoverageReport:
-    """Run ``config["reps"]`` replicates, block by block, and score each statistic.
+    """Run ``config["reps"]`` replicates, block by block, and pool each statistic.
 
     Block k reads ``substream(seed, purpose, k)``; ``replicate(rng)`` draws
     one replicate from it and returns one outcome per statistic: True (hit),
-    False (miss) or None (degenerate).  A statistic's frequency is its hits
-    among its nondegenerate replicates, 0.0 if none.  The report's kind is
-    ``purpose`` up to its first dot.
+    False (miss) or None (degenerate).  The report's kind is ``purpose`` up
+    to its first dot.
     """
     reps, seed = config["reps"], config["seed"]
     if reps < 1:
         raise ValueError("reps must be positive")
 
-    def block(k: int) -> list[list[int]]:
+    def block(k: int) -> tuple[tuple[int, int, int], ...]:
         rng = substream(seed, purpose, k)
-        counts = [[0, 0, 0] for _ in statistics]  # hits, valid, degenerate
-        for _ in range(min(BLOCK, reps - k * BLOCK)):
-            for tally, outcome in zip(counts, replicate(rng)):
-                tally[0] += bool(outcome)
-                tally[1 if outcome is not None else 2] += 1
-        return counts
+        # one row per replicate, one column per statistic; None becomes NaN
+        outcomes = np.array([replicate(rng) for _ in range(min(BLOCK, reps - k * BLOCK))],
+                            dtype=float)
+        return tuple(_score(column == 1.0, ~np.isnan(column)) for column in outcomes.T)
 
-    rows = _run_units(block, -(-reps // BLOCK), threads)
-    cells = []
-    for statistic, column in zip(statistics, zip(*rows)):
-        hits, valid, degenerate = map(sum, zip(*column))
-        cells.append(CellResult(config["model"], config["n"], statistic,
-                                hits / valid if valid else 0.0, degenerate))
-    return CoverageReport(purpose.partition(".")[0], seed,
-                          {**config, "rng_layout": RNG_LAYOUT}, tuple(cells))
+    return _report(purpose.partition(".")[0], config, statistics, block, -(-reps // BLOCK),
+                   threads)
 
 
 def run_coverage(

@@ -75,13 +75,6 @@ class TestDeltaN:
                 params(50, 50, eps=eps)
         assert berry_esseen_bound(params(50, 50, eps=0.999)) > 0.0
 
-    def test_eps2_sign_variants(self):
-        p = params(10, 10)
-        plus = delta_n(p, plus_eps2=True)
-        minus = delta_n(p, plus_eps2=False)
-        assert plus > minus > 0.0
-        assert plus - minus == pytest.approx(2 * p.eps2 / (p.C * p.third_abs_moment_ratio))
-
 
 class TestBerryEsseenBound:
     def test_singular_at_n_one(self):

@@ -121,13 +121,7 @@ class TestTableSmoke:
         with pytest.raises(ValueError):
             SimConfig(model="normal01", n=10, B=1)
         with pytest.raises(ValueError):
-            SimConfig(model="normal01", n=10, studentize_ddof=2)
-
-    def test_weights_degenerate_at_n_one_raise(self):
-        # every weight draw at n = 1 centres to zero; the redraw budget ends it
-        cfg = SimConfig(model="normal01", n=1, studentize_ddof=0, outer_reps=1, inner_reps=5)
-        with pytest.raises(DegenerateWeightsError):
-            run_table1(cfg)
+            SimConfig(model="normal01", n=1)  # divisor n - 1 needs n >= 2
 
 
 class TestDeterminism:
@@ -196,34 +190,33 @@ class TestWhiteBoxConsistency:
     a time, where the kernels draw each cell's blocks in one call."""
 
     # The fixed designs of the original white-box cases, plus random designs:
-    # any law, n in 2..8, both Studentizing divisors.  The scalar pivots use
-    # divisor n; sqrt((n - ddof)/n) rescales them to the table's divisor.
+    # any law, n in 2..8.  The scalar pivots use divisor n; sqrt((n - 1)/n)
+    # rescales them to the table's divisor n - 1.
     # Random designs also draw the cutoff, the nominal level and the band:
     # at the published ones, a cell of at most 30 inner replicates almost
     # never lands in the band, and every frequency would read 0.
     DESIGNS = dict(
         model=st.sampled_from(sorted(MODELS)), n=st.integers(2, 8), m=st.integers(1, 10),
         S=st.integers(1, 3), T=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
-        ddof=st.sampled_from((0, 1)),
         levels=st.tuples(st.sampled_from((-1.281648, -0.524401, 0.385320, 1.281648)),
                          st.floats(0.05, 0.95), st.sampled_from((0.01, 0.1, 0.3))),
     )
 
     @settings(max_examples=30, deadline=None)
     @given(**DESIGNS)
-    @example(model="poisson1", n=6, m=6, S=3, T=8, seed=77, ddof=0,
+    @example(model="poisson1", n=6, m=6, S=3, T=8, seed=77,
              levels=(TABLE1_THRESHOLD, TABLE1_NOMINAL, 0.01))
-    @example(model="poisson1", n=2, m=2, S=3, T=20, seed=12, ddof=1,  # weight redraws
+    @example(model="poisson1", n=2, m=2, S=3, T=20, seed=12,  # weight redraws
              levels=(0.385320, 0.5, 0.3))
-    @example(model="lognormal01", n=3, m=40, S=2, T=12, seed=5, ddof=1,  # m > 8n
+    @example(model="lognormal01", n=3, m=40, S=2, T=12, seed=5,  # m > 8n
              levels=(0.385320, 0.6, 0.3))
-    def test_table1_matches_scalar_path(self, model, n, m, S, T, seed, ddof, levels):
+    def test_table1_matches_scalar_path(self, model, n, m, S, T, seed, levels):
         threshold, nominal, band = levels
         cfg = SimConfig(model=model, n=n, m=m, outer_reps=S, inner_reps=T, threshold=threshold,
-                        nominal=nominal, tolerance_band=band, seed=seed, studentize_ddof=ddof)
+                        nominal=nominal, tolerance_band=band, seed=seed)
         report = run_table1(cfg)
         model = resolve_model(model)
-        scale = math.sqrt((n - ddof) / n)
+        scale = math.sqrt((n - 1) / n)
 
         within_g = within_t = redraws = 0
         for s in range(S):
@@ -253,22 +246,21 @@ class TestWhiteBoxConsistency:
 
     @settings(max_examples=30, deadline=None)
     @given(B=st.integers(2, 5), **DESIGNS)
-    @example(model="exponential1", n=5, m=5, B=3, S=2, T=10, seed=123, ddof=0,
+    @example(model="exponential1", n=5, m=5, B=3, S=2, T=10, seed=123,
              levels=(TABLE2_THRESHOLD, TABLE2_NOMINAL, 0.01))
-    @example(model="poisson1", n=2, m=2, B=2, S=3, T=20, seed=12, ddof=1,
+    @example(model="poisson1", n=2, m=2, B=2, S=3, T=20, seed=12,
              levels=(0.385320, 0.5, 0.3))
-    @example(model="exponential1", n=3, m=40, B=4, S=2, T=12, seed=5, ddof=1,  # m > 8n
+    @example(model="exponential1", n=3, m=40, B=4, S=2, T=12, seed=5,  # m > 8n
              levels=(0.385320, 0.6, 0.3))
-    @example(model="normal01", n=2, m=16, B=3, S=2, T=12, seed=6, ddof=0,  # m = 8n
+    @example(model="normal01", n=2, m=16, B=3, S=2, T=12, seed=6,  # m = 8n
              levels=(-0.524401, 0.3, 0.1))
-    def test_table2_matches_scalar_path(self, model, n, m, B, S, T, seed, ddof, levels):
+    def test_table2_matches_scalar_path(self, model, n, m, B, S, T, seed, levels):
         threshold, nominal, band = levels
         cfg = SimConfig(model=model, n=n, m=m, outer_reps=S, inner_reps=T, threshold=threshold,
-                        nominal=nominal, tolerance_band=band, B=B, seed=seed,
-                        studentize_ddof=ddof)
+                        nominal=nominal, tolerance_band=band, B=B, seed=seed)
         report = run_table2(cfg)
         model = resolve_model(model)
-        scale = math.sqrt((n - ddof) / n)
+        scale = math.sqrt((n - 1) / n)
 
         def count_row(rng):
             # m uniform resample indices, counted; numpy's sampler past m = 8n
@@ -315,8 +307,8 @@ class TestWhiteBoxConsistency:
         n, S, T, seed, nominal, band = 6, 6, 40, 31, 0.9, 0.03
         cfg = SimConfig(model="normal01", n=n, outer_reps=S, inner_reps=T, seed=seed,
                         nominal=nominal, tolerance_band=band)
-        assert cfg.studentize_ddof == 1
         report = run_table1(cfg)
+        assert report.config["studentize_ddof"] == 1
         model = resolve_model("normal01")
         within = {0: 0, 1: 0}
         for s in range(S):
@@ -488,6 +480,19 @@ def test_harness_rejects_reps_below_one(harness, reps):
     # reps = 0 reported a frequency of 0.0 from zero replicates
     with pytest.raises(ValueError, match="reps must be positive"):
         HARNESSES[harness](reps)
+
+
+@pytest.mark.parametrize("harness", [
+    lambda: run_coverage("population", "normal01", 1, 1, 0.1, 40, seed=1),
+    lambda: pivot_clt_frequencies(list(PivotKind), "normal01", 1, 1, 1.6, 40, seed=1, x=0.0),
+    lambda: refined_ci_coverage("normal01", 1, 1, 9, 0.1, 40, seed=1),
+], ids=["coverage", "pivot_clt", "refined_ci"])
+def test_all_degenerate_replicates_report_zero(harness):
+    # at n = m = 1 every replicate is degenerate; 40 replicates fill one
+    # block and part of a second
+    report = harness()
+    for cell in report.cells:
+        assert (cell.frequency, cell.degenerate_count) == (0.0, 40), cell.statistic
 
 
 class TestRunCoverage:
