@@ -209,8 +209,8 @@ def draw_replicates(
 @functools.lru_cache(maxsize=64)
 def _cutoff_index(B: int, alpha: float) -> int:
     """The refined cutoff's 0-based order-statistic index, clamped to the
-    maximum; cached because the harnesses ask for one (B, alpha) per
-    replicate."""
+    maximum; cached because :func:`refined_contains` asks for it on every
+    call.  The replicate-cutoff harness reads it here too."""
     return min(y_quantile(B, alpha), B - 1)
 
 

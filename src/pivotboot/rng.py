@@ -10,10 +10,11 @@ stream would have to consume 2^128 blocks to run into its neighbour), and
 results are identical no matter how many worker threads consume the
 streams or in which order.
 
-The unit of work that owns a stream is the caller's choice.  Under stream
-layout 2 the simulation harnesses address one stream per table outer cell
-and one per block of harness replicates, and draw all of that unit's
-variates from it in order.
+The unit of work that owns a stream is the caller's choice.  The simulation
+harnesses address one stream per table outer cell (stream layout 2) and one
+per block of harness replicates (layout 3), and draw all of that unit's
+variates from it in order: the base variates of all its replicates in one
+call, then their weights.
 """
 
 from __future__ import annotations

@@ -13,55 +13,45 @@ compared against the maximum of B replicate pivots.
 
 Every random draw comes from a counter-based substream addressed by the
 seed and the unit of work, so reports are byte-identical for any
-worker-thread count and any execution order.  Under stream layout 2,
-recorded as ``rng_layout`` in every report's config, the unit is an outer
-cell of a table or a block of ``BLOCK`` replicates of the coverage,
-pivot-law and replicate-cutoff harnesses.  A table cell draws all its inner
-replicates' base variates in one call, then its weights (table1: the cell's
-one weight vector; table2: all B + 1 count rows of every inner replicate in
-one :func:`~pivotboot.weights.draw_resample_counts` call), and its inner
-computations are vectorized; the vectorized kernels agree with the scalar
-pivot functions (tested).  A harness block's replicates draw one after
-another from the block's stream, each with the scalar library functions.
-
-Each unit of work counts, per statistic, its hit, valid and degenerate
-replicates; one builder band-scores the units (the tables) or pools them
-(the harnesses) into the report.
+worker-thread count and any execution order.  The unit is an outer cell of
+a table (stream layout 2) or a block of ``BLOCK`` replicates of the
+coverage, pivot-law and replicate-cutoff harnesses (layout 3); each report
+records its layout as ``rng_layout``.  A unit draws the base variates of
+all its replicates in one call, then their weights: a table1 cell its one
+weight vector, and every other unit all its count rows
+(:func:`~pivotboot.weights.draw_resample_counts`; B + 1 per table2 inner
+replicate, B per replicate-cutoff replicate, else one).  Array kernels then
+score the whole unit; they agree with the scalar functions of ``pivots``
+and ``intervals`` (tested).  Each unit counts, per statistic, its hit,
+valid and degenerate replicates; one builder band-scores the units (the
+tables) or pools them (the harnesses) into the report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import PivotbootError
-from .estimators import Sample, ecdf
-from .gaussian import normal_cdf
-from .intervals import (
-    RECIPES,
-    IntervalTarget,
-    ci_ecdf,
-    ci_finite_pop_mean,
-    ci_population_mean,
-    ci_sample_mean,
-    ci_superpop_mean,
-)
-from .multi_bootstrap import GENZ_LEVEL_B9, draw_replicates, refined_contains
-from .pivots import (EMPIRICAL_KINDS, PivotKind, empirical_pivot, g_star, starred_variant,
-                     student_t, t_star)
+from .estimators import Sample
+from .gaussian import normal_cdf, normal_quantile
+from .intervals import RECIPES
+from .multi_bootstrap import GENZ_LEVEL_B9, _cutoff_index
+from .pivots import EMPIRICAL_KINDS, PivotKind
 from .rng import check_seed, substream
-from .weights import (
-    CenteredWeights,
-    WeightScheme,
-    WeightVector,
-    center,
-    draw_multinomial_batch,
-    draw_resample_counts,
-    nondegenerate,
-)
+from .weights import draw_multinomial_batch, draw_resample_counts, nondegenerate
+
+# The harnesses call none of these; they stay bound here only because
+# perfbench/layers.instrument patches them by these names in this module
+# (tests/test_trace_bindings.py).
+from .intervals import (ci_ecdf, ci_finite_pop_mean, ci_population_mean, ci_sample_mean,
+                        ci_superpop_mean)
+from .multi_bootstrap import draw_replicates, refined_contains
+from .pivots import empirical_pivot, g_star, starred_variant, student_t, t_star
+from .weights import WeightVector, center
 
 __all__ = [
     "Model",
@@ -89,14 +79,17 @@ TABLE1_NOMINAL = 0.95
 TABLE2_THRESHOLD = 1.281648
 TABLE2_NOMINAL = GENZ_LEVEL_B9
 
-# The stream layout, recorded in every report's config: 2 is one stream per
-# table outer cell or harness block (1, retired, was one per replicate).
-RNG_LAYOUT = 2
+# The stream layouts of the tables and the harnesses, recorded as rng_layout
+# (see the module docstring; layout 1, one stream per replicate, is retired).
+TABLE_LAYOUT = 2
+HARNESS_LAYOUT = 3
 # The divisor n - STUDENTIZE_DDOF of the tables' Studentizing variance.
 STUDENTIZE_DDOF = 1
 # Replicates per block of the coverage, pivot-law and replicate-cutoff
 # harnesses: block k reads the stream (seed, purpose, k).
 BLOCK = 32
+# Count entries per chunk of the replicate-cutoff harness's count rows.
+_CHUNK = 2**13
 
 # (model, n) design points of the two printed comparison grids.  The
 # conditional table's exponential row ends at n = 50, the joint table's at
@@ -326,7 +319,8 @@ def _report(kind: str, config: dict, statistics: Sequence[str], unit: Callable[[
     frequency is the share of units whose hits/valid lies within
     ``tolerance_band`` of ``nominal``; pooled (the harnesses), it is hits over
     valid replicates, 0.0 if none is valid.  Degenerate counts are summed, and
-    the config gains ``rng_layout``.
+    the config gains ``rng_layout``: the tables' layout if banded, else the
+    harnesses'.
     """
     if threads <= 1:
         rows = [unit(k) for k in range(units)]
@@ -344,7 +338,8 @@ def _report(kind: str, config: dict, statistics: Sequence[str], unit: Callable[[
         else:
             frequency = hits / valid if valid else 0.0
         cells.append(CellResult(config["model"], config["n"], statistic, frequency, degenerate))
-    return CoverageReport(kind, config["seed"], {**config, "rng_layout": RNG_LAYOUT}, tuple(cells))
+    layout = TABLE_LAYOUT if banded else HARNESS_LAYOUT
+    return CoverageReport(kind, config["seed"], {**config, "rng_layout": layout}, tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -435,176 +430,252 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
 
 
 # ---------------------------------------------------------------------------
-# Generic interval-coverage and pivot-law harnesses
+# Interval-coverage, pivot-law and replicate-cutoff harnesses
 # ---------------------------------------------------------------------------
 
-def _draw_replicate(model: Model, n: int, m: int,
-                    rng: np.random.Generator) -> tuple[Sample, WeightVector, CenteredWeights]:
-    """A joint replicate: the sample, then one multinomial weight row, both
-    drawn from the block's stream ``rng`` in that order."""
-    sample = sample_model(model, n, rng)
-    counts = draw_multinomial_batch(n, m, 1, rng)[0]
-    w = WeightVector(counts=counts, m=float(m), scheme=WeightScheme.MULTINOMIAL)
-    return sample, w, center(w, n)
+class _Block:
+    """A harness block's replicates as arrays, one row each: the data, one
+    count row per replicate, and what the kernels share.  Every expression
+    takes, row by row, the operations of the scalar functions in
+    ``estimators``, ``weights``, ``pivots`` and ``intervals`` (``np.vecdot``
+    of two rows is their ``@``), so a value equals the scalar one to the bit;
+    a kernel's valid mask marks the replicates on which the scalar call
+    raises no :class:`~pivotboot.errors.PivotbootError` (tested)."""
+
+    def __init__(self, model: Model, data: np.ndarray, counts: np.ndarray, m: int,
+                 x: float | None = None) -> None:
+        self.model, self.data, self.counts, self.m, self.x = model, data, counts, m, x
+        self.n = data.shape[1]
+        self.mean = data.mean(axis=1)
+        centered = data - self.mean[:, None]
+        self.std = np.sqrt(np.vecdot(centered, centered) / self.n)  # divisor n
+        self.weights = counts / m - 1.0 / self.n  # centered
+        self.norm = np.sqrt(np.vecdot(self.weights, self.weights))  # 0 where degenerate
+        self.t_sum = np.vecdot(self.weights, data)  # sum c_i x_i
+        if x is not None:
+            self.indicators = (data <= x).astype(float)
+            self.ecdf = self.indicators.sum(axis=1) / self.n
+            self.resampled_ecdf = np.vecdot(counts, self.indicators) / m
+
+    @cached_property
+    def sum_abs(self) -> np.ndarray:
+        """sum |c|, positive wherever the norm is; 1.0 stands in elsewhere."""
+        return np.where(self.norm > 0.0, np.abs(self.weights).sum(axis=1), 1.0)
+
+    @cached_property
+    def g_sum(self) -> np.ndarray:
+        """sum |c_i| (x_i - mu)."""
+        return np.vecdot(np.abs(self.weights), self.data - self.model.mean)
+
+    @cached_property
+    def resampled_mean(self) -> np.ndarray:
+        return np.vecdot(self.counts, self.data) / self.m
+
+    @cached_property
+    def resampled_std(self) -> np.ndarray:
+        """The root of bootstrap_variance, 0 where every resampled value is one."""
+        mean = self.resampled_mean
+        deviations = self.data - mean[:, None]
+        variance = np.vecdot(self.counts, deviations * deviations) / self.m
+        drawn = self.counts > 0.0
+        one_value = (np.where(drawn, self.data, np.inf).min(axis=1)
+                     == np.where(drawn, self.data, -np.inf).max(axis=1))
+        return np.sqrt(np.where((variance <= 1e-28 * mean * mean) & one_value, 0.0, variance))
 
 
-def _replicates(purpose: str, config: dict, statistics: Sequence[str],
-                replicate: Callable[[np.random.Generator], Sequence[bool | None]],
-                threads: int) -> CoverageReport:
-    """Run ``config["reps"]`` replicates, block by block, and pool each statistic.
+def _spread(f: np.ndarray) -> np.ndarray:
+    """The distribution scale sqrt(F(1-F))."""
+    return np.sqrt(f * (1.0 - f))
 
-    Block k reads ``substream(seed, purpose, k)``; ``replicate(rng)`` draws
-    one replicate from it and returns one outcome per statistic: True (hit),
-    False (miss) or None (degenerate).  The report's kind is ``purpose`` up
-    to its first dot.
+
+# A kernel's result: one value per replicate, and the valid mask.
+_Values = tuple[np.ndarray, np.ndarray]
+
+
+def _ratio(numerator: np.ndarray, scale: np.ndarray, valid: np.ndarray) -> _Values:
+    """numerator / scale; 1.0 stands in for the scale of an invalid
+    replicate, so nothing divides by zero."""
+    return numerator / np.where(valid, scale, 1.0), valid
+
+
+def _scaled(b: _Block, numerator: np.ndarray, scale: np.ndarray, f_ok: bool = True) -> _Values:
+    """numerator / (scale sqrt(V^2)), valid where both factors are positive."""
+    return _ratio(numerator, scale * b.norm, (scale > 0.0) & (b.norm > 0.0) & f_ok)
+
+
+def _tilde(b: _Block, numerator: np.ndarray) -> _Values:
+    """numerator / (S* / sqrt(m)), valid where S* is positive."""
+    return _ratio(numerator, b.resampled_std / math.sqrt(b.m), b.resampled_std > 0.0)
+
+
+def _alpha2(b: _Block, f: np.ndarray) -> _Values:
+    """An alpha2 pivot at the ECDF value f, centred at the model CDF at x."""
+    f_true = b.model.cdf(b.x)
+    return _scaled(b, np.vecdot(np.abs(b.weights), b.indicators - f_true), _spread(f),
+                   0.0 < f_true < 1.0)
+
+
+# The pivot kernels: each kind's scalar function on a block's replicates.
+_PIVOTS: dict[PivotKind, Callable[[_Block], _Values]] = {
+    PivotKind.STUDENT_T: lambda b: _ratio(b.mean - b.model.mean, b.std / math.sqrt(b.n),
+                                          b.std > 0.0),
+    PivotKind.T_STAR: lambda b: _scaled(b, b.t_sum, b.std),
+    PivotKind.G_STAR: lambda b: _scaled(b, b.g_sum, b.std),
+    PivotKind.T_DOUBLE_STAR: lambda b: _scaled(b, b.t_sum, b.resampled_std),
+    PivotKind.G_DOUBLE_STAR: lambda b: _scaled(b, b.g_sum, b.resampled_std),
+    PivotKind.T_TILDE: lambda b: _tilde(b, b.t_sum),
+    PivotKind.G_TILDE: lambda b: _tilde(b, b.g_sum),
+    PivotKind.ALPHA1_HAT: lambda b: _scaled(b, np.vecdot(b.weights, b.indicators),
+                                            _spread(b.ecdf)),
+    PivotKind.ALPHA1_HAT_HAT: lambda b: _scaled(b, np.vecdot(b.weights, b.indicators),
+                                                _spread(b.resampled_ecdf)),
+    PivotKind.ALPHA2_HAT: lambda b: _alpha2(b, b.ecdf),
+    PivotKind.ALPHA2_HAT_HAT: lambda b: _alpha2(b, b.resampled_ecdf),
+}
+
+
+def _interval(b: _Block, alpha: float, centre: np.ndarray, scale: np.ndarray,
+              divisor: np.ndarray | float = 1.0) -> tuple[np.ndarray, ...]:
+    """Lower ends, upper ends and valid mask of the intervals centre +/-
+    Phi^-1(1 - alpha/2) scale sqrt(V^2) / divisor.  The clamp of the ECDF
+    recipes to [0, 1] is left out: it moves no target in [0, 1] across an end."""
+    half = normal_quantile(1.0 - alpha / 2.0) * scale * b.norm / divisor
+    return centre - half, centre + half, (scale > 0.0) & (b.norm > 0.0)
+
+
+def _weighted_mean(b: _Block) -> np.ndarray:
+    """weighted_mean_estimator: sum |c_i| x_i / sum |c|."""
+    return np.vecdot(np.abs(b.weights), b.data) / b.sum_abs
+
+
+# The interval recipes: the kernel that gives a block's intervals as the
+# recipe's ci_* function does, and the target.
+_RECIPES: dict[str, tuple[Callable, Callable]] = {
+    "population": (lambda b, a: _interval(b, a, _weighted_mean(b), b.std, b.sum_abs),
+                   lambda b: b.model.mean),
+    "sample": (lambda b, a: _interval(b, a, b.resampled_mean, b.std), lambda b: b.mean),
+    "finitepop": (lambda b, a: _interval(b, a, b.resampled_mean, b.resampled_std),
+                  lambda b: b.mean),
+    "superpop": (lambda b, a: _interval(b, a, _weighted_mean(b), b.resampled_std, b.sum_abs),
+                 lambda b: b.model.mean),
+    "ecdf": (lambda b, a: _interval(b, a, b.resampled_ecdf, _spread(b.resampled_ecdf)),
+             lambda b: b.ecdf),
+    "cdf": (lambda b, a: _interval(b, a, b.resampled_ecdf, _spread(b.resampled_ecdf), b.sum_abs),
+            lambda b: b.model.cdf(b.x)),
+}
+
+
+def _harness(purpose: str, statistics: Sequence[str], model: Model,
+             score: Callable[[np.ndarray, np.random.Generator], tuple], threads: int,
+             **config) -> CoverageReport:
+    """Run ``reps`` replicates, block by block, and pool each statistic.
+
+    Block k of R replicates reads ``substream(seed, purpose, k)``: first the
+    R x n data of its replicates in one base draw, in replicate order, then
+    ``score(data, rng)`` draws the block's count rows and returns one
+    :func:`_score` triple per statistic.  The report's kind is ``purpose`` up
+    to its first dot, its config ``config`` without the None values.  Bad
+    arguments are rejected before any draw: the kernels would score them as
+    degenerate replicates.
     """
-    reps, seed = config["reps"], config["seed"]
+    config = {"model": model.name, **{k: v for k, v in config.items() if v is not None}}
+    reps, seed, n, m = config["reps"], config["seed"], config["n"], config["m"]
+    check_seed(seed)
     if reps < 1:
         raise ValueError("reps must be positive")
+    if n < 1 or m < 1 or config.get("B", 2) < 2:
+        raise ValueError("n and m must be positive and B at least 2")
+    if not 0.0 < config.get("alpha", 0.5) < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if not all(math.isfinite(config.get(key, 0.0)) for key in ("x", "threshold")):
+        raise ValueError("x and threshold must be finite")
 
     def block(k: int) -> tuple[tuple[int, int, int], ...]:
         rng = substream(seed, purpose, k)
-        # one row per replicate, one column per statistic; None becomes NaN
-        outcomes = np.array([replicate(rng) for _ in range(min(BLOCK, reps - k * BLOCK))],
-                            dtype=float)
-        return tuple(_score(column == 1.0, ~np.isnan(column)) for column in outcomes.T)
+        size = min(BLOCK, reps - k * BLOCK)
+        return score(model.transform(model.draw_base(rng, size * n).reshape(size, n)), rng)
 
     return _report(purpose.partition(".")[0], config, statistics, block, -(-reps // BLOCK),
                    threads)
 
 
-def run_coverage(
-    interval_recipe: str,
-    model: str | Model,
-    n: int,
-    m: int,
-    alpha: float,
-    reps: int,
-    seed: int,
-    x: float | None = None,
-    threads: int = 1,
-) -> CoverageReport:
+def run_coverage(interval_recipe: str, model: str | Model, n: int, m: int, alpha: float,
+                 reps: int, seed: int, x: float | None = None,
+                 threads: int = 1) -> CoverageReport:
     """Empirical coverage of one interval recipe over joint replicates.
 
     The covered target is the model mean (population/superpop recipes), the
     replicate's own sample mean (sample/finitepop recipes, where the sample
     plays the finite population), the replicate ECDF at ``x`` (ecdf), or the
-    model CDF at ``x`` (cdf).  Degenerate replicates are counted and
-    excluded from the denominator.
+    model CDF at ``x`` (cdf).  Each replicate draws one count row, after the
+    block's data.  Degenerate replicates are counted and excluded from the
+    denominator.
     """
     if interval_recipe not in RECIPES:
         raise ValueError(f"unknown recipe {interval_recipe!r}; choose from {RECIPES}")
     if interval_recipe in ("ecdf", "cdf") and x is None:
         raise ValueError(f"recipe {interval_recipe!r} needs an evaluation point x")
     model = resolve_model(model)
+    interval, target = _RECIPES[interval_recipe]
 
-    def replicate(rng: np.random.Generator) -> tuple[bool | None]:
-        sample, w, cw = _draw_replicate(model, n, m, rng)
-        try:
-            if interval_recipe == "population":
-                interval, target = ci_population_mean(sample, cw, alpha), model.mean
-            elif interval_recipe == "sample":
-                interval, target = ci_sample_mean(sample, w, cw, alpha), sample.mean
-            elif interval_recipe == "finitepop":
-                interval, target = ci_finite_pop_mean(sample, w, cw, alpha), sample.mean
-            elif interval_recipe == "superpop":
-                interval, target = ci_superpop_mean(sample, w, cw, alpha), model.mean
-            elif interval_recipe == "ecdf":
-                interval = ci_ecdf(sample, w, cw, x, alpha, IntervalTarget.ECDF_VALUE)
-                target = ecdf(sample, x)
-            else:
-                interval = ci_ecdf(sample, w, cw, x, alpha, IntervalTarget.CDF_VALUE)
-                target = model.cdf(x)
-        except PivotbootError:
-            return (None,)
-        return (target in interval,)
+    def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int]]:
+        b = _Block(model, data, draw_resample_counts(n, m, len(data), rng), m, x)
+        lo, hi, valid = interval(b, alpha)
+        covered = target(b)
+        return (_score((lo <= covered) & (covered <= hi), valid),)
 
-    config = {"recipe": interval_recipe, "model": model.name, "n": n, "m": m, "alpha": alpha,
-              "reps": reps, "seed": seed}
-    if x is not None:
-        config["x"] = x
-    return _replicates(f"coverage.{interval_recipe}", config, (interval_recipe,), replicate,
-                       threads)
+    return _harness(f"coverage.{interval_recipe}", (interval_recipe,), model, score, threads,
+                    recipe=interval_recipe, n=n, m=m, alpha=alpha, reps=reps, seed=seed, x=x)
 
 
-def _evaluate_pivot(kind: PivotKind, sample: Sample, w: WeightVector, cw: CenteredWeights,
-                    mu: float, x: float | None, f_true: float | None) -> float:
-    if kind is PivotKind.STUDENT_T:
-        return student_t(sample, mu)
-    if kind is PivotKind.T_STAR:
-        return t_star(sample, cw)
-    if kind is PivotKind.G_STAR:
-        return g_star(sample, cw, mu)
-    if kind in (PivotKind.T_DOUBLE_STAR, PivotKind.T_TILDE):
-        return starred_variant(kind, sample, w, cw)
-    if kind in (PivotKind.G_DOUBLE_STAR, PivotKind.G_TILDE):
-        return starred_variant(kind, sample, w, cw, mu=mu)
-    if kind in (PivotKind.ALPHA1_HAT, PivotKind.ALPHA1_HAT_HAT):
-        return empirical_pivot(kind, sample, w, cw, x)
-    return empirical_pivot(kind, sample, w, cw, x, f_true=f_true)
-
-
-def pivot_clt_frequencies(
-    kinds: Sequence[PivotKind],
-    model: str | Model,
-    n: int,
-    m: int,
-    threshold: float,
-    reps: int,
-    seed: int,
-    x: float | None = None,
-    threads: int = 1,
-) -> CoverageReport:
+def pivot_clt_frequencies(kinds: Sequence[PivotKind], model: str | Model, n: int, m: int,
+                          threshold: float, reps: int, seed: int, x: float | None = None,
+                          threads: int = 1) -> CoverageReport:
     """Empirical frequency of each pivot staying below ``threshold`` under
-    joint replication; the distribution-function kinds are evaluated at
-    ``x`` with the model CDF as the true value."""
+    joint replication (one count row per replicate, after the block's data);
+    the distribution-function kinds are evaluated at ``x`` with the model CDF
+    as the true value."""
     model = resolve_model(model)
     kinds = list(kinds)
     if x is None and any(k in EMPIRICAL_KINDS for k in kinds):
         raise ValueError("an evaluation point x is required for distribution pivots")
-    f_true = model.cdf(x) if x is not None else None
 
-    def replicate(rng: np.random.Generator) -> tuple[bool | None, ...]:
-        sample, w, cw = _draw_replicate(model, n, m, rng)
-        out = []
-        for kind in kinds:
-            try:
-                out.append(_evaluate_pivot(kind, sample, w, cw, model.mean, x, f_true) <= threshold)
-            except PivotbootError:
-                out.append(None)
-        return tuple(out)
+    def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
+        b = _Block(model, data, draw_resample_counts(n, m, len(data), rng), m, x)
+        return tuple(_score(values <= threshold, valid)
+                     for values, valid in (_PIVOTS[kind](b) for kind in kinds))
 
-    config = {"model": model.name, "n": n, "m": m, "threshold": threshold, "reps": reps,
-              "seed": seed}
-    if x is not None:
-        config["x"] = x
-    return _replicates("pivot_clt", config, [kind.value for kind in kinds], replicate, threads)
+    return _harness("pivot_clt", [kind.value for kind in kinds], model, score, threads, n=n,
+                    m=m, threshold=threshold, reps=reps, seed=seed, x=x)
 
 
-def refined_ci_coverage(
-    model: str | Model,
-    n: int,
-    m: int,
-    B: int,
-    alpha: float,
-    reps: int,
-    seed: int,
-    threads: int = 1,
-) -> CoverageReport:
+def refined_ci_coverage(model: str | Model, n: int, m: int, B: int, alpha: float, reps: int,
+                        seed: int, threads: int = 1) -> CoverageReport:
     """Coverage of the replicate-cutoff bound: frequency with which the
     Studentized mean stays below the refined order statistic of B replicate
-    pivots."""
+    pivots (:func:`~pivotboot.multi_bootstrap.refined_contains`).
+
+    Each replicate draws B count rows, after the block's data, in chunks of
+    whole replicates of about ``_CHUNK`` entries (the same rows as one call,
+    in bounded memory).  A replicate whose data have zero variance or one of
+    whose rows is degenerate is counted as degenerate; no row is redrawn.
+    """
     model = resolve_model(model)
 
-    def replicate(rng: np.random.Generator) -> tuple[bool | None]:
-        sample = sample_model(model, n, rng)
-        try:
-            t_value = student_t(sample, model.mean)
-            replicates = draw_replicates(sample, B, m, rng)
-        except PivotbootError:
-            return (None,)
-        return (refined_contains(t_value, replicates, alpha),)
+    def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int]]:
+        index, chunk = _cutoff_index(B, alpha), max(1, _CHUNK // (B * n))
+        hits, valid = [], []
+        for start in range(0, len(data), chunk):
+            rows = data[start:start + chunk]
+            # each replicate's data once for each of its B count rows
+            b = _Block(model, np.repeat(rows, B, axis=0),
+                       draw_resample_counts(n, m, len(rows) * B, rng), m)
+            t_values, _ = _PIVOTS[PivotKind.STUDENT_T](b)
+            replicates, ok = _PIVOTS[PivotKind.T_STAR](b)  # ok implies student_t's mask
+            cutoffs = np.partition(replicates.reshape(-1, B), index, axis=1)[:, index]
+            hits.append(t_values[::B] <= cutoffs)
+            valid.append(ok.reshape(-1, B).all(axis=1))
+        return (_score(np.concatenate(hits), np.concatenate(valid)),)
 
-    config = {"model": model.name, "n": n, "m": m, "B": B, "alpha": alpha, "reps": reps,
-              "seed": seed}
-    return _replicates("refined_ci", config, ("refined_boot",), replicate, threads)
+    return _harness("refined_ci", ("refined_boot",), model, score, threads, n=n, m=m, B=B,
+                    alpha=alpha, reps=reps, seed=seed)

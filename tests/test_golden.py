@@ -4,15 +4,16 @@ fixed-seed runs of every Monte Carlo harness.
 A refactor of the harnesses, the weight draws or the normal quantile must
 leave these bytes unchanged; a deliberate change of the random-stream
 layout shows up here as an explicit diff of the hashes.  The designs are
-small enough to include degenerate data, degenerate weights and weight
-redraws (n = 2), so the draw order of the redraw loops is pinned too.
+small enough to include degenerate data and degenerate weights (n = 2),
+and table1's weight redraws, so the draw order of its redraw loop is
+pinned too.
 
 The same holds for the CLI's own streams (``cli.weights``, ``cli.ci``),
 pinned through the stdout of ``pivotboot weights`` and of ``pivotboot ci``
 with drawn weights, and for the stream layout itself: the first draws of
 ``substream`` at zero to four indices, and the first draws of a table2
-outer cell's stream (layout 2: the cell's base variates, then its count
-rows).
+outer cell's stream (layout 2) and of a harness block's stream (layout 3):
+the unit's base variates, then its count rows.
 """
 
 import hashlib
@@ -66,37 +67,37 @@ CASES = {
 
 GOLDEN = {
     "coverage/cdf/normal01":
-        "56714e7cd381d5999959068f92d4f76b657a0a09407442b44ffbc43df2d1423f",
+        "e8af233ed0a8278a1e7d77166afb6c55d02b400d58248de9ec66359b5c78567d",
     "coverage/cdf/poisson1":
-        "309f0f164301e7eef3f65681d7517a7e3d97fe3d3a874e59f3a756f61a8b4f87",
+        "9083890a50fdecf1d62352bf684d7ef0ea9d94fb2263fb49e63a7718ce9e819c",
     "coverage/ecdf/normal01":
-        "b1a7d7003481b368effa8e2a1333381071ec0f4180a4c1d3573dfceee0b88cfb",
+        "61dcbcefff8e56b209de3a63d16ea3b583aa9fda08c503b2d42b38d425d5e364",
     "coverage/ecdf/poisson1":
-        "d29e6f98ab0469cfea225dbae737ab2ba23d639ccfcbb97a4c807c71ac0c01b8",
+        "e46a4b604b2ef71474ca073f2ef8667536bc9765194ad5a42cd34dbf2694c5a7",
     "coverage/finitepop/normal01":
-        "844a9de37605dde7e60fbbf614d99c20a7e2d8e2f023666854c63b75d2645975",
+        "e33fa4031ef70420a30bb20b952bf7b574ac5d64d3c0270101d2975c575c5c8f",
     "coverage/finitepop/poisson1":
-        "b786e864d71580ceb5f994236a9f72091451c5ec52938eaa23161327f829add8",
+        "470595172ce396de8af6d4cb8673863394dc30ed4856285fb9fd32822932c129",
     "coverage/population/normal01":
-        "89ad305e10773bed66a284bd6be9a166ba7ca82f541e70c2761136f17c17d975",
+        "2b7a5dc12f0961f002331ba6e12f84af953f770cd4d76fbcc80b531adace5118",
     "coverage/population/poisson1":
-        "731c99fb19bfc67458d0ec4082c800747bf559b64b5e2c81d706a5d7548047f4",
+        "4ce2416d60b01d8d7cf7da9ee8ad15e0387e12aab8ae87e87efee89630426111",
     "coverage/sample/normal01":
-        "47dd2326ff0a9ad2fbfa8746edcdabdd26c99e32dd33da3d562197da019363fd",
+        "96725530f38692e1a7aee2f71523b4d0b754971b7b9566a2588583279a9c767f",
     "coverage/sample/poisson1":
-        "df0ff49a1da56f27fa453958218c8fb2e899307e1231e5bd3ce9df937a620cad",
+        "36057821e3d2d06bc2d39cfe80b576a2bb392bcfff54e52f0eb9611ac38de3b3",
     "coverage/superpop/normal01":
-        "10ee6529e060e5a6e5aed6d094e07caee88e4d1c4509aa7becc470b34d93a3c0",
+        "ee24f83f8c879d9213af44a6c5453e7afc15b5bdafbeb9b0590a1a92c10cbd99",
     "coverage/superpop/poisson1":
-        "a6210d372786f052c47a18c244372180149b835bdf8a9593b16ceb01fc291b53",
+        "c38eb1603497121286092365ef19d1a49002c09fea9d59c10e3a3f96a18cdc0a",
     "pivot_clt/normal01":
-        "b12435e2affd8ddf062f23ce41075a68f8a5c1243514f9fa0df6735f75350a38",
+        "037e8e4e9781512caf4ff18f9431857ff97fe3534c3a682183240ba5757b3734",
     "pivot_clt/poisson1":
-        "1934fdb967116caeeb478b9497376c0bb35c4ef8aaf64dc717d4703af4ead1e4",
+        "e191d646d923582817dfcb4aa763301c0f49a68efe359ae0f15e4085fd134082",
     "refined_ci/lognormal01":
-        "0b084c6a6cf842e3b721b3d3535545d2995e6bd82e10cdb09bdfee788bb7797e",
+        "9bd483b8a3a27bf51efd81cefebadeabbcbf5dde45688f6b6ff88aa774b015b8",
     "refined_ci/normal01/n2":
-        "3c4fec1f0691807bcfeaeed1af18e32b12f08950f58b3a70f6de5708399ba5d0",
+        "69d570a9248f91922d9db26f4eee78600200e32a8d11cab8a307a5c99ec4c2e7",
     "table1/exponential1/10":
         "a78d2269da6dc2194a64ae56b62aa53848daedf7108cbace3dc007d6cc989115",
     "table1/lognormal01/10":
@@ -191,3 +192,16 @@ def test_table_cell_layout_unchanged():
         "0x1.e7b0f163e1c9cp-3", "0x1.5454015906e40p-7",
         "0x1.22256c54d93e8p-1", "0x1.19c131fcfdf62p-2"]
     assert draw_resample_counts(5, 5, 3 * 3, rng)[0].tolist() == [1, 2, 2, 0, 0]
+
+
+def test_harness_block_layout_unchanged():
+    # A block of the replicate-cutoff harness on lognormal01, n = m = 5,
+    # B = 3, at seed 2024, block 0 of 32 replicates: the first base
+    # variates, then the first two count rows (index counting, m <= 8n).
+    rng = substream(2024, "refined_ci", 0)
+    base = resolve_model("lognormal01").draw_base(rng, 32 * 5)
+    assert [float.hex(v) for v in base[:4]] == [
+        "-0x1.3e33fce9b0d47p-3", "0x1.e4fe145db01f6p-3",
+        "0x1.b21ddb6760bfap+0", "-0x1.0dcb27f5b3565p+1"]
+    counts = draw_resample_counts(5, 5, 32 * 3, rng)
+    assert counts[:2].tolist() == [[2, 2, 1, 0, 0], [1, 0, 1, 1, 2]]

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pivotboot.errors import DegenerateWeightsError, PivotbootError
+from pivotboot import simulation
+from pivotboot.errors import PivotbootError
 from pivotboot.estimators import Sample, ecdf
 from pivotboot.intervals import (IntervalTarget, ci_ecdf, ci_finite_pop_mean,
                                  ci_population_mean, ci_sample_mean, ci_superpop_mean)
@@ -34,7 +35,7 @@ from pivotboot.simulation import (
     sample_model,
 )
 from pivotboot.weights import (WeightScheme, WeightVector, center, draw_multinomial_batch,
-                               draw_multinomial_weights, nondegenerate)
+                               draw_resample_counts)
 
 
 class TestModels:
@@ -169,7 +170,7 @@ class TestDeterminism:
 
     @pytest.mark.usefixtures("frequent_thread_switches")
     def test_refined_ci_thread_invariance(self):
-        # n = 2, m = 2 redraws about half of all weight rows
+        # at n = 2, m = 2 about half of all count rows are degenerate
         for n, m in ((2, 2), (30, 30)):
             reports = {dumps(refined_ci_coverage("poisson1", n, m, 9, 0.1, 200, seed=5,
                                                  threads=threads).to_dict())
@@ -328,24 +329,23 @@ class TestWhiteBoxConsistency:
         assert report.frequency("emp_T") == within[1] / S
 
 
-# Stream layout 2 of the harnesses: replicates in blocks of this many.
+# Stream layout 3 of the harnesses: replicates in blocks of this many.
 BLOCK = 32
 
 
-def block_streams(seed: int, purpose: str, reps: int):
-    """Each replicate's stream, in replicate order: block k's stream
-    ``substream(seed, purpose, k)`` for each of its up to BLOCK replicates."""
+def block_replicates(model, n: int, m: int, rows: int, seed: int, purpose: str, reps: int):
+    """Each replicate's data and its ``rows`` weight vectors, in replicate
+    order.  Block k's stream ``substream(seed, purpose, k)`` draws the base
+    variates of its R replicates in one call, then their R x rows count rows
+    in one call, replicate-major."""
     for k in range(-(-reps // BLOCK)):
         rng = substream(seed, purpose, k)
-        for _ in range(min(BLOCK, reps - k * BLOCK)):
-            yield rng
-
-
-def scalar_replicate(model, n: int, m: int, rng):
-    """One joint replicate by hand: n data values, then one weight row."""
-    sample = Sample.from_values(model.transform(model.draw_base(rng, n)))
-    w = draw_multinomial_weights(n, m, rng)
-    return sample, w, center(w, n)
+        size = min(BLOCK, reps - k * BLOCK)
+        data = model.transform(model.draw_base(rng, size * n).reshape(size, n))
+        counts = draw_resample_counts(n, m, size * rows, rng).reshape(size, rows, n)
+        for values, row_counts in zip(data, counts):
+            yield (Sample.from_values(values),
+                   [WeightVector(c, float(m), WeightScheme.MULTINOMIAL) for c in row_counts])
 
 
 def scalar_pivot(kind, sample, w, cw, mu, x, f_true):
@@ -373,9 +373,11 @@ def assert_cell(cell, outcomes):
 
 
 class TestHarnessWhiteBox:
-    """Re-derive each harness report by hand on stream layout 2, with the
-    scalar draws and the scalar interval, pivot or refined-cutoff call of
-    every replicate, in order."""
+    """Re-derive each harness report by hand on stream layout 3: redraw each
+    block's data and count rows, then score every replicate with the scalar
+    interval, pivot or refined-cutoff functions.  The kernels take the
+    scalar functions' operations row by row, so their values are equal to
+    the bit and no tie needs excluding."""
 
     DESIGN = dict(model=st.sampled_from(sorted(MODELS)), n=st.integers(2, 6),
                   m=st.integers(1, 8), reps=st.sampled_from((1, 31, 32, 33, 67)),  # block edges
@@ -392,8 +394,8 @@ class TestHarnessWhiteBox:
                               x=x if recipe in ("ecdf", "cdf") else None)
         model = resolve_model(model)
         outcomes = []
-        for rng in block_streams(seed, f"coverage.{recipe}", reps):
-            sample, w, cw = scalar_replicate(model, n, m, rng)
+        for sample, (w,) in block_replicates(model, n, m, 1, seed, f"coverage.{recipe}", reps):
+            cw = center(w, n)
             calls = {
                 "population": lambda: (ci_population_mean(sample, cw, alpha), model.mean),
                 "sample": lambda: (ci_sample_mean(sample, w, cw, alpha), sample.mean),
@@ -410,7 +412,7 @@ class TestHarnessWhiteBox:
                 outcomes.append(None)
                 continue
             outcomes.append(target in interval)
-        assert report.config["rng_layout"] == 2
+        assert report.config["rng_layout"] == 3
         assert_cell(report.cells[0], outcomes)
 
     @settings(max_examples=25, deadline=None)
@@ -421,8 +423,8 @@ class TestHarnessWhiteBox:
         report = pivot_clt_frequencies(kinds, model, n, m, threshold, reps, seed, x=x)
         model = resolve_model(model)
         outcomes = {kind: [] for kind in kinds}
-        for rng in block_streams(seed, "pivot_clt", reps):
-            sample, w, cw = scalar_replicate(model, n, m, rng)
+        for sample, (w,) in block_replicates(model, n, m, 1, seed, "pivot_clt", reps):
+            cw = center(w, n)
             for kind in kinds:
                 try:
                     value = scalar_pivot(kind, sample, w, cw, model.mean, x, model.cdf(x))
@@ -436,32 +438,21 @@ class TestHarnessWhiteBox:
 
     @settings(max_examples=25, deadline=None)
     @given(B=st.integers(2, 6), **DESIGN)
-    @example(model="normal01", n=2, m=2, B=4, reps=67, seed=14)  # half the rows redraw
+    @example(model="normal01", n=2, m=2, B=4, reps=67, seed=14)  # half the rows degenerate
     @example(model="poisson1", n=2, m=3, B=3, reps=33, seed=5)
     def test_refined_ci(self, model, n, m, B, reps, seed):
         alpha = 0.2
         report = refined_ci_coverage(model, n, m, B, alpha, reps, seed)
         model = resolve_model(model)
         outcomes = []
-        for rng in block_streams(seed, "refined_ci", reps):
-            sample = Sample.from_values(model.transform(model.draw_base(rng, n)))
-            if sample.variance <= 0.0:
-                outcomes.append(None)  # the weight rows are not drawn
-                continue
-            t_value = student_t(sample, model.mean)
-
-            def row():  # one weight row at a time, redrawn in stream order
-                cw = center(draw_multinomial_weights(n, m, rng), n)
-                return cw, cw.sum_squares
-
-            try:
-                rows = [nondegenerate(row)[0] for _ in range(B)]
-            except DegenerateWeightsError:
+        for sample, vectors in block_replicates(model, n, m, B, seed, "refined_ci", reps):
+            rows = [center(w, n) for w in vectors]
+            try:  # a degenerate row makes t_star raise: the replicate is not redrawn
+                values = [t_star(sample, cw) for cw in rows]
+                t_value = student_t(sample, model.mean)
+            except PivotbootError:
                 outcomes.append(None)
                 continue
-            # draw_replicates' array expression gives t_star's values to the
-            # bit, so ties compare alike and no design is excluded
-            values = [t_star(sample, cw) for cw in rows]
             outcomes.append(refined_contains(t_value, ReplicateSet(values, B, m), alpha))
         assert_cell(report.cells[0], outcomes)
 
@@ -480,6 +471,34 @@ def test_harness_rejects_reps_below_one(harness, reps):
     # reps = 0 reported a frequency of 0.0 from zero replicates
     with pytest.raises(ValueError, match="reps must be positive"):
         HARNESSES[harness](reps)
+
+
+@pytest.mark.parametrize("harness, message", [
+    # each was scored as 40 degenerate replicates
+    (lambda: refined_ci_coverage("normal01", 20, 20, 1, 0.1, 40, 1), "B at least 2"),
+    (lambda: pivot_clt_frequencies(list(PivotKind), "normal01", 20, 20, 1.6, 40, 1, x=math.nan),
+     "x and threshold must be finite"),
+    (lambda: run_coverage("ecdf", "normal01", 20, 20, 0.1, 40, 1, x=math.inf),
+     "x and threshold must be finite"),
+    # a miss on every replicate
+    (lambda: pivot_clt_frequencies([PivotKind.T_STAR], "normal01", 20, 20, math.nan, 40, 1),
+     "x and threshold must be finite"),
+    # outside (0, 1); alpha = 1.5 gave a cutoff of Phi^-1(0.25) < 0
+    *[(lambda alpha=alpha: run_coverage("population", "normal01", 20, 20, alpha, 40, 1),
+       "alpha must lie in") for alpha in (0.0, 1.0, 1.5, math.nan)],
+    (lambda: refined_ci_coverage("normal01", 20, 20, 9, 1.0, 40, 1), "alpha must lie in"),
+    (lambda: run_coverage("population", "normal01", 0, 20, 0.1, 40, 1), "n and m must be"),
+    (lambda: pivot_clt_frequencies([PivotKind.T_STAR], "normal01", 20, 0, 1.6, 40, 1),
+     "n and m must be"),
+    (lambda: refined_ci_coverage("normal01", 20, -1, 9, 0.1, 40, 1), "n and m must be"),
+])
+def test_harness_rejects_bad_arguments_before_any_draw(harness, message, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a stream was addressed")
+
+    monkeypatch.setattr(simulation, "substream", no_draw)
+    with pytest.raises(ValueError, match=message):
+        harness()
 
 
 @pytest.mark.parametrize("harness", [
@@ -541,6 +560,28 @@ class TestPivotCltFrequencies:
 
 
 class TestRefinedCoverage:
+    def test_degenerate_count_of_golden_case(self):
+        # The golden case: at n = m = 2 a count row (1, 1) is degenerate with
+        # probability 1/2, so most replicates have one among their 4 rows.
+        report = refined_ci_coverage("normal01", 2, 2, 4, 0.2, 60, 14)
+        by_hand = sum(sample.variance <= 0.0 or any(center(w, 2).sum_squares <= 0.0 for w in rows)
+                      for sample, rows in block_replicates(resolve_model("normal01"), 2, 2, 4, 14,
+                                                           "refined_ci", 60))
+        assert 0 < by_hand < 60
+        assert report.cells[0].degenerate_count == by_hand
+
+    def test_chunks_do_not_change_the_report(self, monkeypatch):
+        # lognormal01 at n = m = 30, B = 9: 270 count entries per replicate;
+        # 70 replicates fill two blocks and part of a third
+        def report(entries):
+            monkeypatch.setattr(simulation, "_CHUNK", entries)
+            return dumps(refined_ci_coverage("lognormal01", 30, 30, 9, 0.1, 70, 3).to_dict())
+
+        chunks = (1, 1000, simulation._CHUNK)  # 1, 3 and 30 replicates a chunk
+        whole = report(2**40)  # one chunk per block
+        for entries in chunks:
+            assert report(entries) == whole, entries
+
     def test_smoke_and_determinism(self):
         a = refined_ci_coverage("normal01", 25, 25, 9, 0.1, 300, seed=13)
         b = refined_ci_coverage("normal01", 25, 25, 9, 0.1, 300, seed=13, threads=4)
