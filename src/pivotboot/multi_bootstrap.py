@@ -199,8 +199,8 @@ def draw_replicates(
 
     draws = [nondegenerate(draw) for _ in range(B)]
     accepted = np.array([values for values, _ in draws])
-    # np.vecdot takes, row by row, the dot product ``@`` takes of one row,
-    # so these are t_star's values (the golden reports pin them).
+    # np.vecdot takes, row by row, the dot product ``@`` takes of one row, so
+    # these are t_star's values (tests/test_multi_bootstrap.py compares them).
     norms = np.sqrt(np.vecdot(accepted, accepted))
     return ReplicateSet(values=np.vecdot(accepted, s.values) / (s.std * norms), B=B, m=m,
                         degenerate_redraws=sum(redraws for _, redraws in draws))

@@ -20,11 +20,11 @@ records its layout as ``rng_layout``.  A unit draws the base variates of
 all its replicates in one call, then their weights: a table1 cell its one
 weight vector, and every other unit all its count rows
 (:func:`~pivotboot.weights.draw_resample_counts`; B + 1 per table2 inner
-replicate, B per replicate-cutoff replicate, else one).  Array kernels then
-score the whole unit; they agree with the scalar functions of ``pivots``
-and ``intervals`` (tested).  Each unit counts, per statistic, its hit,
-valid and degenerate replicates; one builder band-scores the units (the
-tables) or pools them (the harnesses) into the report.
+replicate, B per replicate-cutoff replicate, else one).  One set of array
+kernels scores every unit, to the bit as the scalar functions of ``pivots``
+and ``intervals`` do, ties included (tested).  Each unit counts, per
+statistic, its hit, valid and degenerate replicates; one builder band-scores
+the units (the tables) or pools them (the harnesses) into the report.
 """
 
 from __future__ import annotations
@@ -231,8 +231,10 @@ class SimConfig:
             raise ValueError("n must be at least 2 and m positive")
         if self.outer_reps < 1 or self.inner_reps < 1:
             raise ValueError("repetition counts must be positive")
-        if self.tolerance_band <= 0.0:
-            raise ValueError("tolerance_band must be positive")
+        if not 0.0 < self.tolerance_band < math.inf:
+            raise ValueError("tolerance_band must be positive and finite")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ValueError("threshold must be finite")
         if self.nominal is not None and not 0.0 < self.nominal < 1.0:
             raise ValueError("nominal level must lie in (0, 1)")
         if self.B < 2:
@@ -290,19 +292,6 @@ class CoverageReport:
         }
 
 
-def _studentize(model: Model, base: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Transform a cell's base variates (one replicate per row) and
-    Studentize them: the data, the standard deviations (divisor n - 1;
-    1.0 where the variance vanishes), the mask of nonzero variances, and
-    the Studentized means sqrt(n) (mean - mu) / std."""
-    data = model.transform(base)
-    means = data.mean(axis=1)
-    variances = data.var(axis=1, ddof=STUDENTIZE_DDOF)
-    valid = variances > 0.0
-    stds = np.sqrt(variances, where=valid, out=np.ones_like(variances))
-    return data, stds, valid, (means - model.mean) * math.sqrt(data.shape[1]) / stds
-
-
 def _score(hits: np.ndarray, valid: np.ndarray) -> tuple[int, int, int]:
     """One statistic's ``(hits, valid, degenerate)`` counts over a unit of
     work's replicates (a table cell's inner replicates, or a harness block's);
@@ -343,8 +332,17 @@ def _report(kind: str, config: dict, statistics: Sequence[str], unit: Callable[[
 
 
 # ---------------------------------------------------------------------------
-# Conditional-on-weights design
+# The tables: conditional-on-weights design and joint design
 # ---------------------------------------------------------------------------
+
+def _table_scores(b: _Block, threshold: float) -> tuple[tuple[int, int, int], ...]:
+    """The :func:`_score` triples of g* and of the Studentized mean at or
+    below ``threshold``, Studentized with the tables' divisor n - 1: the
+    kernels' values (divisor n) times sqrt((n - 1)/n)."""
+    scale = math.sqrt((b.n - STUDENTIZE_DDOF) / b.n)
+    return tuple(_score(values * scale <= threshold, valid) for values, valid in
+                 (_PIVOTS[kind](b) for kind in (PivotKind.G_STAR, PivotKind.STUDENT_T)))
+
 
 def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     """Score the absolute-weight pivot conditionally on the weights.
@@ -365,26 +363,19 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
 
     def cell(s: int) -> tuple[tuple[int, int, int], ...]:
         rng = substream(seed, "table1.cell", s)
-        base = model.draw_base(rng, T * n).reshape(T, n)
+        data = model.transform(model.draw_base(rng, T * n).reshape(T, n))
 
-        def draw_weights() -> tuple[np.ndarray, float]:
-            centered = draw_multinomial_batch(n, m, 1, rng)[0] / m - 1.0 / n
-            return centered, float(centered @ centered)
+        def draw_block() -> tuple[_Block, float]:  # the cell's one weight row
+            b = _Block(model, data, draw_multinomial_batch(n, m, 1, rng), m)
+            return b, float(b.norm[0])
 
-        centered, redraws = nondegenerate(draw_weights)
-        data, stds, valid, pivot_t = _studentize(model, base)
-        weight_norm = math.sqrt(float(centered @ centered))
-        pivot_g = ((data - model.mean) @ np.abs(centered)) / (stds * weight_norm)
-        hits_g, valid_g, degenerate_g = _score(pivot_g <= threshold, valid)
-        return (hits_g, valid_g, degenerate_g + redraws), _score(pivot_t <= threshold, valid)
+        b, redraws = nondegenerate(draw_block)
+        (hits_g, valid_g, degenerate_g), scored_t = _table_scores(b, threshold)
+        return (hits_g, valid_g, degenerate_g + redraws), scored_t
 
     return _report("table1", resolved, ("emp_G_star", "emp_T"), cell, resolved["outer_reps"],
                    threads, banded=True)
 
-
-# ---------------------------------------------------------------------------
-# Joint design with replicate cutoffs
-# ---------------------------------------------------------------------------
 
 def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     """Score three one-sided methods under jointly drawn data and weights.
@@ -392,8 +383,9 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     Every inner replicate draws data, one weight vector for the
     absolute-weight pivot, and B further weight vectors for the replicate
     pivots; the replicate criterion compares the Studentized mean against
-    the maximum of the B replicate pivots.  Each outer cell's stream draws
-    the data of all its inner replicates, then all their weight rows.
+    the maximum of the B replicate pivots (both with divisor n, which
+    cancels; a tie is a hit).  Each outer cell's stream draws the data of all
+    its inner replicates, then all their weight rows.
     """
     resolved = cfg.resolved(TABLE2_THRESHOLD, TABLE2_NOMINAL)
     model = resolve_model(resolved["model"])
@@ -402,65 +394,63 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
 
     def cell(s: int) -> tuple[tuple[int, int, int], ...]:
         rng = substream(seed, "table2.cell", s)
-        base = model.draw_base(rng, T * n).reshape(T, n)
-        centered = draw_resample_counts(n, m, T * (B + 1), rng).reshape(T, B + 1, n)
-        centered /= m  # in place: the counts are this cell's largest array
-        centered -= 1.0 / n
-        data, stds, data_ok, pivot_t = _studentize(model, base)
-
-        norm_sq = np.einsum("tbi,tbi->tb", centered, centered)
-        norms = np.sqrt(norm_sq, where=norm_sq > 0.0, out=np.ones_like(norm_sq))
-        pivot_g = (
-            np.einsum("ti,ti->t", np.abs(centered[:, 0, :]), data - model.mean)
-            / (stds * norms[:, 0])
-        )
-        replicate_pivots = (
-            np.einsum("tbi,ti->tb", centered[:, 1:, :], data)
-            / (stds[:, None] * norms[:, 1:])
-        )
-        return (
-            _score(pivot_g <= threshold, data_ok & (norm_sq[:, 0] > 0.0)),
-            _score(pivot_t <= threshold, data_ok),
-            _score(pivot_t <= replicate_pivots.max(axis=1),
-                   data_ok & np.all(norm_sq[:, 1:] > 0.0, axis=1)),
-        )
+        data = model.transform(model.draw_base(rng, T * n).reshape(T, n))
+        counts = draw_resample_counts(n, m, T * (B + 1), rng).reshape(T, B + 1, n)
+        # Row 0 weighs g*: its block centres a copy, so it is scored before
+        # the block of all rows centres the counts in place.
+        scored = _table_scores(_Block(model, data, counts[:, 0], m), threshold)
+        every = _Block(model, data[:, None], counts, m)
+        return (*scored, _score(*_below_cutoff(every, B - 1, first=1)))
 
     return _report("table2", resolved, ("emp_G_star", "emp_T", "emp_boot"), cell,
                    resolved["outer_reps"], threads, banded=True)
 
 
 # ---------------------------------------------------------------------------
-# Interval-coverage, pivot-law and replicate-cutoff harnesses
+# The block engine
 # ---------------------------------------------------------------------------
 
 class _Block:
-    """A harness block's replicates as arrays, one row each: the data, one
-    count row per replicate, and what the kernels share.  Every expression
-    takes, row by row, the operations of the scalar functions in
-    ``estimators``, ``weights``, ``pivots`` and ``intervals`` (``np.vecdot``
-    of two rows is their ``@``), so a value equals the scalar one to the bit;
-    a kernel's valid mask marks the replicates on which the scalar call
-    raises no :class:`~pivotboot.errors.PivotbootError` (tested)."""
+    """A unit of work's replicates as arrays, one data row each, and what the
+    kernels share.  Everything reduces over the last axis, so the count rows
+    come in the shape that broadcasts against the data: ``(1, n)``, one row
+    for all replicates (table1); ``(R, n)``, one per replicate; or
+    ``(R, k, n)`` against data ``(R, 1, n)``, k per replicate (table2, the
+    replicate cutoff).  Such a block feeds only student_t, g_star and t_star,
+    which read only the centred weights, so it centres its counts in place.
+    Every expression takes, row by row, the operations of the scalar
+    functions in ``estimators``, ``weights``, ``pivots`` and ``intervals``
+    (``np.vecdot`` of two rows is their ``@``), so a value equals the scalar
+    one to the bit; a kernel's valid mask marks the replicates on which the
+    scalar call raises no :class:`~pivotboot.errors.PivotbootError` (tested).
+    The standard deviation has divisor n, as in ``pivots``; the tables take
+    their divisor n - 1 as the factor sqrt((n - 1)/n) on a value."""
 
     def __init__(self, model: Model, data: np.ndarray, counts: np.ndarray, m: int,
                  x: float | None = None) -> None:
-        self.model, self.data, self.counts, self.m, self.x = model, data, counts, m, x
-        self.n = data.shape[1]
-        self.mean = data.mean(axis=1)
-        centered = data - self.mean[:, None]
+        self.model, self.data, self.m, self.x = model, data, m, x
+        self.n = data.shape[-1]
+        self.mean = data.mean(axis=-1)
+        centered = data - self.mean[..., None]
         self.std = np.sqrt(np.vecdot(centered, centered) / self.n)  # divisor n
-        self.weights = counts / m - 1.0 / self.n  # centered
+        in_place = counts.ndim == 3  # k rows per replicate
+        self.counts = None if in_place else counts
+        self.weights = np.divide(counts, m, out=counts if in_place else None)
+        self.weights -= 1.0 / self.n  # centered
         self.norm = np.sqrt(np.vecdot(self.weights, self.weights))  # 0 where degenerate
-        self.t_sum = np.vecdot(self.weights, data)  # sum c_i x_i
         if x is not None:
             self.indicators = (data <= x).astype(float)
-            self.ecdf = self.indicators.sum(axis=1) / self.n
+            self.ecdf = self.indicators.sum(axis=-1) / self.n
             self.resampled_ecdf = np.vecdot(counts, self.indicators) / m
+
+    @cached_property
+    def t_sum(self) -> np.ndarray:  # sum c_i x_i
+        return np.vecdot(self.weights, self.data)
 
     @cached_property
     def sum_abs(self) -> np.ndarray:
         """sum |c|, positive wherever the norm is; 1.0 stands in elsewhere."""
-        return np.where(self.norm > 0.0, np.abs(self.weights).sum(axis=1), 1.0)
+        return np.where(self.norm > 0.0, np.abs(self.weights).sum(axis=-1), 1.0)
 
     @cached_property
     def g_sum(self) -> np.ndarray:
@@ -534,6 +524,15 @@ _PIVOTS: dict[PivotKind, Callable[[_Block], _Values]] = {
 }
 
 
+def _below_cutoff(b: _Block, index: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each replicate's Studentized mean is at most the order
+    statistic ``index`` (from 0; B - 1 is the maximum) of its t* on its count
+    rows from ``first`` on, and the valid mask: all those t* defined."""
+    t_values, _ = _PIVOTS[PivotKind.STUDENT_T](b)  # defined wherever a t* is
+    replicates, ok = (a[:, first:] for a in _PIVOTS[PivotKind.T_STAR](b))
+    return t_values[:, 0] <= np.partition(replicates, index, axis=1)[:, index], ok.all(axis=1)
+
+
 def _interval(b: _Block, alpha: float, centre: np.ndarray, scale: np.ndarray,
               divisor: np.ndarray | float = 1.0) -> tuple[np.ndarray, ...]:
     """Lower ends, upper ends and valid mask of the intervals centre +/-
@@ -564,6 +563,10 @@ _RECIPES: dict[str, tuple[Callable, Callable]] = {
             lambda b: b.model.cdf(b.x)),
 }
 
+
+# ---------------------------------------------------------------------------
+# Interval-coverage, pivot-law and replicate-cutoff harnesses
+# ---------------------------------------------------------------------------
 
 def _harness(purpose: str, statistics: Sequence[str], model: Model,
              score: Callable[[np.ndarray, np.random.Generator], tuple], threads: int,
@@ -666,15 +669,11 @@ def refined_ci_coverage(model: str | Model, n: int, m: int, B: int, alpha: float
         index, chunk = _cutoff_index(B, alpha), max(1, _CHUNK // (B * n))
         hits, valid = [], []
         for start in range(0, len(data), chunk):
-            rows = data[start:start + chunk]
-            # each replicate's data once for each of its B count rows
-            b = _Block(model, np.repeat(rows, B, axis=0),
-                       draw_resample_counts(n, m, len(rows) * B, rng), m)
-            t_values, _ = _PIVOTS[PivotKind.STUDENT_T](b)
-            replicates, ok = _PIVOTS[PivotKind.T_STAR](b)  # ok implies student_t's mask
-            cutoffs = np.partition(replicates.reshape(-1, B), index, axis=1)[:, index]
-            hits.append(t_values[::B] <= cutoffs)
-            valid.append(ok.reshape(-1, B).all(axis=1))
+            rows = data[start:start + chunk, None]
+            counts = draw_resample_counts(n, m, len(rows) * B, rng).reshape(len(rows), B, n)
+            hit, ok = _below_cutoff(_Block(model, rows, counts, m), index)
+            hits.append(hit)
+            valid.append(ok)
         return (_score(np.concatenate(hits), np.concatenate(valid)),)
 
     return _harness("refined_ci", ("refined_boot",), model, score, threads, n=n, m=m, B=B,

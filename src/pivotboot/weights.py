@@ -169,9 +169,9 @@ _T = TypeVar("_T")
 
 
 def nondegenerate(draw: Callable[[], tuple[_T, float]]) -> tuple[_T, int]:
-    """Call ``draw()``, which returns a weight draw and its squared centered
-    norm, until that norm is positive; return the draw and the number of
-    degenerate draws before it.
+    """Call ``draw()``, which returns a weight draw and its centered norm
+    (or its square), until that norm is positive; return the draw and the
+    number of degenerate draws before it.
 
     Every weight-redraw loop of the package goes through here, so all share
     one budget: :class:`DegenerateWeightsError` after ``REDRAW_LIMIT``

@@ -160,6 +160,20 @@ class TestTableCommand:
         assert code == 2
         assert "cauchy" in err
 
+    @pytest.mark.parametrize("option, value", [("--threshold", "nan"), ("--threshold", "inf"),
+                                               ("--band", "inf"), ("--band", "nan")])
+    def test_non_finite_cutoff_exits_2_before_any_draw(self, capsys, monkeypatch, option, value):
+        def never(cfg, threads):
+            raise AssertionError("the table ran")
+
+        for which in ("1", "2"):
+            monkeypatch.setattr(cli, f"run_table{which}", never)
+            code, out, err = run_cli(capsys, "table", "--which", which, "--model", "poisson1",
+                                     "--n", "20", "--seed", "1", option, value)
+            assert code == 2
+            assert out == ""
+            assert option.lstrip("-") in err
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def too_large(cfg, threads):
             raise MemoryError
