@@ -110,29 +110,23 @@ TABLE2_CELLS: tuple[tuple[str, int], ...] = (
 # Data models
 # ---------------------------------------------------------------------------
 
+# P(K <= k) for K ~ Poisson(1), k = 0, ..., 18, summed term by term in
+# float64 (term k = term k-1 / k); k = 18 is the first entry that reaches
+# 1.0 (tested).  Read-only; the sampler and the CDF both read it.
+_POISSON1_CDF = np.add.accumulate(np.divide.accumulate([math.exp(-1.0), *range(1, 19)]))
+_POISSON1_CDF.setflags(write=False)
+
+
 def _poisson1_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Poisson(1) by inversion with sequential search (exact, vectorized)."""
-    k = np.zeros_like(u)
-    term = np.full_like(u, math.exp(-1.0))
-    cum = term.copy()
-    active = u > cum
-    while np.any(active):
-        k[active] += 1.0
-        term[active] /= k[active]
-        cum[active] += term[active]
-        active = u > cum
-    return k
+    """Poisson(1) by inversion: the least k with u <= P(K <= k), exact."""
+    return np.searchsorted(_POISSON1_CDF, u).astype(float)
 
 
 def _poisson1_cdf(x: float) -> float:
+    """P(K <= x), read from the same table (1.0 from its last entry on)."""
     if x < 0.0:
         return 0.0
-    total, term = 0.0, math.exp(-1.0)
-    for j in range(int(math.floor(x)) + 1):
-        if j > 0:
-            term /= j
-        total += term
-    return min(total, 1.0)
+    return min(float(_POISSON1_CDF[int(min(x, _POISSON1_CDF.size - 1))]), 1.0)
 
 
 @dataclass(frozen=True)
@@ -140,9 +134,9 @@ class Model:
     """A simulation law with its exact mean, variance, and CDF.
 
     Sampling is split into a base draw (uniform or standard normal, one
-    generator call) and a vectorized transform, so harnesses can draw each
-    replicate's base variates from its own substream and transform whole
-    cells at once; ``sample`` composes the two.
+    generator call) and a vectorized transform, so a table cell or a
+    harness block draws the base variates of all its replicates in one call
+    and transforms them as one array; ``sample`` composes the two.
     """
 
     name: str

@@ -2,12 +2,16 @@
 of the vectorized kernels against the scalar pivot functions."""
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pivotboot import simulation
 from pivotboot.errors import PivotbootError
@@ -36,6 +40,47 @@ from pivotboot.simulation import (
 )
 from pivotboot.weights import (WeightScheme, WeightVector, center, draw_multinomial_batch,
                                draw_resample_counts)
+
+
+def sequential_poisson1(u: np.ndarray) -> np.ndarray:
+    """Reference Poisson(1) inversion: a sequential search that adds one
+    term of the CDF per pass until u <= P(K <= k)."""
+    k = np.zeros_like(u)
+    term = np.full_like(u, math.exp(-1.0))
+    cum = term.copy()
+    active = u > cum
+    while np.any(active):
+        k[active] += 1.0
+        term[active] /= k[active]
+        cum[active] += term[active]
+        active = u > cum
+    return k
+
+
+def summed_poisson1_cdf(x: float) -> float:
+    """Reference Poisson(1) CDF: the terms up to floor(x) summed in order."""
+    if x < 0.0:
+        return 0.0
+    total, term = 0.0, math.exp(-1.0)
+    for j in range(int(math.floor(x)) + 1):
+        if j > 0:
+            term /= j
+        total += term
+    return min(total, 1.0)
+
+
+# 0.0, the largest value Generator.random returns, and every entry of the
+# Poisson(1) CDF table with its two float neighbours (none above 1.0, where
+# the reference search never stops).
+POISSON1_EDGES = sorted({0.0, 1.0 - 2.0**-53, *(
+    float(v) for p in simulation._POISSON1_CDF
+    for v in (np.nextafter(p, 0.0), p, np.nextafter(p, 2.0)) if v <= 1.0)})
+
+
+def with_poisson1_edges(test):
+    for value in POISSON1_EDGES:
+        test = example(u=np.array([value]))(test)
+    return example(u=np.array(POISSON1_EDGES).reshape(-1, 1))(test)
 
 
 class TestModels:
@@ -76,6 +121,41 @@ class TestModels:
         assert resolve_model("lognormal01").cdf(1.0) == pytest.approx(0.5)
         assert resolve_model("lognormal01").cdf(0.0) == 0.0
         assert resolve_model("normal01").cdf(0.0) == pytest.approx(0.5)
+
+    def test_poisson1_cdf_table(self):
+        table = simulation._POISSON1_CDF
+        assert table.size == 19 and not table.flags.writeable
+        assert table[-2] < 1.0 <= table[-1]
+        assert np.all(np.diff(table) > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @with_poisson1_edges
+    @given(u=hnp.arrays(np.float64, st.one_of(hnp.array_shapes(min_dims=1, max_dims=1),
+                                              st.tuples(st.integers(1, 8), st.integers(1, 40))),
+                        elements=st.floats(0.0, 1.0, exclude_max=True)))
+    def test_poisson1_transform_matches_sequential_search(self, u):
+        got, want = simulation._poisson1_from_uniform(u), sequential_poisson1(u)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_poisson1_cdf_matches_summed_terms(self):
+        whole = np.arange(-1.0, 31.0)
+        grid = np.concatenate([np.linspace(-1.0, 30.0, 1241), whole,
+                               np.nextafter(whole, -np.inf), np.nextafter(whole, np.inf)])
+        for x in grid.tolist():
+            assert simulation._poisson1_cdf(x) == summed_poisson1_cdf(x), x
+
+    def test_poisson1_cdf_is_immediate_at_any_x(self):
+        # A subprocess, so a CDF that sums floor(x) + 1 terms fails on the
+        # timeout instead of hanging the suite.
+        code = ("from pivotboot.simulation import resolve_model as r; "
+                "print(r('poisson1').cdf(1e300), r('poisson1').cdf(float('inf')))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(simulation.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1.0", "1.0"]
 
     def test_sample_composes_base_and_transform(self):
         model = resolve_model("poisson1")
