@@ -349,12 +349,7 @@ def _cmd_weights(args: argparse.Namespace) -> dict:
 def _parse_rate_kind(text: str) -> RateKind:
     squashed = text.lower().replace("-", "").replace("_", "")
     squashed = squashed.removesuffix("rate")
-    mapping = {
-        "gstar": RateKind.G_STAR_RATE,
-        "tstar": RateKind.T_STAR_RATE,
-        "gdoublestar": RateKind.G_DOUBLE_STAR_RATE,
-        "tdoublestar": RateKind.T_DOUBLE_STAR_RATE,
-    }
+    mapping = {k.value.replace("_", "").removesuffix("rate"): k for k in RateKind}
     kind = mapping.get(squashed)
     if kind is None:
         raise ValueError(f"unknown rate kind {text!r}")

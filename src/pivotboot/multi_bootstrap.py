@@ -40,11 +40,7 @@ from .errors import DomainError, NonIntegerRankError, ZeroVarianceError
 from .estimators import Sample
 from .gaussian import normal_cdf, normal_pdf
 from .pivots import t_star
-from .weights import center, draw_multinomial_batch, draw_multinomial_weights, nondegenerate
-
-# center, draw_multinomial_weights and t_star are draw_replicates' per-row
-# reference path (tests/test_multi_bootstrap.py); perfbench/layers.py wraps
-# them by these names in this module.
+from .weights import center, draw_multinomial_weights, nondegenerate
 
 __all__ = [
     "ReplicateSet",
@@ -171,46 +167,29 @@ def draw_replicates(
 ) -> ReplicateSet:
     """Compute the signed-weight pivot on B independent multinomial draws.
 
-    The B weight rows come from one batched draw, which yields the same rows
-    as B one-row draws.  Rows whose centered weights all vanish leave the
-    pivot undefined; each is replaced by the next row of the same stream,
-    drawn one at a time after the batch, within the budget of
-    :func:`~pivotboot.weights.nondegenerate`, and counted in
-    ``degenerate_redraws``.  The values equal :func:`~pivotboot.pivots.t_star`
-    on each accepted row.
+    Each of the B slots draws one weight row from the stream and evaluates
+    :func:`~pivotboot.pivots.t_star` on it.  A row whose centered weights
+    all vanish leaves the pivot undefined; it is replaced by the stream's
+    next row, within the budget of :func:`~pivotboot.weights.nondegenerate`,
+    and counted in ``degenerate_redraws``.
     """
     if s.variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero")
     if B < 2:
         raise DomainError("B must be at least 2")
 
-    def centered(counts: np.ndarray) -> np.ndarray:
-        return counts / m - 1.0 / s.n
-
-    batch = centered(draw_multinomial_batch(s.n, m, B, stream))
-    rows = iter(zip(batch, np.vecdot(batch, batch)))
-
-    def draw() -> tuple[np.ndarray, float]:
-        row = next(rows, None)
-        if row is None:  # the batch is used up: only after a degenerate row
-            values = centered(draw_multinomial_batch(s.n, m, 1, stream)[0])
-            row = values, float(values @ values)
-        return row
+    def draw():
+        cw = center(draw_multinomial_weights(s.n, m, stream), s.n)
+        return cw, cw.sum_squares
 
     draws = [nondegenerate(draw) for _ in range(B)]
-    accepted = np.array([values for values, _ in draws])
-    # np.vecdot takes, row by row, the dot product ``@`` takes of one row, so
-    # these are t_star's values (tests/test_multi_bootstrap.py compares them).
-    norms = np.sqrt(np.vecdot(accepted, accepted))
-    return ReplicateSet(values=np.vecdot(accepted, s.values) / (s.std * norms), B=B, m=m,
+    return ReplicateSet(values=[t_star(s, cw) for cw, _ in draws], B=B, m=m,
                         degenerate_redraws=sum(redraws for _, redraws in draws))
 
 
-@functools.lru_cache(maxsize=64)
 def _cutoff_index(B: int, alpha: float) -> int:
     """The refined cutoff's 0-based order-statistic index, clamped to the
-    maximum; cached because :func:`refined_contains` asks for it on every
-    call.  The replicate-cutoff harness reads it here too."""
+    maximum.  The replicate-cutoff harness reads it here too."""
     return min(y_quantile(B, alpha), B - 1)
 
 
@@ -219,8 +198,8 @@ def refined_contains(t_value: float, reps: ReplicateSet, alpha: float) -> bool:
 
     The cutoff is the order statistic indexed by y_quantile(B, alpha),
     0-based from the smallest replicate and clamped to the maximum (see the
-    module docstring for the convention).  Ties are resolved by a stable
-    sort, so the comparison is deterministic.
+    module docstring for the convention).  A value equal to the cutoff
+    counts as inside: ``t_value <= cutoff``.
     """
-    ordered = np.sort(reps.values, kind="stable")
+    ordered = np.sort(reps.values)
     return bool(t_value <= ordered[_cutoff_index(reps.B, alpha)])

@@ -223,6 +223,41 @@ class TestDualities:
         assert (mu in interval) == (abs(pivot) <= z)
 
     @given(r=st.integers(0, 10**6), n=st.integers(2, 30), alpha=st.floats(0.01, 0.5),
+           offset=st.one_of(st.floats(-3.0, 3.0), st.floats(0.95, 1.05), st.floats(-1.05, -0.95)))
+    @settings(max_examples=200, deadline=None)
+    def test_population_duality_property(self, r, n, alpha, offset):
+        s, w, cw = random_instance(r, n)
+        interval = ci_population_mean(s, cw, alpha)
+        mu = (interval.lo + interval.hi) / 2 + offset * interval.width / 2
+        pivot = g_star(s, cw, mu)
+        z = normal_quantile(1 - alpha / 2)
+        assume(abs(abs(pivot) - z) > 1e-9)
+        assert (mu in interval) == (abs(pivot) <= z)
+
+    # The sample-mean recipes have a fixed target, the sample mean, so the
+    # level is set from the pivot instead: z = |pivot| * ratio, often within
+    # 5% of the boundary.
+    @pytest.mark.parametrize("recipe, pivot", [
+        (ci_sample_mean, lambda s, w, cw: t_star(s, cw)),
+        (ci_finite_pop_mean, lambda s, w, cw: starred_variant(PivotKind.T_DOUBLE_STAR, s, w, cw)),
+    ], ids=["sample", "finitepop"])
+    @given(r=st.integers(0, 10**6), n=st.integers(2, 30),
+           ratio=st.one_of(st.floats(0.2, 3.0), st.floats(0.95, 1.05)))
+    @settings(max_examples=200, deadline=None)
+    def test_sample_mean_duality_property(self, recipe, pivot, r, n, ratio):
+        s, w, cw = random_instance(r, n)
+        try:
+            value = pivot(s, w, cw)
+        except ZeroBootstrapVarianceError:  # finitepop only
+            assume(False)
+        alpha = 2 * normal_cdf(-abs(value) * ratio)
+        assume(1e-9 < alpha < 1.0)  # 1 - alpha/2 must stay below 1.0 in doubles
+        interval = recipe(s, w, cw, alpha)
+        z = normal_quantile(1 - alpha / 2)
+        assume(abs(abs(value) - z) > 1e-9)
+        assert (s.mean in interval) == (abs(value) <= z)
+
+    @given(r=st.integers(0, 10**6), n=st.integers(2, 30), alpha=st.floats(0.01, 0.5),
            x=st.floats(-4.0, 5.0))
     @settings(max_examples=200, deadline=None)
     def test_ecdf_duality_property(self, r, n, alpha, x):

@@ -1,12 +1,9 @@
 """Replicate-cutoff tests: orthant integrals, count distribution, conventions."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from pivotboot import multi_bootstrap
 from pivotboot.errors import (
@@ -28,9 +25,8 @@ from pivotboot.multi_bootstrap import (
     y_distribution,
     y_quantile,
 )
-from pivotboot.pivots import t_star
 from pivotboot.rng import substream
-from pivotboot.weights import REDRAW_LIMIT, center, draw_multinomial_weights, nondegenerate
+from pivotboot.weights import REDRAW_LIMIT, WeightScheme, WeightVector
 
 
 class TestOrthantProbability:
@@ -171,67 +167,41 @@ class TestDrawReplicates:
             draw_replicates(Sample.from_values([1.0, 1.0]), 3, 2, substream(34, "reps"))
 
     def test_redraw_budget_is_bounded(self, monkeypatch):
-        rows = []
+        calls = []
 
-        def always_uniform(n, m, size, stream):
-            rows.append(size)
-            return np.full((size, n), m / n)
+        def always_uniform(n, m, stream):
+            calls.append(n)
+            return WeightVector(np.full(n, m / n), m, WeightScheme.MULTINOMIAL)
 
-        monkeypatch.setattr(multi_bootstrap, "draw_multinomial_batch", always_uniform)
+        monkeypatch.setattr(multi_bootstrap, "draw_multinomial_weights", always_uniform)
         with pytest.raises(DegenerateWeightsError):
             draw_replicates(Sample.from_values([1.0, 0.0]), 3, 2, substream(35, "reps"))
-        # the batch of B = 3, then one row per redraw until the budget is spent
-        assert rows[0] == 3 and set(rows[1:]) == {1}
-        assert sum(rows) == REDRAW_LIMIT + 1
+        # one row per call: the first slot's draw and its REDRAW_LIMIT redraws
+        assert len(calls) == REDRAW_LIMIT + 1
 
+    # Computed with the batched implementation this function replaced: the
+    # values' float bits, the redraw count and the stream's next draw (so the
+    # rows it consumed).  The second case redraws 12 of its rows.
+    PINS = [
+        (7, 10, 10, 9,
+         ["0x1.a7841e3f4769bp-1", "0x1.c89bef302d801p+0", "-0x1.cd1beaa36e5fap-4",
+          "0x1.75833dc5a7963p-1", "-0x1.f3b70a97b21e4p-3", "0x1.6a6e2459a1d20p-1",
+          "-0x1.baa5a5a8ae1a0p-2", "-0x1.58d28852b37ccp-4", "-0x1.daaea13b81fb1p-2"],
+         0, "0x1.92c143d553bd2p-2"),
+        (0, 2, 2, 12,
+         # +-sqrt(2) to within one ulp (the two-point support)
+         [sign + "0x1.6a09e667f3bccp+0" for sign in ("-", "-", "", "-", "", "", "-", "", "", "", "", "")],
+         12, "0x1.7af5a1c329662p-1"),
+    ]
 
-def _sequential_replicates(s, B: int, m: int, stream) -> tuple[list[float], int]:
-    """Reference for draw_replicates: one row per draw_multinomial_weights
-    call, centered and fed to t_star, each slot redrawn by nondegenerate."""
-
-    def draw():
-        cw = center(draw_multinomial_weights(s.n, m, stream), s.n)
-        return cw, cw.sum_squares
-
-    draws = [nondegenerate(draw) for _ in range(B)]
-    return [t_star(s, cw) for cw, _ in draws], sum(redraws for _, redraws in draws)
-
-
-def _outcome(replicates, stream):
-    """What a path returned or raised, and the stream's next draw (so the
-    rows it consumed)."""
-    try:
-        result = replicates()
-    except DegenerateWeightsError:
-        result = DegenerateWeightsError
-    return result, stream.random()
-
-
-class TestBatchedEqualsSequential:
-    @given(n=st.integers(2, 8), m=st.integers(1, 10), B=st.integers(2, 12),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=2, m=2, B=12, seed=0)  # about half the rows are degenerate
-    @example(n=1, m=3, B=4, seed=0)   # every row is degenerate: the budget runs out
-    def test_same_values_redraws_and_rows(self, n, m, B, seed):
-        if n == 1:
-            # A one-point Sample has zero variance; a unit-variance stand-in
-            # lets both paths reach the weight draws.
-            s = SimpleNamespace(n=1, values=np.ones(1), variance=1.0, std=1.0)
-        else:
-            s = Sample.from_values(substream(seed, "batched.data").standard_normal(n))
-        batched_stream = substream(seed, "batched.weights")
-        reference_stream = substream(seed, "batched.weights")
-        batched, batched_next = _outcome(lambda: draw_replicates(s, B, m, batched_stream),
-                                         batched_stream)
-        reference, reference_next = _outcome(
-            lambda: _sequential_replicates(s, B, m, reference_stream), reference_stream)
-        assert batched_next == reference_next
-        if reference is DegenerateWeightsError:
-            assert batched is DegenerateWeightsError
-            return
-        values, redraws = reference
-        np.testing.assert_allclose(batched.values, values, rtol=1e-12, atol=0.0)
-        assert batched.degenerate_redraws == redraws
+    @pytest.mark.parametrize("seed, n, m, B, values, redraws, next_draw", PINS)
+    def test_pinned_bits(self, seed, n, m, B, values, redraws, next_draw):
+        s = Sample.from_values(substream(seed, "pin.data").standard_normal(n))
+        stream = substream(seed, "pin.weights")
+        reps = draw_replicates(s, B, m, stream)
+        assert [v.hex() for v in reps.values.tolist()] == values
+        assert reps.degenerate_redraws == redraws
+        assert stream.random().hex() == next_draw
 
 
 class TestRefinedContains:
