@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWeightsError, DimensionMismatchError
-from .weights import CenteredWeights, WeightVector
+from .weights import CenteredWeights, WeightVector, dot
 
 __all__ = [
     "Sample",
@@ -41,7 +41,7 @@ class Sample:
         centered = values - mean
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", float(centered @ centered / values.size))
+        object.__setattr__(self, "variance", float(dot(centered, centered) / values.size))
 
     @classmethod
     def from_values(cls, values) -> "Sample":
@@ -64,16 +64,16 @@ def _check_lengths(s: Sample, w: WeightVector) -> None:
 def bootstrap_mean(s: Sample, w: WeightVector) -> float:
     """Resampled mean: sum_i w_i x_i / m."""
     _check_lengths(s, w)
-    return float(w.counts @ s.values / w.m)
+    return float(dot(w.counts, s.values) / w.m)
 
 
 def bootstrap_variance(s: Sample, w: WeightVector) -> float:
     """Resampled variance about the resampled mean, divisor m; exactly 0.0
     when every resampled value is the same one."""
     _check_lengths(s, w)
-    resampled_mean = w.counts @ s.values / w.m
+    resampled_mean = dot(w.counts, s.values) / w.m
     deviations = s.values - resampled_mean
-    variance = float(w.counts @ (deviations * deviations) / w.m)
+    variance = float(dot(w.counts, deviations * deviations) / w.m)
     # The resampled mean of one repeated value x can round away from x and
     # leave a variance of about (1e-16 x)^2; only that small a variance
     # needs the exact test.
@@ -90,7 +90,7 @@ def weighted_mean_estimator(s: Sample, cw: CenteredWeights) -> float:
         raise DimensionMismatchError(f"sample length {s.n} != weight length {cw.values.size}")
     if cw.sum_abs <= 0.0:
         raise DegenerateWeightsError("absolute centered weights sum to zero")
-    return float(np.abs(cw.values) @ s.values / cw.sum_abs)
+    return float(dot(np.abs(cw.values), s.values) / cw.sum_abs)
 
 
 def ecdf(s: Sample, x: float) -> float:
@@ -101,4 +101,4 @@ def ecdf(s: Sample, x: float) -> float:
 def bootstrap_ecdf(s: Sample, w: WeightVector, x: float) -> float:
     """Resampled empirical distribution function: sum_i (w_i/m) 1(x_i <= x)."""
     _check_lengths(s, w)
-    return float(w.counts @ (s.values <= x) / w.m)
+    return float(dot(w.counts, (s.values <= x).astype(float)) / w.m)

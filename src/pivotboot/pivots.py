@@ -37,7 +37,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .estimators import Sample, bootstrap_ecdf, bootstrap_variance, ecdf
-from .weights import CenteredWeights, WeightVector
+from .weights import CenteredWeights, WeightVector, dot
 
 __all__ = [
     "PivotKind",
@@ -91,14 +91,14 @@ def t_star(s: Sample, cw: CenteredWeights) -> float:
     """
     if s.variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero")
-    return float(cw.values @ s.values) / (s.std * cw.norm)
+    return float(dot(cw.values, s.values)) / (s.std * cw.norm)
 
 
 def g_star(s: Sample, cw: CenteredWeights, mu: float) -> float:
     """Absolute-weight pivot for the population mean ``mu``."""
     if s.variance <= 0.0:
         raise ZeroVarianceError("sample variance is zero")
-    return float(np.abs(cw.values) @ (s.values - mu)) / (s.std * cw.norm)
+    return float(dot(np.abs(cw.values), s.values - mu)) / (s.std * cw.norm)
 
 
 def starred_variant(
@@ -126,9 +126,9 @@ def starred_variant(
         raise ZeroBootstrapVarianceError("resampled variance is zero")
     resampled_std = math.sqrt(resampled_var)
     if g_form:
-        numerator = float(np.abs(cw.values) @ (s.values - mu))
+        numerator = float(dot(np.abs(cw.values), s.values - mu))
     else:
-        numerator = float(cw.values @ s.values)
+        numerator = float(dot(cw.values, s.values))
     if kind in (PivotKind.T_DOUBLE_STAR, PivotKind.G_DOUBLE_STAR):
         return numerator / (resampled_std * cw.norm)
     return numerator / (resampled_std / math.sqrt(w.m))
@@ -175,7 +175,7 @@ def empirical_pivot(
 
     indicators = (s.values <= x).astype(float)
     if absolute:
-        numerator = float(np.abs(cw.values) @ (indicators - f_true))
+        numerator = float(dot(np.abs(cw.values), indicators - f_true))
     else:
-        numerator = float(cw.values @ indicators)
+        numerator = float(dot(cw.values, indicators))
     return numerator / (math.sqrt(spread) * weight_norm)

@@ -38,9 +38,9 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed}")
 
 
-# Philox takes its key and counter fastest as uint64 word arrays (low word
-# first); from Python ints it converts word by word, about a third slower.
-@functools.cache
+# Bounded, so a long-lived caller drawing at many seeds keeps at most this many
+# keys.  Philox takes uint64 word arrays (low word first) a third faster than ints.
+@functools.lru_cache(maxsize=64)
 def _philox_key(seed: int, purpose: str) -> np.ndarray:
     """The 128-bit key as two uint64 words, read-only (shared by the cache)."""
     check_seed(seed)

@@ -42,7 +42,7 @@ from .intervals import RECIPES
 from .multi_bootstrap import GENZ_LEVEL_B9, _cutoff_index
 from .pivots import EMPIRICAL_KINDS, PivotKind
 from .rng import check_seed, substream
-from .weights import draw_multinomial_batch, draw_resample_counts, nondegenerate
+from .weights import dot, draw_multinomial_batch, draw_resample_counts, nondegenerate
 
 # The harnesses call none of these; they stay bound here only because
 # perfbench/layers.instrument patches them by these names in this module
@@ -413,9 +413,9 @@ class _Block:
     replicate cutoff).  Such a block feeds only student_t, g_star and t_star,
     which read only the centred weights, so it centres its counts in place.
     Every expression takes, row by row, the operations of the scalar
-    functions in ``estimators``, ``weights``, ``pivots`` and ``intervals``
-    (``np.vecdot`` of two rows is their ``@``), so a value equals the scalar
-    one to the bit; a kernel's valid mask marks the replicates on which the
+    functions in ``estimators``, ``weights``, ``pivots`` and ``intervals``,
+    and both reduce through ``weights.dot``, so a value equals the scalar one
+    to the bit; a kernel's valid mask marks the replicates on which the
     scalar call raises no :class:`~pivotboot.errors.PivotbootError` (tested).
     The standard deviation has divisor n, as in ``pivots``; the tables take
     their divisor n - 1 as the factor sqrt((n - 1)/n) on a value."""
@@ -426,20 +426,20 @@ class _Block:
         self.n = data.shape[-1]
         self.mean = data.mean(axis=-1)
         centered = data - self.mean[..., None]
-        self.std = np.sqrt(np.vecdot(centered, centered) / self.n)  # divisor n
+        self.std = np.sqrt(dot(centered, centered) / self.n)  # divisor n
         in_place = counts.ndim == 3  # k rows per replicate
         self.counts = None if in_place else counts
         self.weights = np.divide(counts, m, out=counts if in_place else None)
         self.weights -= 1.0 / self.n  # centered
-        self.norm = np.sqrt(np.vecdot(self.weights, self.weights))  # 0 where degenerate
+        self.norm = np.sqrt(dot(self.weights, self.weights))  # 0 where degenerate
         if x is not None:
             self.indicators = (data <= x).astype(float)
             self.ecdf = self.indicators.sum(axis=-1) / self.n
-            self.resampled_ecdf = np.vecdot(counts, self.indicators) / m
+            self.resampled_ecdf = dot(counts, self.indicators) / m
 
     @cached_property
     def t_sum(self) -> np.ndarray:  # sum c_i x_i
-        return np.vecdot(self.weights, self.data)
+        return dot(self.weights, self.data)
 
     @cached_property
     def sum_abs(self) -> np.ndarray:
@@ -449,18 +449,18 @@ class _Block:
     @cached_property
     def g_sum(self) -> np.ndarray:
         """sum |c_i| (x_i - mu)."""
-        return np.vecdot(np.abs(self.weights), self.data - self.model.mean)
+        return dot(np.abs(self.weights), self.data - self.model.mean)
 
     @cached_property
     def resampled_mean(self) -> np.ndarray:
-        return np.vecdot(self.counts, self.data) / self.m
+        return dot(self.counts, self.data) / self.m
 
     @cached_property
     def resampled_std(self) -> np.ndarray:
         """The root of bootstrap_variance, 0 where every resampled value is one."""
         mean = self.resampled_mean
         deviations = self.data - mean[:, None]
-        variance = np.vecdot(self.counts, deviations * deviations) / self.m
+        variance = dot(self.counts, deviations * deviations) / self.m
         drawn = self.counts > 0.0
         one_value = (np.where(drawn, self.data, np.inf).min(axis=1)
                      == np.where(drawn, self.data, -np.inf).max(axis=1))
@@ -495,7 +495,7 @@ def _tilde(b: _Block, numerator: np.ndarray) -> _Values:
 def _alpha2(b: _Block, f: np.ndarray) -> _Values:
     """An alpha2 pivot at the ECDF value f, centred at the model CDF at x."""
     f_true = b.model.cdf(b.x)
-    return _scaled(b, np.vecdot(np.abs(b.weights), b.indicators - f_true), _spread(f),
+    return _scaled(b, dot(np.abs(b.weights), b.indicators - f_true), _spread(f),
                    0.0 < f_true < 1.0)
 
 
@@ -509,9 +509,9 @@ _PIVOTS: dict[PivotKind, Callable[[_Block], _Values]] = {
     PivotKind.G_DOUBLE_STAR: lambda b: _scaled(b, b.g_sum, b.resampled_std),
     PivotKind.T_TILDE: lambda b: _tilde(b, b.t_sum),
     PivotKind.G_TILDE: lambda b: _tilde(b, b.g_sum),
-    PivotKind.ALPHA1_HAT: lambda b: _scaled(b, np.vecdot(b.weights, b.indicators),
+    PivotKind.ALPHA1_HAT: lambda b: _scaled(b, dot(b.weights, b.indicators),
                                             _spread(b.ecdf)),
-    PivotKind.ALPHA1_HAT_HAT: lambda b: _scaled(b, np.vecdot(b.weights, b.indicators),
+    PivotKind.ALPHA1_HAT_HAT: lambda b: _scaled(b, dot(b.weights, b.indicators),
                                                 _spread(b.resampled_ecdf)),
     PivotKind.ALPHA2_HAT: lambda b: _alpha2(b, b.ecdf),
     PivotKind.ALPHA2_HAT_HAT: lambda b: _alpha2(b, b.resampled_ecdf),
@@ -538,7 +538,7 @@ def _interval(b: _Block, alpha: float, centre: np.ndarray, scale: np.ndarray,
 
 def _weighted_mean(b: _Block) -> np.ndarray:
     """weighted_mean_estimator: sum |c_i| x_i / sum |c|."""
-    return np.vecdot(np.abs(b.weights), b.data) / b.sum_abs
+    return dot(np.abs(b.weights), b.data) / b.sum_abs
 
 
 # The interval recipes: the kernel that gives a block's intervals as the

@@ -29,6 +29,7 @@ __all__ = [
     "draw_resample_counts",
     "nondegenerate",
     "center",
+    "dot",
     "max_ratio",
     "expected_sum_squares",
 ]
@@ -184,6 +185,11 @@ def nondegenerate(draw: Callable[[], tuple[_T, float]]) -> tuple[_T, int]:
     raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
 
 
+def dot(a, b) -> np.ndarray:
+    """Sum of a * b over the last axis, in numpy's own order, no BLAS."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 def center(w: WeightVector, n: int) -> CenteredWeights:
     """Center the weights to ``w_i/m - 1/n`` and record both norms."""
     if w.n != n:
@@ -191,7 +197,7 @@ def center(w: WeightVector, n: int) -> CenteredWeights:
     values = w.counts / w.m - 1.0 / n
     return CenteredWeights(
         values=values,
-        sum_squares=float(values @ values),
+        sum_squares=float(dot(values, values)),
         sum_abs=float(np.abs(values).sum()),
     )
 

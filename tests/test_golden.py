@@ -14,9 +14,25 @@ with drawn weights, and for the stream layout itself: the first draws of
 ``substream`` at zero to four indices, and the first draws of a table2
 outer cell's stream (layout 2) and of a harness block's stream (layout 3):
 the unit's base variates, then its count rows.
+
+None of these bytes depends on the BLAS kernel or on numpy's CPU dispatch:
+every inner product of the package sums through ``weights.dot`` (numpy's
+einsum) and no module calls BLAS or LAPACK (``tests/test_imports.py``).
+Fresh interpreters, each under another OpenBLAS kernel or with numpy's
+AVX-512 loops off, print the digests of the golden reports, of ``ci`` with
+every method on 40 values, of ``ydist`` and of a table2 poisson1 cell with
+exact ties, and they must equal this process's; the variables act only on
+the child.  Run as a script, this file prints those digests as JSON.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +221,57 @@ def test_harness_block_layout_unchanged():
         "0x1.b21ddb6760bfap+0", "-0x1.0dcb27f5b3565p+1"]
     counts = draw_resample_counts(5, 5, 32 * 3, rng)
     assert counts[:2].tolist() == [[2, 2, 1, 0, 0], [1, 0, 1, 1, 2]]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_ENVIRONMENTS = (
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+)
+# At this seed the population and superpop intervals on the 40 values moved
+# under the Prescott kernel while the package still called BLAS.
+KERNEL_PINNED = ["--seed", "5", "--timestamp", "2000-01-01T00:00:00+00:00"]
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cli(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + KERNEL_PINNED) == 0
+    return out.getvalue()
+
+
+def digests(data: Path) -> dict[str, str]:
+    """sha256 of every golden report, of ``ci`` with each method on the data
+    file, of ``ydist --B 100`` and of a table2 poisson1/20 cell at 4 x 500."""
+    out = {case: _sha(dumps(run().to_dict())) for case, run in CASES.items()}
+    for recipe in RECIPES:
+        out[f"ci/{recipe}"] = _sha(_cli(["ci", str(data), "--method", recipe, "--m", "40",
+                                         *(["--x", "10.0"] if recipe in ("ecdf", "cdf") else [])]))
+    out["ydist/100"] = _sha(_cli(["ydist", "--B", "100"]))
+    table = run_table2(SimConfig(model="poisson1", n=20, outer_reps=4, inner_reps=500, seed=3))
+    out["table2/poisson1/20"] = _sha(dumps(table.to_dict()))
+    return out
+
+
+def test_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    data = tmp_path / "forty.txt"
+    values = (10.0 + 3.0 * substream(5, "blas.data").standard_normal(40)).tolist()
+    data.write_text("".join(f"{v!r}\n" for v in values))
+    expected = digests(data)
+    pythonpath = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    children = [subprocess.Popen([sys.executable, __file__, str(data)], stdout=subprocess.PIPE,
+                                 env={**os.environ, "PYTHONPATH": pythonpath, **variables})
+                for variables in CHILD_ENVIRONMENTS]
+    for variables, child in zip(CHILD_ENVIRONMENTS, children):
+        stdout, _ = child.communicate(timeout=120)
+        assert child.returncode == 0, variables
+        assert json.loads(stdout) == expected, variables
+
+
+if __name__ == "__main__":
+    print(json.dumps(digests(Path(sys.argv[1]))))

@@ -1,5 +1,6 @@
 """Every name a module of the package imports at module level is used in that
-module: read, or listed in its ``__all__``."""
+module: read, or listed in its ``__all__``; and no module reaches BLAS or
+LAPACK."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,37 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = imported_names(tree) - used_names(tree)
     assert unused == UNUSED_FOR_BENCHMARK.get(path.name, set())
+
+
+# numpy's products and modules that call BLAS or LAPACK, whose summation order
+# depends on the CPU kernel the library picks when it loads.  Every inner
+# product goes through weights.dot (np.einsum) instead, so no report does.
+BLAS_NAMES = {"vecdot", "dot", "matmul", "inner", "linalg", "polynomial"}
+BLAS_MODULES = ("numpy.linalg", "numpy.polynomial")
+
+
+def blas_uses(tree: ast.Module) -> list[int]:
+    """Lines that use ``@``, a numpy name in ``BLAS_NAMES`` or a module in
+    ``BLAS_MODULES``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            found = isinstance(node.op, ast.MatMult)
+        elif isinstance(node, ast.Attribute):
+            found = (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                     and node.attr in BLAS_NAMES)
+        elif isinstance(node, ast.Import):
+            found = any(alias.name.startswith(BLAS_MODULES) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found = (node.module or "").startswith(BLAS_MODULES) or (
+                node.module == "numpy" and any(alias.name in BLAS_NAMES for alias in node.names))
+        else:
+            found = False
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_blas_or_lapack(path):
+    assert blas_uses(ast.parse(path.read_text(), filename=str(path))) == []

@@ -74,9 +74,10 @@ class TestOrthantProbability:
 
 class TestYDistribution:
     def test_uniform_small_B(self):
-        for B in (2, 5, 9, 31, 100, 199):
+        for B in (2, 5, 9, 31, 100, 199, 400, 1000):
             dist = y_distribution(B)
             assert np.allclose(dist.pmf, 1 / (B + 1), rtol=0.0, atol=1e-12)
+            assert np.abs(dist.pmf * (B + 1) - 1.0).max() <= 1e-13
             assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_containers_copy_the_callers_array(self):
@@ -179,14 +180,14 @@ class TestDrawReplicates:
         # one row per call: the first slot's draw and its REDRAW_LIMIT redraws
         assert len(calls) == REDRAW_LIMIT + 1
 
-    # Computed with the batched implementation this function replaced: the
-    # values' float bits, the redraw count and the stream's next draw (so the
-    # rows it consumed).  The second case redraws 12 of its rows.
+    # The values' float bits, the redraw count and the stream's next draw (so
+    # the rows it consumed).  The second case redraws 12 of its rows.  The
+    # first case's values are those of weights.dot's summation order.
     PINS = [
         (7, 10, 10, 9,
-         ["0x1.a7841e3f4769bp-1", "0x1.c89bef302d801p+0", "-0x1.cd1beaa36e5fap-4",
-          "0x1.75833dc5a7963p-1", "-0x1.f3b70a97b21e4p-3", "0x1.6a6e2459a1d20p-1",
-          "-0x1.baa5a5a8ae1a0p-2", "-0x1.58d28852b37ccp-4", "-0x1.daaea13b81fb1p-2"],
+         ["0x1.a7841e3f4769bp-1", "0x1.c89bef302d803p+0", "-0x1.cd1beaa36e5fap-4",
+          "0x1.75833dc5a7964p-1", "-0x1.f3b70a97b21e9p-3", "0x1.6a6e2459a1d22p-1",
+          "-0x1.baa5a5a8ae1a0p-2", "-0x1.58d28852b37ccp-4", "-0x1.daaea13b81fb2p-2"],
          0, "0x1.92c143d553bd2p-2"),
         (0, 2, 2, 12,
          # +-sqrt(2) to within one ulp (the two-point support)

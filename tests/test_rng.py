@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pivotboot import rng
 from pivotboot.rng import substream
 
 
@@ -45,3 +46,7 @@ class TestSubstream:
         substream(2**63 - 1, "p")
         substream(-2**63, "p")
 
+    def test_key_cache_is_bounded(self):
+        for seed in range(1000):
+            substream(seed, "p")
+        assert rng._philox_key.cache_info().currsize <= 64
