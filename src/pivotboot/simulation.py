@@ -88,8 +88,15 @@ STUDENTIZE_DDOF = 1
 # Replicates per block of the coverage, pivot-law and replicate-cutoff
 # harnesses: block k reads the stream (seed, purpose, k).
 BLOCK = 32
-# Count entries per chunk of the replicate-cutoff harness's count rows.
-_CHUNK = 2**13
+# Count entries per chunk of the replicate-cutoff harness's count rows (2 MB
+# as float64).  A chunk holds whole replicates, so memory stays bounded at
+# any B * n.  At 2**18 every published and benchmark design (B = 9, n <= 800)
+# draws and scores a block in one call, for about 2.4 MB more peak RSS on
+# the benchmark's harness round; at 2**13 a block at n = 800 took 32 calls,
+# whose overhead set the time.  Budgets in between, such as 2**16, cost
+# about 3,900 minor page faults (ru_minflt) per n = 800 call of 200
+# replicates (6,600 with 2**16-entry index blocks), against none at 2**18.
+_CHUNK = 2**18
 
 # (model, n) design points of the two printed comparison grids.  The
 # conditional table's exponential row ends at n = 50, the joint table's at
@@ -652,10 +659,12 @@ def refined_ci_coverage(model: str | Model, n: int, m: int, B: int, alpha: float
     Studentized mean stays below the refined order statistic of B replicate
     pivots (:func:`~pivotboot.multi_bootstrap.refined_contains`).
 
-    Each replicate draws B count rows, after the block's data, in chunks of
-    whole replicates of about ``_CHUNK`` entries (the same rows as one call,
-    in bounded memory).  A replicate whose data have zero variance or one of
-    whose rows is degenerate is counted as degenerate; no row is redrawn.
+    Each replicate draws B count rows, after the block's data.  A block's
+    rows come in one call when they fit ``_CHUNK`` entries, as at every
+    published design, and otherwise in chunks of whole replicates (the same
+    rows as one call, in bounded memory).  A replicate whose data have zero
+    variance or one of whose rows is degenerate is counted as degenerate; no
+    row is redrawn.
     """
     model = resolve_model(model)
 

@@ -662,10 +662,26 @@ class TestRefinedCoverage:
             monkeypatch.setattr(simulation, "_CHUNK", entries)
             return dumps(refined_ci_coverage("lognormal01", 30, 30, 9, 0.1, 70, 3).to_dict())
 
-        chunks = (1, 1000, simulation._CHUNK)  # 1, 3 and 30 replicates a chunk
+        # 1, 3 and 30 replicates a chunk, and the budget (one chunk per block)
+        chunks = (1, 1000, 2**13, simulation._CHUNK)
         whole = report(2**40)  # one chunk per block
         for entries in chunks:
             assert report(entries) == whole, entries
+
+    @pytest.mark.parametrize("n, reps, calls", [
+        (800, 64, 2),                          # the largest published design: one per block
+        (simulation._CHUNK // 8, 3, 3),        # 9n > _CHUNK: one per replicate
+    ])
+    def test_count_draws_per_block(self, monkeypatch, n, reps, calls):
+        rows = []
+
+        def counted(n, m, count, rng):
+            rows.append(count)
+            return draw_resample_counts(n, m, count, rng)
+
+        monkeypatch.setattr(simulation, "draw_resample_counts", counted)
+        refined_ci_coverage("lognormal01", n, n, 9, 0.1, reps, seed=18)
+        assert len(rows) == calls and sum(rows) == 9 * reps
 
     def test_smoke_and_determinism(self):
         a = refined_ci_coverage("normal01", 25, 25, 9, 0.1, 300, seed=13)
