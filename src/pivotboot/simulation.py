@@ -425,7 +425,12 @@ class _Block:
     to the bit; a kernel's valid mask marks the replicates on which the
     scalar call raises no :class:`~pivotboot.errors.PivotbootError` (tested).
     The standard deviation has divisor n, as in ``pivots``; the tables take
-    their divisor n - 1 as the factor sqrt((n - 1)/n) on a value."""
+    their divisor n - 1 as the factor sqrt((n - 1)/n) on a value.
+
+    A quantity that more than one kernel reads is a cached property, computed
+    once per block on first use: ``abs_weights`` (|c|), ``t_sum``, ``g_sum``,
+    ``sum_abs``, ``alpha1_sum``, ``alpha2_sum``, ``resampled_mean`` and
+    ``resampled_std``."""
 
     def __init__(self, model: Model, data: np.ndarray, counts: np.ndarray, m: int,
                  x: float | None = None) -> None:
@@ -449,14 +454,28 @@ class _Block:
         return dot(self.weights, self.data)
 
     @cached_property
+    def abs_weights(self) -> np.ndarray:  # |c|
+        return np.abs(self.weights)
+
+    @cached_property
     def sum_abs(self) -> np.ndarray:
         """sum |c|, positive wherever the norm is; 1.0 stands in elsewhere."""
-        return np.where(self.norm > 0.0, np.abs(self.weights).sum(axis=-1), 1.0)
+        return np.where(self.norm > 0.0, self.abs_weights.sum(axis=-1), 1.0)
 
     @cached_property
     def g_sum(self) -> np.ndarray:
         """sum |c_i| (x_i - mu)."""
-        return dot(np.abs(self.weights), self.data - self.model.mean)
+        return dot(self.abs_weights, self.data - self.model.mean)
+
+    @cached_property
+    def alpha1_sum(self) -> np.ndarray:
+        """sum c_i 1(x_i <= x)."""
+        return dot(self.weights, self.indicators)
+
+    @cached_property
+    def alpha2_sum(self) -> np.ndarray:
+        """sum |c_i| (1(x_i <= x) - F(x)), F the model CDF."""
+        return dot(self.abs_weights, self.indicators - self.model.cdf(self.x))
 
     @cached_property
     def resampled_mean(self) -> np.ndarray:
@@ -468,10 +487,14 @@ class _Block:
         mean = self.resampled_mean
         deviations = self.data - mean[:, None]
         variance = dot(self.counts, deviations * deviations) / self.m
-        drawn = self.counts > 0.0
-        one_value = (np.where(drawn, self.data, np.inf).min(axis=1)
-                     == np.where(drawn, self.data, -np.inf).max(axis=1))
-        return np.sqrt(np.where((variance <= 1e-28 * mean * mean) & one_value, 0.0, variance))
+        # As in bootstrap_variance, only a tiny variance needs the exact test.
+        tiny = variance <= 1e-28 * mean * mean
+        if tiny.any():
+            drawn = self.counts > 0.0
+            one_value = (np.where(drawn, self.data, np.inf).min(axis=1)
+                         == np.where(drawn, self.data, -np.inf).max(axis=1))
+            variance = np.where(tiny & one_value, 0.0, variance)
+        return np.sqrt(variance)
 
 
 def _spread(f: np.ndarray) -> np.ndarray:
@@ -502,8 +525,7 @@ def _tilde(b: _Block, numerator: np.ndarray) -> _Values:
 def _alpha2(b: _Block, f: np.ndarray) -> _Values:
     """An alpha2 pivot at the ECDF value f, centred at the model CDF at x."""
     f_true = b.model.cdf(b.x)
-    return _scaled(b, dot(np.abs(b.weights), b.indicators - f_true), _spread(f),
-                   0.0 < f_true < 1.0)
+    return _scaled(b, b.alpha2_sum, _spread(f), 0.0 < f_true < 1.0)
 
 
 # The pivot kernels: each kind's scalar function on a block's replicates.
@@ -516,10 +538,8 @@ _PIVOTS: dict[PivotKind, Callable[[_Block], _Values]] = {
     PivotKind.G_DOUBLE_STAR: lambda b: _scaled(b, b.g_sum, b.resampled_std),
     PivotKind.T_TILDE: lambda b: _tilde(b, b.t_sum),
     PivotKind.G_TILDE: lambda b: _tilde(b, b.g_sum),
-    PivotKind.ALPHA1_HAT: lambda b: _scaled(b, dot(b.weights, b.indicators),
-                                            _spread(b.ecdf)),
-    PivotKind.ALPHA1_HAT_HAT: lambda b: _scaled(b, dot(b.weights, b.indicators),
-                                                _spread(b.resampled_ecdf)),
+    PivotKind.ALPHA1_HAT: lambda b: _scaled(b, b.alpha1_sum, _spread(b.ecdf)),
+    PivotKind.ALPHA1_HAT_HAT: lambda b: _scaled(b, b.alpha1_sum, _spread(b.resampled_ecdf)),
     PivotKind.ALPHA2_HAT: lambda b: _alpha2(b, b.ecdf),
     PivotKind.ALPHA2_HAT_HAT: lambda b: _alpha2(b, b.resampled_ecdf),
 }
@@ -545,7 +565,7 @@ def _interval(b: _Block, alpha: float, centre: np.ndarray, scale: np.ndarray,
 
 def _weighted_mean(b: _Block) -> np.ndarray:
     """weighted_mean_estimator: sum |c_i| x_i / sum |c|."""
-    return dot(np.abs(b.weights), b.data) / b.sum_abs
+    return dot(b.abs_weights, b.data) / b.sum_abs
 
 
 # The interval recipes: the kernel that gives a block's intervals as the

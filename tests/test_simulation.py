@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from pivotboot import simulation
 from pivotboot.errors import PivotbootError
-from pivotboot.estimators import Sample, ecdf
+from pivotboot.estimators import Sample, bootstrap_variance, ecdf
 from pivotboot.intervals import (IntervalTarget, ci_ecdf, ci_finite_pop_mean,
                                  ci_population_mean, ci_sample_mean, ci_superpop_mean)
 from pivotboot.jsonio import dumps
@@ -38,7 +38,7 @@ from pivotboot.simulation import (
     run_table2,
     sample_model,
 )
-from pivotboot.weights import (WeightScheme, WeightVector, center, draw_multinomial_batch,
+from pivotboot.weights import (WeightScheme, WeightVector, center, dot, draw_multinomial_batch,
                                draw_resample_counts)
 
 
@@ -473,6 +473,8 @@ class TestHarnessWhiteBox:
                                    "cdf")),
            **DESIGN)
     @example(recipe="population", model="normal01", n=2, m=2, reps=67, seed=2)
+    # block 0 mixes one-value rows (S* = 0) with ordinary ones; block 1 has no tiny variance
+    @example(recipe="finitepop", model="poisson1", n=3, m=2, reps=33, seed=3)
     def test_coverage(self, recipe, model, n, m, reps, seed):
         alpha, x = 0.2, 0.5
         report = run_coverage(recipe, model, n, m, alpha, reps, seed,
@@ -503,6 +505,8 @@ class TestHarnessWhiteBox:
     @settings(max_examples=25, deadline=None)
     @given(**DESIGN)
     @example(model="poisson1", n=2, m=2, reps=67, seed=13)
+    # block 0 mixes one-value rows (S* = 0) with ordinary ones; block 1 has no tiny variance
+    @example(model="poisson1", n=3, m=2, reps=33, seed=1)
     def test_pivot_clt(self, model, n, m, reps, seed):
         kinds, threshold, x = list(PivotKind), 0.385320, 0.5
         report = pivot_clt_frequencies(kinds, model, n, m, threshold, reps, seed, x=x)
@@ -540,6 +544,37 @@ class TestHarnessWhiteBox:
                 continue
             outcomes.append(refined_contains(t_value, ReplicateSet(values, B, m), alpha))
         assert_cell(report.cells[0], outcomes)
+
+
+def test_resampled_std_one_value_guard():
+    # One block, m = 3.  Row 0 draws 0.1 three times: its resampled mean
+    # rounds to 0.10000000000000002 and leaves a raw variance of 1.9e-34.
+    # Row 1 draws 1e16 twice and 1e16 + 2 once: its variance, 4/3, passes
+    # the tiny test, but the values differ.  Rows 2 and 3 are ordinary.
+    data = np.array([[0.1, 1.0, 2.0], [1e16, 1e16 + 2.0, 7.0], [0.5, 1.5, 2.5],
+                     [2.0, 1.0, 3.0]])
+    counts = np.array([[3, 0, 0], [2, 1, 0], [2, 1, 0], [1, 0, 2]], dtype=float)
+    b = simulation._Block(MODELS["normal01"], data, counts, 3)
+    scalar = [math.sqrt(bootstrap_variance(Sample.from_values(values),
+                                           WeightVector(c, 3.0, WeightScheme.MULTINOMIAL)))
+              for values, c in zip(data, counts)]
+    assert scalar[0] == 0.0 and scalar[1] > 1.0
+    assert b.resampled_std.tolist() == scalar
+
+
+def test_pivot_law_block_takes_each_inner_product_once(monkeypatch):
+    # two for the data's variance and the weights' norm, one each for the
+    # resampled ECDF, t_sum, g_sum, the resampled mean and variance, and the
+    # alpha1 and alpha2 sums, which two kinds each share
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return dot(a, b)
+
+    monkeypatch.setattr(simulation, "dot", counted)
+    pivot_clt_frequencies(list(PivotKind), "normal01", 20, 20, 1.6, BLOCK, seed=19, x=0.0)
+    assert len(calls) == 9
 
 
 HARNESSES = {
