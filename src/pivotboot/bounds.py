@@ -12,6 +12,7 @@ bound for each pivot family.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import InadmissibleParamsError
@@ -60,6 +61,9 @@ class BoundParams:
             raise InadmissibleParamsError("n and m must be at least 1")
         if not (self.delta > 0 and 0 < self.eps < 1):  # the first term has (1 - eps)^-3
             raise InadmissibleParamsError("delta must be positive and eps in (0, 1)")
+        for name in ("delta", "eps1", "eps2", "third_abs_moment_ratio", "p_var_dev", "C"):
+            if not math.isfinite(getattr(self, name)):
+                raise InadmissibleParamsError(f"{name} must be finite")
         if self.eps1 < 0 or self.eps2 < 0:
             raise InadmissibleParamsError("eps1 and eps2 cannot be negative")
         if not 0.0 <= self.p_var_dev <= 1.0:

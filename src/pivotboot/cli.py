@@ -36,6 +36,7 @@ from importlib import import_module
 
 from . import RECIPES, __version__
 from .bounds import (
+    DEFAULT_UNIVERSAL_CONSTANT,
     BoundParams,
     RateKind,
     bound_terms,
@@ -149,8 +150,6 @@ def _weights_from_file(path: str, n: int) -> WeightVector:
     if len(values) != n:
         raise _CliError(f"weights file has {len(values)} entries, data has {n}")
     arr = np.asarray(values)
-    if np.any(arr < 0):
-        raise _CliError("weights must be nonnegative")
     integral = bool(np.array_equal(arr, np.round(arr)))
     scheme = WeightScheme.MULTINOMIAL if integral else WeightScheme.IID_POSITIVE
     return WeightVector(counts=arr, m=float(arr.sum()), scheme=scheme)
@@ -233,18 +232,12 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
 
 
 def _render_table(report_dict: dict) -> str:
-    cells = report_dict["cells"]
-    stats = list(dict.fromkeys(c["statistic"] for c in cells))
-    header = ["Distribution", "n"] + stats
-    row = [cells[0]["distribution"], repr(cells[0]["n"])]
-    by_stat = {c["statistic"]: c["frequency"] for c in cells}
-    row += [repr(by_stat[s]) for s in stats]
-    widths = [max(len(header[i]), len(row[i])) for i in range(len(header))]
-    lines = [
-        "  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip(),
-        "  ".join(row[i].ljust(widths[i]) for i in range(len(header))).rstrip(),
-    ]
-    return "\n".join(lines)
+    cells = report_dict["cells"]  # one per statistic
+    header = ["Distribution", "n"] + [c["statistic"] for c in cells]
+    row = [cells[0]["distribution"], repr(cells[0]["n"])] + [repr(c["frequency"]) for c in cells]
+    widths = [max(len(h), len(r)) for h, r in zip(header, row)]
+    return "\n".join("  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip()
+                     for line in (header, row))
 
 
 def _cmd_table(args: argparse.Namespace) -> dict | str:
@@ -392,9 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--band", type=float, default=0.01)
     p_table.add_argument("--B", type=int, default=9)
     p_table.add_argument("--threads", type=int, default=1)
-    output = p_table.add_mutually_exclusive_group()
-    output.add_argument("--json", dest="text", action="store_false", default=False)
-    output.add_argument("--text", dest="text", action="store_true")
+    p_table.add_argument("--text", action="store_true")
     add_common(p_table)
     p_table.set_defaults(func=_cmd_table)
 
@@ -416,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--ratio", type=float, default=None,
                          help="third absolute moment ratio E|X-mu|^3 / sigma^(3/2)")
     p_bound.add_argument("--p-var-dev", type=float, default=0.0)
-    p_bound.add_argument("--C", type=float, default=0.56)
+    p_bound.add_argument("--C", type=float, default=DEFAULT_UNIVERSAL_CONSTANT)
     add_common(p_bound)
     p_bound.set_defaults(func=_cmd_bound)
 

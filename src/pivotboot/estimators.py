@@ -36,6 +36,8 @@ class Sample:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("a sample needs at least one observation")
+        if not np.isfinite(values).all():
+            raise ValueError("sample values must be finite")
         values.setflags(write=False)
         mean = float(values.mean())
         centered = values - mean

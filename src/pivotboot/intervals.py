@@ -72,7 +72,7 @@ class Interval:
     clamped: bool = False
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        if not self.lo <= self.hi:  # NaN ends fail too
             raise ValueError("interval bounds out of order")
         if not 0.0 < self.level < 1.0:
             raise ValueError("confidence level must lie in (0, 1)")

@@ -13,9 +13,9 @@ import math
 __all__ = ["dumps"]
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(obj, level: int) -> str:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None or isinstance(obj, bool):
         return json.dumps(obj)
     if isinstance(obj, float):
@@ -30,18 +30,18 @@ def _render(obj, indent: int, level: int) -> str:
         if not obj:
             return "{}"
         items = (
-            f"{pad}{json.dumps(str(key))}: {_render(value, indent, level + 1)}"
+            f"{pad}{json.dumps(str(key))}: {_render(value, level + 1)}"
             for key, value in sorted(obj.items())
         )
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = (f"{pad}{_render(value, indent, level + 1)}" for value in obj)
+        items = (f"{pad}{_render(value, level + 1)}" for value in obj)
         return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Serialize to deterministic JSON (sorted keys, %.17g floats)."""
-    return _render(obj, indent, 0)
+def dumps(obj) -> str:
+    """Serialize to deterministic JSON (sorted keys, %.17g floats, 2-space indent)."""
+    return _render(obj, 0)

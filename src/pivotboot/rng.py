@@ -19,7 +19,6 @@ call, then their weights.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 
@@ -38,11 +37,8 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed}")
 
 
-# Bounded, so a long-lived caller drawing at many seeds keeps at most this many
-# keys.  Philox takes uint64 word arrays (low word first) a third faster than ints.
-@functools.lru_cache(maxsize=64)
 def _philox_key(seed: int, purpose: str) -> np.ndarray:
-    """The 128-bit key as two uint64 words, read-only (shared by the cache)."""
+    """The 128-bit key as two uint64 words (Philox takes these faster than an int)."""
     check_seed(seed)
     digest = hashlib.sha256(struct.pack("<q", seed) + purpose.encode("utf-8")).digest()
     return np.frombuffer(digest[:16], dtype="<u8")

@@ -400,6 +400,7 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
         # Row 0 weighs g*: its block centres a copy, so it is scored before
         # the block of all rows centres the counts in place.
         scored = _table_scores(_Block(model, data, counts[:, 0], m), threshold)
+        # All B + 1 contiguous rows, first=1 skips row 0: counts[:, 1:] gives the same bits, slower
         every = _Block(model, data[:, None], counts, m)
         return (*scored, _score(*_below_cutoff(every, B - 1, first=1)))
 

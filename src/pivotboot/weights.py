@@ -10,7 +10,6 @@ statistic in this package.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -116,31 +115,20 @@ class CenteredWeights:
         return math.sqrt(self.sum_squares)
 
 
-# Bounded, so a long-lived caller drawing at many sizes n keeps at most
-# this many probability vectors.
-@functools.lru_cache(maxsize=64)
-def _uniform_pvals(n: int) -> np.ndarray:
-    """The cell probabilities (1/n, ..., 1/n), read-only (shared by the cache)."""
-    pvals = np.full(n, 1.0 / n)
-    pvals.flags.writeable = False
-    return pvals
-
-
 def draw_multinomial_weights(n: int, m: int, stream: np.random.Generator) -> WeightVector:
     """Draw counts ~ multinomial(m; 1/n, ..., 1/n) from the given stream.
 
     The generator's multinomial sampler is the sequential conditional
     binomial method, exact and O(n) regardless of ``m``.
     """
-    _validate_sizes(n, m)
-    counts = stream.multinomial(m, _uniform_pvals(n))
-    return WeightVector(counts=counts.astype(float), m=float(m), scheme=WeightScheme.MULTINOMIAL)
+    counts = draw_multinomial_batch(n, m, 1, stream)[0]
+    return WeightVector(counts=counts, m=float(m), scheme=WeightScheme.MULTINOMIAL)
 
 
 def draw_multinomial_batch(n: int, m: int, size: int, stream: np.random.Generator) -> np.ndarray:
     """Draw ``size`` independent multinomial(m; 1/n, ...) count rows at once."""
     _validate_sizes(n, m)
-    return stream.multinomial(m, _uniform_pvals(n), size=size).astype(float)
+    return stream.multinomial(m, np.full(n, 1.0 / n), size=size).astype(float)
 
 
 def draw_resample_counts(n: int, m: int, rows: int, stream: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Bound tests: the dual-transcription oracle lives here, written in rational
 arithmetic with different term grouping than the library implementation."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,14 @@ class TestDeltaN:
             with pytest.raises(InadmissibleParamsError, match="eps in \\(0, 1\\)"):
                 params(50, 50, eps=eps)
         assert berry_esseen_bound(params(50, 50, eps=0.999)) > 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["delta", "eps", "eps1", "eps2", "third_abs_moment_ratio",
+                                       "p_var_dev", "C"])
+    def test_non_finite_parameter_named(self, field, value):
+        # nan in the ratio or C gave a NaN first term, and inf a ZeroDivisionError
+        with pytest.raises(InadmissibleParamsError, match=rf"\b{field}\b"):
+            params(50, 50, **{field: value})
 
 
 class TestBerryEsseenBound:

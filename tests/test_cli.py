@@ -108,6 +108,14 @@ class TestCiCommand:
         if name == "nan.txt":
             assert name in err and "line 3" in err
 
+    def test_negative_weights_file_exits_2(self, capsys, data_file, tmp_path):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("3\n-1\n")
+        code, out, err = run_cli(capsys, "ci", data_file, "--method", "population",
+                                 "--weights-file", str(wfile), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "nonnegative" in err
+
     def test_weights_file_drives_interval(self, capsys, data_file, tmp_path):
         wfile = tmp_path / "w.txt"
         wfile.write_text("2\n0\n")
@@ -232,6 +240,26 @@ class TestTableCommand:
             assert float(rendered) == float(results[stat])
             assert rendered == repr(float(results[stat]))
 
+    # The exact bytes, column padding included, of one small run of each table.
+    @pytest.mark.parametrize("which, expected", [
+        ("1", "Distribution  n   emp_G_star           emp_T\n"
+              "poisson1      10  0.42857142857142855  0.5714285714285714\n"),
+        ("2", "Distribution  n   emp_G_star           emp_T               emp_boot\n"
+              "poisson1      10  0.42857142857142855  0.2857142857142857  0.0\n"),
+    ])
+    def test_text_bytes_pinned(self, capsys, which, expected):
+        code, out, _ = run_cli(capsys, "table", "--which", which, "--model", "poisson1",
+                               "--n", "10", "--outer", "7", "--inner", "20", "--B", "3",
+                               "--seed", "9", "--text")
+        assert (code, out) == (0, expected)
+
+    def test_json_flag_is_gone(self, capsys):
+        # JSON is the only other output, so --json selected nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--which", "1", "--model", "poisson1", "--n", "10", "--json"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
 
 class TestYdistCommand:
     def test_b9_output(self, capsys):
@@ -299,6 +327,16 @@ class TestBoundCommand:
         )
         assert code == 2
         assert "delta > (eps1/eps)^2 + p_var_dev + eps2" in err
+
+    def test_non_finite_ratio_names_the_field(self, capsys):
+        # this exited 2 only when the report was written, on its NaN first term
+        code, out, err = run_cli(
+            capsys, "bound", "--n", "50", "--m", "50", "--delta", "0.5",
+            "--eps", "0.5", "--eps1", "0.1", "--eps2", "0.1", "--ratio", "nan",
+            "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "third_abs_moment_ratio must be finite" in err
 
     @pytest.mark.parametrize("eps", ["1", "1.2"])
     def test_eps_at_least_one_exits_2(self, capsys, eps):

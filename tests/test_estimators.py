@@ -48,6 +48,12 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample.from_values([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN would give a NaN mean, and ci_population_mean Interval(nan, nan)
+        with pytest.raises(ValueError, match="finite"):
+            Sample.from_values([1.0, bad, 2.0])
+
     def test_callers_array_stays_writable_and_detached(self):
         values = np.array([1.0, 2.0, 6.0])
         s = Sample.from_values(values)

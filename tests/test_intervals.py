@@ -16,6 +16,7 @@ from pivotboot.errors import (
 from pivotboot.estimators import Sample, ecdf
 from pivotboot.gaussian import normal_cdf, normal_quantile
 from pivotboot.intervals import (
+    Interval,
     IntervalTarget,
     ci_ecdf,
     ci_finite_pop_mean,
@@ -273,6 +274,12 @@ class TestDualities:
 
 
 class TestIntervalGeometry:
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan),
+                                        (1.0, 0.0)])
+    def test_nan_or_reversed_ends_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="out of order"):
+            Interval(lo, hi, 0.9, IntervalTarget.POPULATION_MEAN, "population")
+
     def test_monotone_nesting(self):
         for r in range(50):
             s, w, cw = random_instance(r)
