@@ -13,9 +13,9 @@ mode are execution knobs and deliberately excluded from the manifest;
 ``--timestamp`` pins the one field that would otherwise change between
 reruns.
 
-Exit codes: 0 success, 2 usage or configuration error (including
-non-finite input data, a non-finite result or a design too large for
-memory), 3 degenerate weights exhausted the redraw budget.
+Exit codes: 0 success, also when the reader closes stdout early; 2 usage
+or configuration error (non-finite input data or result, or a design too
+large for memory); 3 degenerate weights exhausted the redraw budget.
 
 Each subcommand imports only the modules it runs: the library names that
 the commands call are bound here to stubs that import their module on first
@@ -442,7 +442,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("pivotboot: error: design too large for the available memory", file=sys.stderr)
         return EXIT_USAGE
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader stopped early; the work is done
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush cannot fail
     return EXIT_OK
 
 

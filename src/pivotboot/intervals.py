@@ -22,17 +22,13 @@ import math
 from dataclasses import dataclass
 
 from . import RECIPES
-from .errors import (
-    DegenerateScaleError,
-    DegenerateWeightsError,
-    ZeroBootstrapVarianceError,
-    ZeroVarianceError,
-)
+from .errors import DegenerateScaleError, DegenerateWeightsError
 from .estimators import (
     Sample,
     bootstrap_ecdf,
     bootstrap_mean,
-    bootstrap_variance,
+    bootstrap_std,
+    sample_std,
     weighted_mean_estimator,
 )
 from .gaussian import normal_quantile
@@ -91,56 +87,44 @@ def _two_sided_cutoff(alpha: float) -> float:
     return normal_quantile(1.0 - alpha / 2.0)
 
 
-def ci_population_mean(s: Sample, cw: CenteredWeights, alpha: float) -> Interval:
-    """Interval for the underlying population mean."""
+def _mean_interval(target: IntervalTarget, recipe: str, s: Sample, w: WeightVector | None,
+                   cw: CenteredWeights, alpha: float, *, resampled: bool,
+                   population: bool) -> Interval:
+    """centre +/- z scale sqrt(V^2) / divisor, checked in the order alpha, weights, scale,
+    centre: the scale is S* if ``resampled``, else S_n; a ``population`` form centres at
+    the weighted-mean estimate with divisor sum|c|, the others at the resampled mean with 1."""
     z = _two_sided_cutoff(alpha)
     norm = cw.norm
-    if s.variance <= 0.0:
-        raise ZeroVarianceError("sample variance is zero")
-    center_value = weighted_mean_estimator(s, cw)  # raises on sum_abs == 0
-    half = z * s.std * norm / cw.sum_abs
-    return Interval(center_value - half, center_value + half, 1.0 - alpha,
-                    IntervalTarget.POPULATION_MEAN, "ci_population_mean")
+    scale = bootstrap_std(s, w) if resampled else sample_std(s)
+    center_value = weighted_mean_estimator(s, cw) if population else bootstrap_mean(s, w)
+    half = z * scale * norm / (cw.sum_abs if population else 1.0)  # x / 1.0 is exactly x
+    return Interval(center_value - half, center_value + half, 1.0 - alpha, target, recipe)
+
+
+def ci_population_mean(s: Sample, cw: CenteredWeights, alpha: float) -> Interval:
+    """Interval for the underlying population mean."""
+    return _mean_interval(IntervalTarget.POPULATION_MEAN, "ci_population_mean", s, None, cw,
+                          alpha, resampled=False, population=True)
 
 
 def ci_sample_mean(s: Sample, w: WeightVector, cw: CenteredWeights, alpha: float) -> Interval:
     """Interval covering the observed sample mean."""
-    z = _two_sided_cutoff(alpha)
-    norm = cw.norm
-    if s.variance <= 0.0:
-        raise ZeroVarianceError("sample variance is zero")
-    center_value = bootstrap_mean(s, w)
-    half = z * s.std * norm
-    return Interval(center_value - half, center_value + half, 1.0 - alpha,
-                    IntervalTarget.SAMPLE_MEAN, "ci_sample_mean")
+    return _mean_interval(IntervalTarget.SAMPLE_MEAN, "ci_sample_mean", s, w, cw, alpha,
+                          resampled=False, population=False)
 
 
 def ci_finite_pop_mean(s: Sample, w: WeightVector, cw: CenteredWeights, alpha: float) -> Interval:
     """Interval covering a finite-population mean, scaled by the resampled
     standard deviation (the sample here plays the role of the population)."""
-    z = _two_sided_cutoff(alpha)
-    norm = cw.norm
-    resampled_var = bootstrap_variance(s, w)
-    if resampled_var <= 0.0:
-        raise ZeroBootstrapVarianceError("resampled variance is zero")
-    center_value = bootstrap_mean(s, w)
-    half = z * math.sqrt(resampled_var) * norm
-    return Interval(center_value - half, center_value + half, 1.0 - alpha,
-                    IntervalTarget.FINITE_POP_MEAN, "ci_finite_pop_mean")
+    return _mean_interval(IntervalTarget.FINITE_POP_MEAN, "ci_finite_pop_mean", s, w, cw, alpha,
+                          resampled=True, population=False)
 
 
 def ci_superpop_mean(s: Sample, w: WeightVector, cw: CenteredWeights, alpha: float) -> Interval:
     """Interval for the mean of the infinite super-population behind the
     observed finite population."""
-    z = _two_sided_cutoff(alpha)
-    norm = cw.norm
-    resampled_var = bootstrap_variance(s, w)
-    if resampled_var <= 0.0:
-        raise ZeroBootstrapVarianceError("resampled variance is zero")
-    center_value = weighted_mean_estimator(s, cw)
-    half = z * math.sqrt(resampled_var) * norm / cw.sum_abs
-    return Interval(center_value - half, center_value + half, 1.0 - alpha,
-                    IntervalTarget.SUPER_POP_MEAN, "ci_superpop_mean")
+    return _mean_interval(IntervalTarget.SUPER_POP_MEAN, "ci_superpop_mean", s, w, cw, alpha,
+                          resampled=True, population=True)
 
 
 def ci_ecdf(

@@ -35,8 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NonIntegerRankError, ZeroVarianceError
-from .estimators import Sample
+from .errors import DomainError, NonIntegerRankError
+from .estimators import Sample, sample_std
 from .gaussian import normal_cdf, normal_pdf
 from .pivots import t_star
 from .weights import center, dot, draw_multinomial_weights, nondegenerate
@@ -174,8 +174,7 @@ def draw_replicates(
     next row, within the budget of :func:`~pivotboot.weights.nondegenerate`,
     and counted in ``degenerate_redraws``.
     """
-    if s.variance <= 0.0:
-        raise ZeroVarianceError("sample variance is zero")
+    sample_std(s)  # ZeroVarianceError before any draw
     if B < 2:
         raise DomainError("B must be at least 2")
 

@@ -30,13 +30,8 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DegenerateScaleError,
-    MuArityError,
-    ZeroBootstrapVarianceError,
-    ZeroVarianceError,
-)
-from .estimators import Sample, bootstrap_ecdf, bootstrap_variance, ecdf
+from .errors import DegenerateScaleError, MuArityError
+from .estimators import Sample, bootstrap_ecdf, bootstrap_std, ecdf, sample_std
 from .weights import CenteredWeights, WeightVector, dot
 
 __all__ = [
@@ -79,9 +74,7 @@ EMPIRICAL_KINDS = {
 
 def student_t(s: Sample, mu: float) -> float:
     """Classical Studentized mean: (xbar - mu) / (S_n / sqrt(n))."""
-    if s.variance <= 0.0:
-        raise ZeroVarianceError("sample variance is zero")
-    return (s.mean - mu) / (s.std / math.sqrt(s.n))
+    return (s.mean - mu) / (sample_std(s) / math.sqrt(s.n))
 
 
 def t_star(s: Sample, cw: CenteredWeights) -> float:
@@ -89,16 +82,14 @@ def t_star(s: Sample, cw: CenteredWeights) -> float:
 
     Identically equals (resampled mean - sample mean) / (S_n sqrt(V^2)).
     """
-    if s.variance <= 0.0:
-        raise ZeroVarianceError("sample variance is zero")
-    return float(dot(cw.values, s.values)) / (s.std * cw.norm)
+    scale = sample_std(s)
+    return float(dot(cw.values, s.values)) / (scale * cw.norm)
 
 
 def g_star(s: Sample, cw: CenteredWeights, mu: float) -> float:
     """Absolute-weight pivot for the population mean ``mu``."""
-    if s.variance <= 0.0:
-        raise ZeroVarianceError("sample variance is zero")
-    return float(dot(np.abs(cw.values), s.values - mu)) / (s.std * cw.norm)
+    scale = sample_std(s)
+    return float(dot(np.abs(cw.values), s.values - mu)) / (scale * cw.norm)
 
 
 def starred_variant(
@@ -121,10 +112,7 @@ def starred_variant(
         raise MuArityError(f"{kind.value} requires mu")
     if not g_form and mu is not None:
         raise MuArityError(f"{kind.value} does not take mu")
-    resampled_var = bootstrap_variance(s, w)
-    if resampled_var <= 0.0:
-        raise ZeroBootstrapVarianceError("resampled variance is zero")
-    resampled_std = math.sqrt(resampled_var)
+    resampled_std = bootstrap_std(s, w)
     if g_form:
         numerator = float(dot(np.abs(cw.values), s.values - mu))
     else:

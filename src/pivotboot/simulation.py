@@ -251,7 +251,6 @@ class SimConfig:
             "threshold": self.threshold if self.threshold is not None else default_threshold,
             "nominal": self.nominal if self.nominal is not None else default_nominal,
             "tolerance_band": self.tolerance_band,
-            "B": self.B,
             "seed": self.seed,
             "studentize_ddof": STUDENTIZE_DDOF,
         }
@@ -388,7 +387,7 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     cancels; a tie is a hit).  Each outer cell's stream draws the data of all
     its inner replicates, then all their weight rows.
     """
-    resolved = cfg.resolved(TABLE2_THRESHOLD, TABLE2_NOMINAL)
+    resolved = {**cfg.resolved(TABLE2_THRESHOLD, TABLE2_NOMINAL), "B": cfg.B}  # B: table 2 only
     model = resolve_model(resolved["model"])
     n, m, B, T = resolved["n"], resolved["m"], resolved["B"], resolved["inner_reps"]
     threshold, seed = resolved["threshold"], resolved["seed"]

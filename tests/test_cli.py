@@ -260,6 +260,19 @@ class TestTableCommand:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_table1_ignores_B(self, capsys):
+        # table 1 draws no replicate pivots, so its manifest records no B
+        def run(which, B):
+            code, out, _ = run_cli(capsys, "table", "--which", which, "--model", "poisson1",
+                                   "--n", "10", "--outer", "3", "--inner", "20", "--B", B,
+                                   "--seed", "1", "--timestamp", "T0")
+            assert code == 0
+            return out
+
+        assert run("1", "7") == run("1", "9")
+        assert "B" not in json.loads(run("1", "7"))["manifest"]["config"]
+        assert json.loads(run("2", "7"))["manifest"]["config"]["B"] == 7
+
 
 class TestYdistCommand:
     def test_b9_output(self, capsys):
@@ -604,6 +617,33 @@ class TestExitCodeProperty:
         assert "Traceback" not in err
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--kind", "GStarRate", "--n", "50", "--m", "50"],
+        ["table", "--which", "2", "--model", "poisson1", "--n", "10", "--outer", "2",
+         "--inner", "3"],
+    ], ids=["bound", "table"])
+    def test_closed_pipe_exits_0(self, argv):
+        # The read end closes before the child starts, so every write fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "pivotboot.cli", *argv, "--seed", "1"], env=fresh_env(),
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, "")
+
+
 class TestRuntimeDependencies:
     """Each subcommand imports only what it runs, seen in a fresh interpreter."""
 
@@ -614,10 +654,7 @@ class TestRuntimeDependencies:
     def fresh_python(*args: str) -> str:
         """stdout of ``python *args`` in a fresh interpreter importing this
         checkout's package."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        result = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+        result = subprocess.run([sys.executable, *args], env=fresh_env(), capture_output=True,
                                 text=True, timeout=120, check=True)
         return result.stdout
 

@@ -115,13 +115,13 @@ GOLDEN = {
     "refined_ci/normal01/n2":
         "69d570a9248f91922d9db26f4eee78600200e32a8d11cab8a307a5c99ec4c2e7",
     "table1/exponential1/10":
-        "a78d2269da6dc2194a64ae56b62aa53848daedf7108cbace3dc007d6cc989115",
+        "26f98c4b4d33ed17fe80c9e535e29beb1c55cba7ba5ddce27e568d0c9af3fed7",
     "table1/lognormal01/10":
-        "de6fdb10018ee9774fc4ee542aef1d706be9218743037159e8aaf075c46db1fb",
+        "7a1c3dcd63f9db6d61ecde60c8cdca8d2561493dfd03b18ed8b786a500b07141",
     "table1/normal01/2":
-        "e255e7d227e1a3dee0719f5283e949e9e8e6f8f5dd66782b8efcded69c863da0",
+        "e96d78b964db9b9bec3dee07d215c899dd69003c749dfc9f696bca11f86d3d02",
     "table1/poisson1/10":
-        "bc54cb5f56ed64bc208c09a060728997c174314358cc474d66c7e5002aa9890c",
+        "9a5ab77fb096b16c470437b442b197f4fc926e10b92adc72a8f29a671c9817e1",
     "table2/exponential1/10":
         "4eca4270f393151c655d82c9df5006df3346b3c7291aeed39156a291c98cb65e",
     "table2/lognormal01/10":

@@ -1,5 +1,6 @@
 """Every name a module of the package imports at module level is used in that
-module: read, or listed in its ``__all__``; and no module reaches BLAS or
+module: read, or listed in its ``__all__``; every private module-level
+definition is read somewhere in the package; and no module reaches BLAS or
 LAPACK."""
 
 import ast
@@ -49,6 +50,35 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = imported_names(tree) - used_names(tree)
     assert unused == UNUSED_FOR_BENCHMARK.get(path.name, set())
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions, classes and constants whose names start with
+    one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, as a name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_private_definition_is_read():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    unread = {f"{name}: {private}" for name, tree in trees.items()
+              for private in private_definitions(tree) - read}
+    assert unread == set()
 
 
 # numpy's products and modules that call BLAS or LAPACK, whose summation order

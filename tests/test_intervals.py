@@ -9,7 +9,9 @@ from scipy.special import ndtri
 from pivotboot.errors import (
     DegenerateScaleError,
     DegenerateWeightsError,
+    DimensionMismatchError,
     DomainError,
+    MuArityError,
     ZeroBootstrapVarianceError,
     ZeroVarianceError,
 )
@@ -24,6 +26,7 @@ from pivotboot.intervals import (
     ci_sample_mean,
     ci_superpop_mean,
 )
+from pivotboot.multi_bootstrap import draw_replicates
 from pivotboot.pivots import PivotKind, empirical_pivot, g_star, starred_variant, t_star
 from pivotboot.rng import substream
 from pivotboot.weights import WeightScheme, WeightVector, center, draw_multinomial_weights
@@ -308,3 +311,85 @@ class TestQuantileExtremes:
         for p in (5e-324, 1e-310, 1e-300):
             value = normal_quantile(p)
             assert math.isfinite(value) and value < -37.0
+
+
+# Double-fault inputs: each pivot and recipe checks in a fixed order (for the
+# recipes alpha, weight norm, scale, centre), so two faults at once raise the
+# first check's error.  CONSTANT has zero sample variance and zero resampled
+# variance under any weights; FLAT centres to all zeros; ONE_DRAW resamples
+# only THREE's first value; FOUR has the wrong length for CONSTANT.
+CONSTANT = Sample.from_values([2.0, 2.0, 2.0])
+FLAT, ONE_DRAW, FOUR = mw([1, 1, 1]), mw([3, 0, 0]), mw([2, 1, 1, 0])
+RECIPE_CALLS = {
+    "population": lambda s, w, cw, alpha: ci_population_mean(s, cw, alpha),
+    "sample": ci_sample_mean,
+    "finitepop": ci_finite_pop_mean,
+    "superpop": ci_superpop_mean,
+    "ecdf": lambda s, w, cw, alpha: ci_ecdf(s, w, cw, 1.0, alpha, IntervalTarget.ECDF_VALUE),
+    "cdf": lambda s, w, cw, alpha: ci_ecdf(s, w, cw, 1.0, alpha, IntervalTarget.CDF_VALUE),
+}
+STARRED = (PivotKind.T_DOUBLE_STAR, PivotKind.G_DOUBLE_STAR, PivotKind.T_TILDE,
+           PivotKind.G_TILDE)
+
+
+def starred(kind, s, w, mu=2.0):
+    """starred_variant with mu where the kind takes it."""
+    g_form = kind in (PivotKind.G_DOUBLE_STAR, PivotKind.G_TILDE)
+    return starred_variant(kind, s, w, center(w, w.n), mu if g_form else None)
+
+
+DOUBLE_FAULTS = {
+    # zero sample variance with degenerate weights
+    "t_star/zero-var+flat": (lambda: t_star(CONSTANT, center(FLAT, 3)), ZeroVarianceError),
+    "g_star/zero-var+flat": (lambda: g_star(CONSTANT, center(FLAT, 3), 2.0), ZeroVarianceError),
+    **{f"{kind.value}/zero-var+flat": (lambda kind=kind: starred(kind, CONSTANT, FLAT),
+                                       ZeroBootstrapVarianceError) for kind in STARRED},
+    "alpha1_hat/zero-var+flat": (
+        lambda: empirical_pivot(PivotKind.ALPHA1_HAT, CONSTANT, FLAT, center(FLAT, 3), 2.0),
+        DegenerateWeightsError),
+    "alpha2_hat_hat/zero-var+flat": (
+        lambda: empirical_pivot(PivotKind.ALPHA2_HAT_HAT, CONSTANT, FLAT, center(FLAT, 3), 2.0,
+                                f_true=0.5),
+        DegenerateWeightsError),
+    "draw_replicates/zero-var+B1": (
+        lambda: draw_replicates(CONSTANT, 1, 3, substream(1, "order")), ZeroVarianceError),
+    **{f"ci_{name}/zero-var+flat": (lambda call=call: call(CONSTANT, FLAT, center(FLAT, 3), 0.1),
+                                    DegenerateWeightsError)
+       for name, call in RECIPE_CALLS.items()},
+    # zero resampled variance with a bad alpha, or with a bad centring value
+    **{f"ci_{name}/zero-resampled-var+alpha": (
+        lambda call=call: call(THREE, ONE_DRAW, center(ONE_DRAW, 3), 1.5), ValueError)
+       for name, call in RECIPE_CALLS.items()},
+    "t_double_star/zero-resampled-var+mu": (
+        lambda: starred_variant(PivotKind.T_DOUBLE_STAR, THREE, ONE_DRAW, center(ONE_DRAW, 3),
+                                2.0),
+        MuArityError),
+    "alpha1_hat_hat/zero-resampled-var+f_true": (
+        lambda: empirical_pivot(PivotKind.ALPHA1_HAT_HAT, THREE, ONE_DRAW, center(ONE_DRAW, 3),
+                                1.0, f_true=0.5),
+        MuArityError),
+    # mismatched lengths with zero sample variance
+    "t_star/length+zero-var": (lambda: t_star(CONSTANT, center(FOUR, 4)), ZeroVarianceError),
+    "g_star/length+zero-var": (lambda: g_star(CONSTANT, center(FOUR, 4), 2.0),
+                               ZeroVarianceError),
+    **{f"{kind.value}/length+zero-var": (lambda kind=kind: starred(kind, CONSTANT, FOUR),
+                                         DimensionMismatchError) for kind in STARRED},
+    "alpha1_hat/length+zero-var": (
+        lambda: empirical_pivot(PivotKind.ALPHA1_HAT, CONSTANT, FOUR, center(FOUR, 4), 2.0),
+        DegenerateScaleError),
+    "alpha1_hat_hat/length+zero-var": (
+        lambda: empirical_pivot(PivotKind.ALPHA1_HAT_HAT, CONSTANT, FOUR, center(FOUR, 4), 2.0),
+        DimensionMismatchError),
+    **{f"ci_{name}/length+zero-var": (
+        lambda call=call: call(CONSTANT, FOUR, center(FOUR, 4), 0.1),
+        ZeroVarianceError if name in ("population", "sample") else DimensionMismatchError)
+       for name, call in RECIPE_CALLS.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(DOUBLE_FAULTS))
+def test_double_fault_raises_first_check(case):
+    call, error = DOUBLE_FAULTS[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
