@@ -152,7 +152,7 @@ def _weights_from_file(path: str, n: int) -> WeightVector:
     arr = np.asarray(values)
     integral = bool(np.array_equal(arr, np.round(arr)))
     scheme = WeightScheme.MULTINOMIAL if integral else WeightScheme.IID_POSITIVE
-    return WeightVector(counts=arr, m=float(arr.sum()), scheme=scheme)
+    return WeightVector(counts=arr, scheme=scheme)
 
 
 def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[WeightVector, int]:

@@ -238,8 +238,6 @@ class SimConfig:
             raise ValueError("threshold must be finite")
         if self.nominal is not None and not 0.0 < self.nominal < 1.0:
             raise ValueError("nominal level must lie in (0, 1)")
-        if self.B < 2:
-            raise ValueError("B must be at least 2")
 
     def resolved(self, default_threshold: float, default_nominal: float) -> dict:
         return {
@@ -387,7 +385,9 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     cancels; a tie is a hit).  Each outer cell's stream draws the data of all
     its inner replicates, then all their weight rows.
     """
-    resolved = {**cfg.resolved(TABLE2_THRESHOLD, TABLE2_NOMINAL), "B": cfg.B}  # B: table 2 only
+    if cfg.B < 2:  # table 2 only: table 1 reads no B
+        raise ValueError("B must be at least 2")
+    resolved = {**cfg.resolved(TABLE2_THRESHOLD, TABLE2_NOMINAL), "B": cfg.B}
     model = resolve_model(resolved["model"])
     n, m, B, T = resolved["n"], resolved["m"], resolved["B"], resolved["inner_reps"]
     threshold, seed = resolved["threshold"], resolved["seed"]

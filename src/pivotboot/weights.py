@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -55,11 +55,11 @@ class WeightScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative resampling counts summing to the resample size ``m``."""
+    """Nonnegative resampling counts; their total is the resample size ``m``."""
 
     counts: np.ndarray
-    m: float
     scheme: WeightScheme
+    m: float = field(init=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=float)
@@ -71,13 +71,9 @@ class WeightVector:
         # checks the two forms accept the same counts).
         if (counts < 0).any() or not np.isfinite(counts).all():
             raise ValueError("counts must be finite and nonnegative")
-        if self.scheme is WeightScheme.MULTINOMIAL:
-            if not (counts.round() == counts).all():
-                raise ValueError("multinomial counts must be integers")
-            if int(round(self.m)) != int(counts.sum()):
-                raise ValueError("resample size m must equal the count total")
-        elif not np.isclose(self.m, counts.sum(), rtol=1e-12, atol=0.0):
-            raise ValueError("resample size m must equal the count total")
+        if self.scheme is WeightScheme.MULTINOMIAL and not (counts.round() == counts).all():
+            raise ValueError("multinomial counts must be integers")
+        object.__setattr__(self, "m", float(counts.sum()))
         if self.m <= 0:
             raise ValueError("resample size m must be positive")
 
@@ -88,7 +84,8 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class CenteredWeights:
-    """Centered weight values ``w_i/m - 1/n`` with cached norms.
+    """Centered weight values ``w_i/m - 1/n`` with their norms, computed
+    once from the values.
 
     ``sum_squares`` is the squared Euclidean norm of the centered values and
     ``sum_abs`` their absolute sum; both scales appear in the pivot and
@@ -96,16 +93,16 @@ class CenteredWeights:
     """
 
     values: np.ndarray
-    sum_squares: float
-    sum_abs: float
+    sum_squares: float = field(init=False)
+    sum_abs: float = field(init=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if abs(values.sum()) > 1e-12:
             raise ValueError("centered weights must sum to zero")
-        if self.sum_squares < 0:
-            raise ValueError("sum of squares cannot be negative")
+        object.__setattr__(self, "sum_squares", float(dot(values, values)))
+        object.__setattr__(self, "sum_abs", float(np.abs(values).sum()))
 
     @property
     def norm(self) -> float:
@@ -122,7 +119,7 @@ def draw_multinomial_weights(n: int, m: int, stream: np.random.Generator) -> Wei
     binomial method, exact and O(n) regardless of ``m``.
     """
     counts = draw_multinomial_batch(n, m, 1, stream)[0]
-    return WeightVector(counts=counts, m=float(m), scheme=WeightScheme.MULTINOMIAL)
+    return WeightVector(counts=counts, scheme=WeightScheme.MULTINOMIAL)
 
 
 def draw_multinomial_batch(n: int, m: int, size: int, stream: np.random.Generator) -> np.ndarray:
@@ -183,15 +180,10 @@ def dot(a, b) -> np.ndarray:
 
 
 def center(w: WeightVector, n: int) -> CenteredWeights:
-    """Center the weights to ``w_i/m - 1/n`` and record both norms."""
+    """Center the weights to ``w_i/m - 1/n``."""
     if w.n != n:
         raise DimensionMismatchError(f"weight vector has length {w.n}, expected {n}")
-    values = w.counts / w.m - 1.0 / n
-    return CenteredWeights(
-        values=values,
-        sum_squares=float(dot(values, values)),
-        sum_abs=float(np.abs(values).sum()),
-    )
+    return CenteredWeights(values=w.counts / w.m - 1.0 / n)
 
 
 def max_ratio(cw: CenteredWeights) -> float:

@@ -84,7 +84,7 @@ class TestCiCommand:
 
     def test_exhausted_redraw_budget_exits_3(self, capsys, data_file, monkeypatch):
         def always_uniform(n, m, stream):
-            return WeightVector(np.full(n, m / n), float(m), WeightScheme.MULTINOMIAL)
+            return WeightVector(np.full(n, m / n), WeightScheme.MULTINOMIAL)
 
         monkeypatch.setattr(cli, "draw_multinomial_weights", always_uniform)
         code, _, err = run_cli(capsys, "ci", data_file, "--method", "population",
@@ -261,17 +261,20 @@ class TestTableCommand:
         capsys.readouterr()
 
     def test_table1_ignores_B(self, capsys):
-        # table 1 draws no replicate pivots, so its manifest records no B
+        # table 1 draws no replicate pivots, so its manifest records no B,
+        # and it accepts a B that table 2 rejects
         def run(which, B):
-            code, out, _ = run_cli(capsys, "table", "--which", which, "--model", "poisson1",
-                                   "--n", "10", "--outer", "3", "--inner", "20", "--B", B,
-                                   "--seed", "1", "--timestamp", "T0")
-            assert code == 0
-            return out
+            return run_cli(capsys, "table", "--which", which, "--model", "poisson1",
+                           "--n", "10", "--outer", "3", "--inner", "20", "--B", B,
+                           "--seed", "1", "--timestamp", "T0")
 
-        assert run("1", "7") == run("1", "9")
-        assert "B" not in json.loads(run("1", "7"))["manifest"]["config"]
-        assert json.loads(run("2", "7"))["manifest"]["config"]["B"] == 7
+        code, out, _ = run("1", "1")
+        assert code == 0 and run("1", "7") == run("1", "9") == (0, out, "")
+        assert "B" not in json.loads(out)["manifest"]["config"]
+        code, out, _ = run("2", "7")
+        assert code == 0 and json.loads(out)["manifest"]["config"]["B"] == 7
+        code, out, err = run("2", "1")
+        assert (code, out) == (2, "") and "B must be at least 2" in err
 
 
 class TestYdistCommand:
@@ -547,7 +550,9 @@ class TestExitCodeProperty:
         start = time.perf_counter()
         code, err = run_cli_quietly(argv)
         assert time.perf_counter() - start < 20.0
-        assert code == (2 if broken else 0)
+        # table 1 reads no B, so a bad --B breaks only the other tables
+        rejected = [flag for flag, _ in broken if flag != "--B" or values["--which"] != "1"]
+        assert code == (2 if rejected else 0)
         assert "Traceback" not in err
 
     # The error bound and rate functions: a run leaves each flag out, gives it

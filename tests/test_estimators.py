@@ -27,7 +27,7 @@ from pivotboot.weights import (
 
 def mw(counts) -> WeightVector:
     arr = np.asarray(counts, dtype=float)
-    return WeightVector(arr, float(arr.sum()), WeightScheme.MULTINOMIAL)
+    return WeightVector(arr, WeightScheme.MULTINOMIAL)
 
 
 class TestSample:

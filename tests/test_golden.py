@@ -83,53 +83,53 @@ CASES = {
 
 GOLDEN = {
     "coverage/cdf/normal01":
-        "e8af233ed0a8278a1e7d77166afb6c55d02b400d58248de9ec66359b5c78567d",
+        "e65dbd88c9d98ffc95e2d81d80d55af5baa265a67251f502f758df7753321691",
     "coverage/cdf/poisson1":
-        "9083890a50fdecf1d62352bf684d7ef0ea9d94fb2263fb49e63a7718ce9e819c",
+        "c9207a4c4b87b6fd1dcfe41ab2df49c6dc67f8f62c40539159c6e58a7035c4b0",
     "coverage/ecdf/normal01":
-        "61dcbcefff8e56b209de3a63d16ea3b583aa9fda08c503b2d42b38d425d5e364",
+        "d2e94b02d0edde66bc557e2100b6cef143c094ecf7231bebf2723c7b5b7e1855",
     "coverage/ecdf/poisson1":
-        "e46a4b604b2ef71474ca073f2ef8667536bc9765194ad5a42cd34dbf2694c5a7",
+        "9db55189d4554a23598974958f07227a75d3b1fa81eb072b4556628d35f3854d",
     "coverage/finitepop/normal01":
-        "e33fa4031ef70420a30bb20b952bf7b574ac5d64d3c0270101d2975c575c5c8f",
+        "ed5bbd8d06f9c1add02bf23f76c9e97467a21ceb23cf4d95ab5aa396f95b335c",
     "coverage/finitepop/poisson1":
-        "470595172ce396de8af6d4cb8673863394dc30ed4856285fb9fd32822932c129",
+        "ea169580a40c42f0eaad9325db01774a010dcdd43569e21c9f93e48f6f9ca767",
     "coverage/population/normal01":
-        "2b7a5dc12f0961f002331ba6e12f84af953f770cd4d76fbcc80b531adace5118",
+        "df5daf15200d26f859e5b6e2becc06f512fe15ca9041c60ca931c50caec8c0f9",
     "coverage/population/poisson1":
-        "4ce2416d60b01d8d7cf7da9ee8ad15e0387e12aab8ae87e87efee89630426111",
+        "5591fbee17bebd738dbc90632fa072ea391ab01e6ef8a9a60e3101852892fbcb",
     "coverage/sample/normal01":
-        "96725530f38692e1a7aee2f71523b4d0b754971b7b9566a2588583279a9c767f",
+        "36ccf6bc6fe509adea7b0b22882943962664300ee206a1dc96795d3b18a1a2f4",
     "coverage/sample/poisson1":
-        "36057821e3d2d06bc2d39cfe80b576a2bb392bcfff54e52f0eb9611ac38de3b3",
+        "5d42e0afa6af8ba9ff833908998bf7808be3fb4cdf023942bfd8e7aeb03d22c2",
     "coverage/superpop/normal01":
-        "ee24f83f8c879d9213af44a6c5453e7afc15b5bdafbeb9b0590a1a92c10cbd99",
+        "085df678b6247c7faa2030d1e4f1da6775f21047f94e5d172c7fae4b9e9cce4d",
     "coverage/superpop/poisson1":
-        "c38eb1603497121286092365ef19d1a49002c09fea9d59c10e3a3f96a18cdc0a",
+        "81968d82db1a089e103113b977b5e39aead80de351e0dae3a9ed56fa1ef9c2b2",
     "pivot_clt/normal01":
-        "037e8e4e9781512caf4ff18f9431857ff97fe3534c3a682183240ba5757b3734",
+        "911cf53daff16dd176c63288b12faad7676198086a432120c17173c09f5f1427",
     "pivot_clt/poisson1":
-        "e191d646d923582817dfcb4aa763301c0f49a68efe359ae0f15e4085fd134082",
+        "adae78bcae4014aede12ac2506716eee574581d09dbeee5b8f4be8ed85faee13",
     "refined_ci/lognormal01":
-        "9bd483b8a3a27bf51efd81cefebadeabbcbf5dde45688f6b6ff88aa774b015b8",
+        "cefbd3917033807cb0230f393d6270bb872e4ee15a2a640528f8c9973a509037",
     "refined_ci/normal01/n2":
-        "69d570a9248f91922d9db26f4eee78600200e32a8d11cab8a307a5c99ec4c2e7",
+        "a0a43a139f02984d54c2d03e5741bcab6b7efd3fe038eec1b1bce4760e81566e",
     "table1/exponential1/10":
-        "26f98c4b4d33ed17fe80c9e535e29beb1c55cba7ba5ddce27e568d0c9af3fed7",
+        "658174e0b5a5694f0b78931c2170354b3b43cee818cc08075cec51359d5d1e4c",
     "table1/lognormal01/10":
-        "7a1c3dcd63f9db6d61ecde60c8cdca8d2561493dfd03b18ed8b786a500b07141",
+        "0757d751a05bfe03164d014f4b2a1b5a2c7c53e6cd6710b2b7c2c79c70bfc651",
     "table1/normal01/2":
-        "e96d78b964db9b9bec3dee07d215c899dd69003c749dfc9f696bca11f86d3d02",
+        "76807907fc56145c0a63b1452da825439a2a50e4bb61b173a515d81af5d4600d",
     "table1/poisson1/10":
-        "9a5ab77fb096b16c470437b442b197f4fc926e10b92adc72a8f29a671c9817e1",
+        "8977db363693407a648ed09b6a21f43a50920c5fd8837cd0c79181e71bc3b0cd",
     "table2/exponential1/10":
-        "4eca4270f393151c655d82c9df5006df3346b3c7291aeed39156a291c98cb65e",
+        "b7c16fc0a3e49c3f8dba4f750cc9546f09ada9f88d1b66d7538f6e4e9c6673fd",
     "table2/lognormal01/10":
-        "58676d490cffab587456e7047de4ff0a1465f02a74e9d1c7e37af58c97bbce04",
+        "2944a953d10af5b72ea8ec27e36b63af0f0913a699ebd7f5f248dbdc60ddc477",
     "table2/normal01/2":
-        "ec94cf0432e8833b523c271acbd22ddee542c438f129c01e91f954978a26e5ca",
+        "c1ee41d5de5ce9a576c1b40f4d7f0849735d874be1a580526fe90ce83cdee1d0",
     "table2/poisson1/10":
-        "596d15106d69d39de25b5b4f2d5c9ea8239fffc1983b81a7bf8600097d11eaa9",
+        "7082a1484890eb4a65141a97c92b7e13c3d0a738c69f60ec9e19b7046c511bb5",
 }
 
 
@@ -157,13 +157,13 @@ CLI_GOLDEN = {
     "weights/n10m10": "a087b24c5f3fc11cfa1c0bd66c7c164d9793651ceaf55d588b4664ebde454516",
     "weights/n7m30": "cedb779873e171138856971a0b4be61d67e9f99a67499f91a457691f700874ae",
     "weights/n1m3": "b49cc96130ecd9cdf2637b934a400ee5be18244de8fc97de6ca7e551fc001f45",
-    "ci/population": "f1235d824e875664a25bcc972a1109dbb8f21d32ed97b5cb3884ff3b2e222b1d",
-    "ci/sample": "0d61caf15f8e795c5317d7fc31659ce4b12d832c09bf703d304270bc69b7108b",
-    "ci/finitepop": "dd682df3352623871829a18bffea9464e27924d800e65c8ab892e03e5bdf7829",
-    "ci/superpop": "674db45cb0efb40048530a72704e25c90dbc93a42e6d281c5da152f34d1aaea6",
-    "ci/ecdf": "ccab9f91a89e53d22b1d091225e8a910b255c57c98c878295fb968e4d5756cd2",
-    "ci/cdf": "05b9cbb0526a266c18b5f2dfd8a535e3adb8120eb5d8e64f7a6510abf6921f03",
-    "ci/two/redraws": "69cf84f1895bb1e4aad3529b264a02c4350e94bef5a981571417ae55a8e92621",
+    "ci/population": "6c193191bb957a41daa8c0d13f1bdcdc38b18496d4da603c53be91adf0c44d55",
+    "ci/sample": "9b1856b13b053db9f955360b61adb3ac138bf7c3b7fd11db6b8bb7f05904a11e",
+    "ci/finitepop": "81d31a617e6fc0fa9fe4669eb81c3360d776463c1d511f906cfb2d9fca3ee72f",
+    "ci/superpop": "ffdc87a808a6ac6350da0dd7231308d3160faeb4316e8d658d888d5f99aabaa5",
+    "ci/ecdf": "f9f4ea8fb4182a6baddb5b715c3130bf3675ea0fd4754e34688ee5a639e9430e",
+    "ci/cdf": "a898af64736e457022137d4f4a5c7b383e218a6b6881d514f797db915abe6109",
+    "ci/two/redraws": "3c43a50a733533f8cd6c62f09e0c1f4f92da0d6a3ae36506855103835c7d98f3",
 }
 
 

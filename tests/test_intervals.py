@@ -29,12 +29,13 @@ from pivotboot.intervals import (
 from pivotboot.multi_bootstrap import draw_replicates
 from pivotboot.pivots import PivotKind, empirical_pivot, g_star, starred_variant, t_star
 from pivotboot.rng import substream
-from pivotboot.weights import WeightScheme, WeightVector, center, draw_multinomial_weights
+from pivotboot.weights import (CenteredWeights, WeightScheme, WeightVector, center,
+                               draw_multinomial_weights)
 
 
 def mw(counts) -> WeightVector:
     arr = np.asarray(counts, dtype=float)
-    return WeightVector(arr, float(arr.sum()), WeightScheme.MULTINOMIAL)
+    return WeightVector(arr, WeightScheme.MULTINOMIAL)
 
 
 class TestNormalQuantile:
@@ -84,6 +85,17 @@ class TestPopulationMeanInterval:
     def test_degenerate_weights(self):
         with pytest.raises(DegenerateWeightsError):
             ci_population_mean(ONE_ZERO, center(mw([1, 1]), 2), 0.1)
+
+    def test_hand_built_weights_take_their_own_norms(self):
+        # The norms come from the values; a caller-given sum_squares of 1e6
+        # would widen this interval to (-821.9, 822.9).
+        with pytest.raises(TypeError):
+            CenteredWeights(values=np.array([0.5, -0.5]), sum_squares=1e6, sum_abs=1.0)
+        cw = CenteredWeights(values=np.array([0.5, -0.5]))
+        interval = ci_population_mean(ONE_ZERO, cw, 0.1)
+        assert interval == ci_population_mean(ONE_ZERO, center(mw([2, 0]), 2), 0.1)
+        assert interval.lo == pytest.approx(-0.081542, abs=1e-5)
+        assert interval.hi == pytest.approx(1.081542, abs=1e-5)
 
 
 class TestSampleMeanInterval:

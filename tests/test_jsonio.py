@@ -38,3 +38,27 @@ class TestDumps:
     def test_empty_containers(self):
         assert dumps({}) == "{}"
         assert dumps([]) == "[]"
+
+    def test_exact_bytes(self):
+        payload = {"b": 10.0, "a": 0.1, "c": -0.0, "d": 1e-300,
+                   "e": {"y": {}, "x": []}, "f": [True, None]}
+        assert dumps(payload) == (
+            '{\n'
+            '  "a": 0.1,\n'
+            '  "b": 10.0,\n'
+            '  "c": -0.0,\n'
+            '  "d": 1e-300,\n'
+            '  "e": {\n'
+            '    "x": [],\n'
+            '    "y": {}\n'
+            '  },\n'
+            '  "f": [\n'
+            '    true,\n'
+            '    null\n'
+            '  ]\n'
+            '}'
+        )
+
+    def test_integral_float_stays_float(self):
+        m = json.loads(dumps({"m": 10.0}))["m"]
+        assert isinstance(m, float) and m == 10.0

@@ -172,7 +172,7 @@ class TestDrawReplicates:
 
         def always_uniform(n, m, stream):
             calls.append(n)
-            return WeightVector(np.full(n, m / n), m, WeightScheme.MULTINOMIAL)
+            return WeightVector(np.full(n, m / n), WeightScheme.MULTINOMIAL)
 
         monkeypatch.setattr(multi_bootstrap, "draw_multinomial_weights", always_uniform)
         with pytest.raises(DegenerateWeightsError):

@@ -29,7 +29,7 @@ from pivotboot.weights import WeightScheme, WeightVector, center, draw_multinomi
 
 def mw(counts) -> WeightVector:
     arr = np.asarray(counts, dtype=float)
-    return WeightVector(arr, float(arr.sum()), WeightScheme.MULTINOMIAL)
+    return WeightVector(arr, WeightScheme.MULTINOMIAL)
 
 
 def nondegenerate_draw(seed: int, n: int, m: int):

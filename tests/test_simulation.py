@@ -203,8 +203,8 @@ class TestTableSmoke:
         for threshold in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="threshold"):
                 SimConfig(model="normal01", n=10, threshold=threshold)
-        with pytest.raises(ValueError):
-            SimConfig(model="normal01", n=10, B=1)
+        with pytest.raises(ValueError, match="B must be at least 2"):
+            run_table2(SimConfig(model="normal01", n=10, B=1))  # table 1 reads no B
         with pytest.raises(ValueError):
             SimConfig(model="normal01", n=1)  # divisor n - 1 needs n >= 2
 
@@ -310,7 +310,7 @@ class TestWhiteBoxConsistency:
                        for _ in range(T)]
             while True:
                 counts = draw_multinomial_batch(n, m, 1, rng)[0]
-                w = WeightVector(counts, float(m), WeightScheme.MULTINOMIAL)
+                w = WeightVector(counts, WeightScheme.MULTINOMIAL)
                 cw = center(w, n)
                 if cw.sum_squares > 0:
                     break
@@ -369,7 +369,7 @@ class TestWhiteBoxConsistency:
                 t_val = student_t(sample, model.mean) * scale
                 valid["emp_T"] += 1
                 hits["emp_T"] += t_val <= threshold
-                vectors = [WeightVector(c, float(m), WeightScheme.MULTINOMIAL)
+                vectors = [WeightVector(c, WeightScheme.MULTINOMIAL)
                            for c in counts]
                 centereds = [center(v, n) for v in vectors]
                 if centereds[0].sum_squares > 0:
@@ -430,7 +430,7 @@ def block_replicates(model, n: int, m: int, rows: int, seed: int, purpose: str, 
         counts = draw_resample_counts(n, m, size * rows, rng).reshape(size, rows, n)
         for values, row_counts in zip(data, counts):
             yield (Sample.from_values(values),
-                   [WeightVector(c, float(m), WeightScheme.MULTINOMIAL) for c in row_counts])
+                   [WeightVector(c, WeightScheme.MULTINOMIAL) for c in row_counts])
 
 
 def scalar_pivot(kind, sample, w, cw, mu, x, f_true):
@@ -556,7 +556,7 @@ def test_resampled_std_one_value_guard():
     counts = np.array([[3, 0, 0], [2, 1, 0], [2, 1, 0], [1, 0, 2]], dtype=float)
     b = simulation._Block(MODELS["normal01"], data, counts, 3)
     scalar = [math.sqrt(bootstrap_variance(Sample.from_values(values),
-                                           WeightVector(c, 3.0, WeightScheme.MULTINOMIAL)))
+                                           WeightVector(c, WeightScheme.MULTINOMIAL)))
               for values, c in zip(data, counts)]
     assert scalar[0] == 0.0 and scalar[1] > 1.0
     assert b.resampled_std.tolist() == scalar
@@ -611,6 +611,7 @@ def test_harness_rejects_reps_below_one(harness, reps):
     (lambda: pivot_clt_frequencies([PivotKind.T_STAR], "normal01", 20, 0, 1.6, 40, 1),
      "n and m must be"),
     (lambda: refined_ci_coverage("normal01", 20, -1, 9, 0.1, 40, 1), "n and m must be"),
+    (lambda: run_table2(SimConfig(model="normal01", n=10, B=1)), "B must be at least 2"),
 ])
 def test_harness_rejects_bad_arguments_before_any_draw(harness, message, monkeypatch):
     def no_draw(*args):

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from pivotboot import weights
 from pivotboot.bounds import sixth_moment_expression
 from pivotboot.errors import DegenerateWeightsError, DimensionMismatchError
+from pivotboot.estimators import Sample, bootstrap_mean
 from pivotboot.rng import substream
 from pivotboot.weights import (
     REDRAW_LIMIT,
@@ -156,36 +157,34 @@ class TestNondegenerate:
 
 class TestCenter:
     def test_hand_example_two_zero(self):
-        w = WeightVector(np.array([2.0, 0.0]), 2, WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([2.0, 0.0]), WeightScheme.MULTINOMIAL)
         cw = center(w, 2)
         assert cw.values.tolist() == [0.5, -0.5]
         assert cw.sum_squares == 0.5
         assert cw.sum_abs == 1.0
 
     def test_hand_example_equal(self):
-        w = WeightVector(np.array([1.0, 1.0]), 2, WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([1.0, 1.0]), WeightScheme.MULTINOMIAL)
         cw = center(w, 2)
         assert cw.values.tolist() == [0.0, 0.0]
         assert cw.sum_squares == 0.0
 
     def test_hand_example_three_one_zero(self):
-        w = WeightVector(np.array([3.0, 1.0, 0.0]), 4, WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([3.0, 1.0, 0.0]), WeightScheme.MULTINOMIAL)
         cw = center(w, 3)
         assert cw.values == pytest.approx([5 / 12, -1 / 12, -1 / 3])
         assert cw.sum_squares == pytest.approx(42 / 144)
 
     def test_length_mismatch(self):
-        w = WeightVector(np.array([1.0, 1.0]), 2, WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([1.0, 1.0]), WeightScheme.MULTINOMIAL)
         with pytest.raises(DimensionMismatchError):
             center(w, 3)
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=25))
     def test_centered_values_sum_to_zero(self, counts):
-        m = sum(counts)
-        if m == 0:
+        if sum(counts) == 0:
             counts[0] = 1
-            m = 1
-        w = WeightVector(np.array(counts, dtype=float), m, WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array(counts, dtype=float), WeightScheme.MULTINOMIAL)
         cw = center(w, len(counts))
         assert abs(cw.values.sum()) <= 1e-12
 
@@ -196,12 +195,11 @@ class TestCenter:
     def test_permutation_symmetry(self, counts, rnd):
         if sum(counts) == 0:
             counts[0] = 1
-        m = sum(counts)
         shuffled = list(counts)
         rnd.shuffle(shuffled)
-        a = center(WeightVector(np.array(counts, dtype=float), m, WeightScheme.MULTINOMIAL),
+        a = center(WeightVector(np.array(counts, dtype=float), WeightScheme.MULTINOMIAL),
                    len(counts))
-        b = center(WeightVector(np.array(shuffled, dtype=float), m, WeightScheme.MULTINOMIAL),
+        b = center(WeightVector(np.array(shuffled, dtype=float), WeightScheme.MULTINOMIAL),
                    len(counts))
         assert a.sum_squares == pytest.approx(b.sum_squares, rel=1e-12, abs=1e-15)
         assert a.sum_abs == pytest.approx(b.sum_abs, rel=1e-12, abs=1e-15)
@@ -210,15 +208,15 @@ class TestCenter:
 
 class TestMaxRatio:
     def test_two_coordinate_case_is_half(self):
-        cw = CenteredWeights(np.array([0.5, -0.5]), 0.5, 1.0)
+        cw = CenteredWeights(np.array([0.5, -0.5]))
         assert max_ratio(cw) == pytest.approx(0.5)
 
     def test_hand_example(self):
-        w = WeightVector(np.array([3.0, 1.0, 0.0]), 4, WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([3.0, 1.0, 0.0]), WeightScheme.MULTINOMIAL)
         assert max_ratio(center(w, 3)) == pytest.approx(25 / 42)
 
     def test_degenerate_raises(self):
-        cw = CenteredWeights(np.array([0.0, 0.0]), 0.0, 0.0)
+        cw = CenteredWeights(np.array([0.0, 0.0]))
         with pytest.raises(DegenerateWeightsError):
             max_ratio(cw)
 
@@ -264,33 +262,36 @@ class TestMomentFormulas:
 class TestWeightVectorValidation:
     def test_multinomial_requires_integers(self):
         with pytest.raises(ValueError):
-            WeightVector(np.array([1.5, 0.5]), 2, WeightScheme.MULTINOMIAL)
+            WeightVector(np.array([1.5, 0.5]), WeightScheme.MULTINOMIAL)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            WeightVector(np.array([-1.0, 3.0]), 2, WeightScheme.MULTINOMIAL)
+            WeightVector(np.array([-1.0, 3.0]), WeightScheme.MULTINOMIAL)
 
-    def test_sum_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            WeightVector(np.array([1.0, 1.0]), 3, WeightScheme.MULTINOMIAL)
+    def test_m_is_the_count_total(self):
+        # m is no parameter: an m that only rounds to the count total would
+        # rescale every resampled mean (4.3 gives 1.163 here, not 1.25).
+        with pytest.raises(TypeError):
+            WeightVector(np.array([3.0, 1.0, 0.0]), 4.3, WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([3.0, 1.0, 0.0]), WeightScheme.MULTINOMIAL)
+        assert w.m == 4.0
+        assert bootstrap_mean(Sample.from_values([1.0, 2.0, 4.0]), w) == 1.25
 
     def test_iid_positive_takes_real_weights(self):
         # the scheme of a CLI weights file with non-integer entries
-        w = WeightVector(np.array([3.0, 0.5]), 3.5, WeightScheme.IID_POSITIVE)
+        w = WeightVector(np.array([3.0, 0.5]), WeightScheme.IID_POSITIVE)
         assert w.m == 3.5 and w.scheme is WeightScheme.IID_POSITIVE
-        with pytest.raises(ValueError):
-            WeightVector(np.array([3.0, 0.5]), 3.0, WeightScheme.IID_POSITIVE)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_counts_rejected(self, bad):
         for scheme in WeightScheme:
             with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
-                WeightVector(np.array([1.0, bad]), 2.0, scheme)
+                WeightVector(np.array([1.0, bad]), scheme)
 
     @pytest.mark.parametrize("counts", [np.ones((2, 2)), np.array([])])
     def test_two_dimensional_or_empty_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="^counts must be a non-empty 1-D sequence$"):
-            WeightVector(counts, 4.0, WeightScheme.MULTINOMIAL)
+            WeightVector(counts, WeightScheme.MULTINOMIAL)
 
     @given(
         counts=hnp.arrays(
@@ -300,22 +301,19 @@ class TestWeightVectorValidation:
                                st.floats(-2.0, 5.0, allow_nan=False, allow_infinity=False),
                                st.sampled_from([math.nan, math.inf, -math.inf])),
         ),
-        m=st.one_of(st.none(), st.floats(-1.0, 30.0, allow_nan=False, allow_infinity=False)),
         scheme=st.sampled_from(WeightScheme),
     )
-    def test_checks_agree_with_the_np_any_all_array_equal_predicate(self, counts, m, scheme):
-        if m is None:  # the count total, so that valid vectors are drawn too
-            m = float(counts.sum()) if np.isfinite(counts).all() else 1.0
-        expected = _reference_rejection(counts, m, scheme)
+    def test_checks_agree_with_the_np_any_all_array_equal_predicate(self, counts, scheme):
+        expected = _reference_rejection(counts, scheme)
         if expected is None:
-            WeightVector(counts, m, scheme)
+            WeightVector(counts, scheme)
         else:
             with pytest.raises(ValueError) as info:
-                WeightVector(counts, m, scheme)
+                WeightVector(counts, scheme)
             assert str(info.value) == expected
 
 
-def _reference_rejection(counts: np.ndarray, m: float, scheme: WeightScheme) -> str | None:
+def _reference_rejection(counts: np.ndarray, scheme: WeightScheme) -> str | None:
     """WeightVector's checks as first written, with np.any, np.all and
     np.array_equal: the message of the first failing check, or None."""
     counts = np.asarray(counts, dtype=float)
@@ -323,13 +321,8 @@ def _reference_rejection(counts: np.ndarray, m: float, scheme: WeightScheme) -> 
         return "counts must be a non-empty 1-D sequence"
     if np.any(counts < 0) or not np.all(np.isfinite(counts)):
         return "counts must be finite and nonnegative"
-    if scheme is WeightScheme.MULTINOMIAL:
-        if not np.array_equal(counts, np.round(counts)):
-            return "multinomial counts must be integers"
-        if int(round(m)) != int(counts.sum()):
-            return "resample size m must equal the count total"
-    elif not np.isclose(m, counts.sum(), rtol=1e-12, atol=0.0):
-        return "resample size m must equal the count total"
-    if m <= 0:
+    if scheme is WeightScheme.MULTINOMIAL and not np.array_equal(counts, np.round(counts)):
+        return "multinomial counts must be integers"
+    if counts.sum() <= 0:
         return "resample size m must be positive"
     return None
