@@ -40,8 +40,8 @@ _EXPORTS = {
     "simulation": ("MODELS", "CoverageReport", "Model", "SimConfig", "pivot_clt_frequencies",
                    "refined_ci_coverage", "run_coverage", "run_table1", "run_table2",
                    "sample_model"),
-    "weights": ("CenteredWeights", "WeightScheme", "WeightVector", "center",
-                "draw_multinomial_weights", "expected_sum_squares", "max_ratio"),
+    "weights": ("CenteredWeights", "WeightVector", "center", "draw_multinomial_weights",
+                "expected_sum_squares", "max_ratio"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -142,17 +142,10 @@ def _read_numbers(path: str, what: str) -> list[float]:
 
 
 def _weights_from_file(path: str, n: int) -> WeightVector:
-    import numpy as np
-
-    from .weights import WeightScheme
-
     values = _read_numbers(path, "weights")
     if len(values) != n:
         raise _CliError(f"weights file has {len(values)} entries, data has {n}")
-    arr = np.asarray(values)
-    integral = bool(np.array_equal(arr, np.round(arr)))
-    scheme = WeightScheme.MULTINOMIAL if integral else WeightScheme.IID_POSITIVE
-    return WeightVector(counts=arr, scheme=scheme)
+    return WeightVector(values)
 
 
 def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[WeightVector, int]:
@@ -335,7 +328,7 @@ def _cmd_weights(args: argparse.Namespace) -> dict:
         "manifest": _manifest("weights", config, seed, args.timestamp),
         "counts": [int(c) for c in w.counts],
         "m": int(w.m),
-        "scheme": w.scheme.value,
+        "scheme": "multinomial",
     }
 
 

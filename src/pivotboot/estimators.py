@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (DegenerateWeightsError, DimensionMismatchError, ZeroBootstrapVarianceError,
                      ZeroVarianceError)
-from .weights import CenteredWeights, WeightVector, dot
+from .weights import CenteredWeights, WeightVector, dot, frozen_array
 
 __all__ = [
     "Sample",
@@ -36,12 +36,7 @@ class Sample:
     variance: float = field(init=False)
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("a sample needs at least one observation")
-        if not np.isfinite(values).all():
-            raise ValueError("sample values must be finite")
-        values.setflags(write=False)
+        values = frozen_array(self.values, "sample values")
         mean = float(values.mean())
         centered = values - mean
         object.__setattr__(self, "values", values)

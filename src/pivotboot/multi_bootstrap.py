@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import DomainError, NonIntegerRankError
 from .estimators import Sample, sample_std
 from .gaussian import normal_cdf, normal_pdf
 from .pivots import t_star
-from .weights import center, dot, draw_multinomial_weights, nondegenerate
+from .weights import center, dot, draw_multinomial_weights, frozen_array, nondegenerate
 
 __all__ = [
     "ReplicateSet",
@@ -64,33 +64,32 @@ class ReplicateSet:
     """Values of the signed-weight pivot over B independent weight draws."""
 
     values: np.ndarray
-    B: int
-    m: int
     degenerate_redraws: int = 0
+    B: int = field(init=False)
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        if self.B < 2 or values.size != self.B:
+        values = frozen_array(self.values, "replicate values")
+        if values.size < 2:
             raise ValueError("a replicate set needs B >= 2 values")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "B", values.size)
 
 
 @dataclass(frozen=True)
 class YDistribution:
     """Probability mass function of the negative-component count Y on {0..B}."""
 
-    B: int
     pmf: np.ndarray
+    B: int = field(init=False)
 
     def __post_init__(self) -> None:
-        pmf = np.array(self.pmf, dtype=float)
-        pmf.setflags(write=False)
-        object.__setattr__(self, "pmf", pmf)
-        if self.B < 2 or pmf.size != self.B + 1:
+        pmf = frozen_array(self.pmf, "pmf")
+        if pmf.size < 3:
             raise ValueError("pmf must have B + 1 entries with B >= 2")
-        if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-10:
+        if (pmf < 0).any() or abs(pmf.sum() - 1.0) > 1e-10:
             raise ValueError("pmf entries must be nonnegative and sum to 1")
+        object.__setattr__(self, "pmf", pmf)
+        object.__setattr__(self, "B", pmf.size - 1)
 
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.pmf)
@@ -133,7 +132,7 @@ def y_distribution(B: int) -> YDistribution:
     if not 2 <= B <= 1000:
         raise DomainError(f"B must lie in [2, 1000], got {B}")
     pmf = [math.comb(B, l) * orthant_probability(B, l) for l in range(B + 1)]
-    return YDistribution(B=B, pmf=pmf)
+    return YDistribution(pmf)
 
 
 def _check_cutoff(B: int, alpha: float) -> None:
@@ -183,7 +182,7 @@ def draw_replicates(
         return cw, cw.sum_squares
 
     draws = [nondegenerate(draw) for _ in range(B)]
-    return ReplicateSet(values=[t_star(s, cw) for cw, _ in draws], B=B, m=m,
+    return ReplicateSet([t_star(s, cw) for cw, _ in draws],
                         degenerate_redraws=sum(redraws for _, redraws in draws))
 
 

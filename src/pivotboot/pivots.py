@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateScaleError, MuArityError
-from .estimators import Sample, bootstrap_ecdf, bootstrap_std, ecdf, sample_std
+from .estimators import Sample, _check_lengths, bootstrap_ecdf, bootstrap_std, ecdf, sample_std
 from .weights import CenteredWeights, WeightVector, dot
 
 __all__ = [
@@ -83,12 +83,14 @@ def t_star(s: Sample, cw: CenteredWeights) -> float:
     Identically equals (resampled mean - sample mean) / (S_n sqrt(V^2)).
     """
     scale = sample_std(s)
+    _check_lengths(s, cw.values.size)
     return float(dot(cw.values, s.values)) / (scale * cw.norm)
 
 
 def g_star(s: Sample, cw: CenteredWeights, mu: float) -> float:
     """Absolute-weight pivot for the population mean ``mu``."""
     scale = sample_std(s)
+    _check_lengths(s, cw.values.size)
     return float(dot(np.abs(cw.values), s.values - mu)) / (scale * cw.norm)
 
 
@@ -160,6 +162,7 @@ def empirical_pivot(
     spread = f_scale * (1.0 - f_scale)
     if spread <= 0.0:
         raise DegenerateScaleError(f"distribution scale vanishes at x={x!r}")
+    _check_lengths(s, cw.values.size)
 
     indicators = (s.values <= x).astype(float)
     if absolute:

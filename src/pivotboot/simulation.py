@@ -298,35 +298,49 @@ def _score(hits: np.ndarray, valid: np.ndarray) -> tuple[int, int, int]:
     return int(np.count_nonzero(hits & valid)), n_valid, valid.size - n_valid
 
 
-def _report(kind: str, config: dict, statistics: Sequence[str], unit: Callable[[int], tuple],
-            units: int, threads: int, banded: bool = False) -> CoverageReport:
-    """Run ``unit(k)`` for each unit of work k < ``units`` (table outer cells
-    or harness blocks) on up to ``threads`` threads and score each statistic
-    from the units' :func:`_score` triples.  Banded (the tables), the
-    frequency is the share of units whose hits/valid lies within
-    ``tolerance_band`` of ``nominal``; pooled (the harnesses), it is hits over
-    valid replicates, 0.0 if none is valid.  Degenerate counts are summed, and
-    the config gains ``rng_layout``: the tables' layout if banded, else the
-    harnesses'.
+def _report(purpose: str, config: dict, statistics: Sequence[str], model: Model,
+            sizes: Sequence[int], score: Callable[[np.ndarray, np.random.Generator], tuple],
+            threads: int, banded: bool = False) -> CoverageReport:
+    """Run one unit of work per entry of ``sizes`` (table outer cells or
+    harness blocks) on up to ``threads`` threads and score each statistic.
+    Unit k reads ``substream(seed, purpose, k)``: first the data of its
+    ``sizes[k]`` replicates in one base draw of ``model``, one row of n each,
+    then ``score(data, rng)`` draws their weights and returns one
+    :func:`_score` triple per statistic.  Banded (the tables), the frequency
+    is the share of units whose hits/valid lies within ``tolerance_band`` of
+    ``nominal``; pooled (the harnesses), it is hits over valid replicates,
+    0.0 if none is valid.  Degenerate counts are summed.  The report's kind
+    is ``purpose`` up to its first dot; its config gains ``rng_layout``: the
+    tables' layout if banded, else the harnesses'.
     """
-    if threads <= 1:
-        rows = [unit(k) for k in range(units)]
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    seed, n = config["seed"], config["n"]
+
+    def unit(k: int) -> tuple[tuple[int, int, int], ...]:
+        rng, size = substream(seed, purpose, k), sizes[k]
+        return score(model.transform(model.draw_base(rng, size * n).reshape(size, n)), rng)
+
+    if threads == 1:
+        rows = [unit(k) for k in range(len(sizes))]
     else:
         from concurrent.futures import ThreadPoolExecutor  # serial runs skip this import
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(unit, range(units)))
+            rows = list(pool.map(unit, range(len(sizes))))
     cells = []
     for statistic, column in zip(statistics, zip(*rows)):
         hits, valid, degenerate = map(sum, zip(*column))
         if banded:
             nominal, band = config["nominal"], config["tolerance_band"]
-            frequency = sum(v > 0 and abs(h / v - nominal) <= band for h, v, _ in column) / units
+            frequency = sum(v > 0 and abs(h / v - nominal) <= band
+                            for h, v, _ in column) / len(sizes)
         else:
             frequency = hits / valid if valid else 0.0
-        cells.append(CellResult(config["model"], config["n"], statistic, frequency, degenerate))
+        cells.append(CellResult(config["model"], n, statistic, frequency, degenerate))
     layout = TABLE_LAYOUT if banded else HARNESS_LAYOUT
-    return CoverageReport(kind, config["seed"], {**config, "rng_layout": layout}, tuple(cells))
+    return CoverageReport(purpose.partition(".")[0], seed, {**config, "rng_layout": layout},
+                          tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +371,9 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     resolved = cfg.resolved(TABLE1_THRESHOLD, TABLE1_NOMINAL)
     model = resolve_model(resolved["model"])
     n, m, T = resolved["n"], resolved["m"], resolved["inner_reps"]
-    threshold, seed = resolved["threshold"], resolved["seed"]
+    threshold = resolved["threshold"]
 
-    def cell(s: int) -> tuple[tuple[int, int, int], ...]:
-        rng = substream(seed, "table1.cell", s)
-        data = model.transform(model.draw_base(rng, T * n).reshape(T, n))
-
+    def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
         def draw_block() -> tuple[_Block, float]:  # the cell's one weight row
             b = _Block(model, data, draw_multinomial_batch(n, m, 1, rng), m)
             return b, float(b.norm[0])
@@ -371,8 +382,8 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
         (hits_g, valid_g, degenerate_g), scored_t = _table_scores(b, threshold)
         return (hits_g, valid_g, degenerate_g + redraws), scored_t
 
-    return _report("table1", resolved, ("emp_G_star", "emp_T"), cell, resolved["outer_reps"],
-                   threads, banded=True)
+    return _report("table1.cell", resolved, ("emp_G_star", "emp_T"), model,
+                   [T] * resolved["outer_reps"], score, threads, banded=True)
 
 
 def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
@@ -390,11 +401,9 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     resolved = {**cfg.resolved(TABLE2_THRESHOLD, TABLE2_NOMINAL), "B": cfg.B}
     model = resolve_model(resolved["model"])
     n, m, B, T = resolved["n"], resolved["m"], resolved["B"], resolved["inner_reps"]
-    threshold, seed = resolved["threshold"], resolved["seed"]
+    threshold = resolved["threshold"]
 
-    def cell(s: int) -> tuple[tuple[int, int, int], ...]:
-        rng = substream(seed, "table2.cell", s)
-        data = model.transform(model.draw_base(rng, T * n).reshape(T, n))
+    def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
         counts = draw_resample_counts(n, m, T * (B + 1), rng).reshape(T, B + 1, n)
         # Row 0 weighs g*: its block centres a copy, so it is scored before
         # the block of all rows centres the counts in place.
@@ -403,8 +412,8 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
         every = _Block(model, data[:, None], counts, m)
         return (*scored, _score(*_below_cutoff(every, B - 1, first=1)))
 
-    return _report("table2", resolved, ("emp_G_star", "emp_T", "emp_boot"), cell,
-                   resolved["outer_reps"], threads, banded=True)
+    return _report("table2.cell", resolved, ("emp_G_star", "emp_T", "emp_boot"), model,
+                   [T] * resolved["outer_reps"], score, threads, banded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -592,19 +601,14 @@ _RECIPES: dict[str, tuple[Callable, Callable]] = {
 def _harness(purpose: str, statistics: Sequence[str], model: Model,
              score: Callable[[np.ndarray, np.random.Generator], tuple], threads: int,
              **config) -> CoverageReport:
-    """Run ``reps`` replicates, block by block, and pool each statistic.
-
-    Block k of R replicates reads ``substream(seed, purpose, k)``: first the
-    R x n data of its replicates in one base draw, in replicate order, then
-    ``score(data, rng)`` draws the block's count rows and returns one
-    :func:`_score` triple per statistic.  The report's kind is ``purpose`` up
-    to its first dot, its config ``config`` without the None values.  Bad
-    arguments are rejected before any draw: the kernels would score them as
-    degenerate replicates.
+    """Run ``reps`` replicates in blocks of ``BLOCK`` (see :func:`_report`)
+    and pool each statistic.  The report's config is ``config`` without the
+    None values.  Bad arguments are rejected before any draw: the kernels
+    would score them as degenerate replicates.
     """
     config = {"model": model.name, **{k: v for k, v in config.items() if v is not None}}
-    reps, seed, n, m = config["reps"], config["seed"], config["n"], config["m"]
-    check_seed(seed)
+    reps, n, m = config["reps"], config["n"], config["m"]
+    check_seed(config["seed"])
     if reps < 1:
         raise ValueError("reps must be positive")
     if n < 1 or m < 1 or config.get("B", 2) < 2:
@@ -613,14 +617,8 @@ def _harness(purpose: str, statistics: Sequence[str], model: Model,
         raise ValueError("alpha must lie in (0, 1)")
     if not all(math.isfinite(config.get(key, 0.0)) for key in ("x", "threshold")):
         raise ValueError("x and threshold must be finite")
-
-    def block(k: int) -> tuple[tuple[int, int, int], ...]:
-        rng = substream(seed, purpose, k)
-        size = min(BLOCK, reps - k * BLOCK)
-        return score(model.transform(model.draw_base(rng, size * n).reshape(size, n)), rng)
-
-    return _report(purpose.partition(".")[0], config, statistics, block, -(-reps // BLOCK),
-                   threads)
+    sizes = [min(BLOCK, reps - start) for start in range(0, reps, BLOCK)]
+    return _report(purpose, config, statistics, model, sizes, score, threads)
 
 
 def run_coverage(interval_recipe: str, model: str | Model, n: int, m: int, alpha: float,

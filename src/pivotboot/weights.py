@@ -2,14 +2,14 @@
 
 A weight vector records how many times each of ``n`` sample indices is
 selected when resampling ``m`` times with replacement (multinomial counts),
-or ``n`` nonnegative real weights supplied by the caller.  The centered
+or any ``n`` nonnegative real weights supplied by the caller, such as a
+weights file given to ``pivotboot ci``; ``m`` is their total.  The centered
 values ``w_i/m - 1/n`` and their squared/absolute sums drive every pivot
 statistic in this package.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
@@ -20,7 +20,6 @@ from .errors import DegenerateWeightsError, DimensionMismatchError
 
 __all__ = [
     "REDRAW_LIMIT",
-    "WeightScheme",
     "WeightVector",
     "CenteredWeights",
     "draw_multinomial_weights",
@@ -31,6 +30,7 @@ __all__ = [
     "dot",
     "max_ratio",
     "expected_sum_squares",
+    "frozen_array",
 ]
 
 # Redraw budget of nondegenerate(): at most this many redraws of a
@@ -48,31 +48,35 @@ REDRAW_LIMIT = 100
 _INDEX_BLOCK = 2**15
 
 
-class WeightScheme(enum.Enum):
-    MULTINOMIAL = "multinomial"
-    IID_POSITIVE = "iid_positive"
+def frozen_array(values, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, a non-empty 1-D sequence of
+    finite numbers; :class:`ValueError` naming ``name`` otherwise.  Each
+    value type of the package keeps its array this way and derives its other
+    fields from the copy, so no later edit of the caller's array reaches them."""
+    array = np.array(values, dtype=float)
+    if array.ndim != 1 or array.size < 1:
+        raise ValueError(f"{name} must be a non-empty 1-D sequence")
+    # ndarray methods, not the np.any / np.all wrappers, which cost a third of
+    # a weight vector's construction (tests/test_weights.py checks both agree).
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Nonnegative resampling counts; their total is the resample size ``m``."""
+    """Nonnegative resampling weights, multinomial counts or any real
+    weights; their total is the resample size ``m``."""
 
     counts: np.ndarray
-    scheme: WeightScheme
     m: float = field(init=False)
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=float)
+        counts = frozen_array(self.counts, "counts")
+        if (counts < 0).any():
+            raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
-        if counts.ndim != 1 or counts.size < 1:
-            raise ValueError("counts must be a non-empty 1-D sequence")
-        # ndarray methods, not the np.any / np.all / np.array_equal wrappers,
-        # which cost a third of a vector's construction (tests/test_weights.py
-        # checks the two forms accept the same counts).
-        if (counts < 0).any() or not np.isfinite(counts).all():
-            raise ValueError("counts must be finite and nonnegative")
-        if self.scheme is WeightScheme.MULTINOMIAL and not (counts.round() == counts).all():
-            raise ValueError("multinomial counts must be integers")
         object.__setattr__(self, "m", float(counts.sum()))
         if self.m <= 0:
             raise ValueError("resample size m must be positive")
@@ -97,10 +101,10 @@ class CenteredWeights:
     sum_abs: float = field(init=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
+        values = frozen_array(self.values, "centered weights")
         if abs(values.sum()) > 1e-12:
             raise ValueError("centered weights must sum to zero")
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "sum_squares", float(dot(values, values)))
         object.__setattr__(self, "sum_abs", float(np.abs(values).sum()))
 
@@ -119,7 +123,7 @@ def draw_multinomial_weights(n: int, m: int, stream: np.random.Generator) -> Wei
     binomial method, exact and O(n) regardless of ``m``.
     """
     counts = draw_multinomial_batch(n, m, 1, stream)[0]
-    return WeightVector(counts=counts, scheme=WeightScheme.MULTINOMIAL)
+    return WeightVector(counts)
 
 
 def draw_multinomial_batch(n: int, m: int, size: int, stream: np.random.Generator) -> np.ndarray:

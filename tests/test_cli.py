@@ -20,7 +20,7 @@ from pivotboot import cli
 from pivotboot.cli import main
 from pivotboot.intervals import RECIPES
 from pivotboot.jsonio import dumps
-from pivotboot.weights import WeightScheme, WeightVector
+from pivotboot.weights import WeightVector
 
 
 def run_cli(capsys, *argv):
@@ -84,7 +84,7 @@ class TestCiCommand:
 
     def test_exhausted_redraw_budget_exits_3(self, capsys, data_file, monkeypatch):
         def always_uniform(n, m, stream):
-            return WeightVector(np.full(n, m / n), WeightScheme.MULTINOMIAL)
+            return WeightVector(np.full(n, m / n))
 
         monkeypatch.setattr(cli, "draw_multinomial_weights", always_uniform)
         code, _, err = run_cli(capsys, "ci", data_file, "--method", "population",
@@ -181,6 +181,15 @@ class TestTableCommand:
             assert code == 2
             assert out == ""
             assert option.lstrip("-") in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, capsys, threads):
+        # --threads -3 ran serially and exited 0
+        for which in ("1", "2"):
+            code, out, err = run_cli(capsys, "table", "--which", which, "--model", "poisson1",
+                                     "--n", "20", "--seed", "1", "--threads", threads)
+            assert (code, out) == (2, "")
+            assert err == "pivotboot: error: threads must be at least 1\n"
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def too_large(cfg, threads):

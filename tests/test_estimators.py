@@ -18,7 +18,6 @@ from pivotboot.estimators import (
 )
 from pivotboot.rng import substream
 from pivotboot.weights import (
-    WeightScheme,
     WeightVector,
     center,
     draw_multinomial_batch,
@@ -27,7 +26,7 @@ from pivotboot.weights import (
 
 def mw(counts) -> WeightVector:
     arr = np.asarray(counts, dtype=float)
-    return WeightVector(arr, WeightScheme.MULTINOMIAL)
+    return WeightVector(arr)
 
 
 class TestSample:

@@ -29,13 +29,13 @@ from pivotboot.intervals import (
 from pivotboot.multi_bootstrap import draw_replicates
 from pivotboot.pivots import PivotKind, empirical_pivot, g_star, starred_variant, t_star
 from pivotboot.rng import substream
-from pivotboot.weights import (CenteredWeights, WeightScheme, WeightVector, center,
+from pivotboot.weights import (CenteredWeights, WeightVector, center,
                                draw_multinomial_weights)
 
 
 def mw(counts) -> WeightVector:
     arr = np.asarray(counts, dtype=float)
-    return WeightVector(arr, WeightScheme.MULTINOMIAL)
+    return WeightVector(arr)
 
 
 class TestNormalQuantile:
@@ -405,3 +405,26 @@ def test_double_fault_raises_first_check(case):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error
+
+
+# A sample of 3 values with weights of length 2: every pivot and recipe that
+# reads weights raises DimensionMismatchError, not numpy's broadcast error.
+TWO = mw([2, 0])
+ALPHA2 = (PivotKind.ALPHA2_HAT, PivotKind.ALPHA2_HAT_HAT)
+MISMATCHED = {
+    "t_star": lambda: t_star(THREE, center(TWO, 2)),
+    "g_star": lambda: g_star(THREE, center(TWO, 2), 1.0),
+    **{kind.value: (lambda kind=kind: starred(kind, THREE, TWO, mu=1.0)) for kind in STARRED},
+    **{kind.value: (lambda kind=kind: empirical_pivot(
+        kind, THREE, TWO, center(TWO, 2), 1.0, f_true=0.5 if kind in ALPHA2 else None))
+       for kind in (PivotKind.ALPHA1_HAT, PivotKind.ALPHA1_HAT_HAT, *ALPHA2)},
+    **{f"ci_{name}": (lambda call=call: call(THREE, TWO, center(TWO, 2), 0.1))
+       for name, call in RECIPE_CALLS.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(MISMATCHED))
+def test_length_mismatch_raises_dimension_mismatch(case):
+    with pytest.raises(DimensionMismatchError) as raised:
+        MISMATCHED[case]()
+    assert type(raised.value) is DimensionMismatchError

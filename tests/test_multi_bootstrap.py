@@ -26,7 +26,7 @@ from pivotboot.multi_bootstrap import (
     y_quantile,
 )
 from pivotboot.rng import substream
-from pivotboot.weights import REDRAW_LIMIT, WeightScheme, WeightVector
+from pivotboot.weights import REDRAW_LIMIT, WeightVector
 
 
 class TestOrthantProbability:
@@ -82,9 +82,32 @@ class TestYDistribution:
 
     def test_containers_copy_the_callers_array(self):
         pmf, values = np.full(3, 1 / 3), np.array([0.5, -1.0])
-        dist, reps = YDistribution(B=2, pmf=pmf), ReplicateSet(values=values, B=2, m=4)
+        dist, reps = YDistribution(pmf), ReplicateSet(values)
         pmf[0], values[0] = 1.0, 9.0
         assert dist.pmf[0] == 1 / 3 and reps.values[0] == 0.5
+
+    def test_B_is_derived_from_the_array(self):
+        assert YDistribution(np.full(4, 0.25)).B == 3
+        assert ReplicateSet([0.5, -1.0, 2.0]).B == 3
+        assert y_distribution(9).B == 9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrays_rejected(self, bad):
+        with pytest.raises(ValueError, match="^pmf must be finite$"):
+            YDistribution([0.5, 0.5, bad])
+        with pytest.raises(ValueError, match="^replicate values must be finite$"):
+            ReplicateSet([0.5, bad])
+
+    @pytest.mark.parametrize("make, array", [
+        (YDistribution, [0.5, 0.5]),  # B = 1
+        (YDistribution, [1.5, -0.5, 0.0]),  # a negative entry
+        (YDistribution, [0.5, 0.5, 0.5]),  # sums to 1.5
+        (ReplicateSet, [0.5]),  # B = 1
+        (ReplicateSet, [[0.5, 1.0]]),  # 2-D
+    ])
+    def test_bad_arrays_rejected(self, make, array):
+        with pytest.raises(ValueError):
+            make(array)
 
     def test_monte_carlo_exchangeable_representation(self):
         # Z_b = (Z_0 + U_b)/sqrt(2) has the unit-variance, 1/2-correlation law
@@ -172,7 +195,7 @@ class TestDrawReplicates:
 
         def always_uniform(n, m, stream):
             calls.append(n)
-            return WeightVector(np.full(n, m / n), WeightScheme.MULTINOMIAL)
+            return WeightVector(np.full(n, m / n))
 
         monkeypatch.setattr(multi_bootstrap, "draw_multinomial_weights", always_uniform)
         with pytest.raises(DegenerateWeightsError):
@@ -207,7 +230,7 @@ class TestDrawReplicates:
 
 class TestRefinedContains:
     def test_tiny_alpha_uses_maximum(self):
-        reps = ReplicateSet(np.array([1.0, 2.0, 3.0]), 3, 3)
+        reps = ReplicateSet(np.array([1.0, 2.0, 3.0]))
         alpha = 1e-9  # y = B, clamped to the maximum replicate
         assert refined_contains(3.0, reps, alpha)
         assert not refined_contains(3.0 + 1e-12, reps, alpha)
@@ -215,13 +238,13 @@ class TestRefinedContains:
     def test_b9_alpha_point_one_is_maximum(self):
         rng = substream(35, "vals")
         values = np.sort(rng.standard_normal(9))
-        reps = ReplicateSet(values, 9, 50)
+        reps = ReplicateSet(values)
         top = float(values.max())
         assert refined_contains(top, reps, 0.1)
         assert not refined_contains(top + 1e-9, reps, 0.1)
 
     def test_interior_rank(self):
-        reps = ReplicateSet(np.array([10.0, 20.0, 30.0, 40.0]), 4, 4)
+        reps = ReplicateSet(np.array([10.0, 20.0, 30.0, 40.0]))
         # B=4, alpha=0.4: smallest y with (y+1)/5 >= 0.6 is y=2 -> third smallest
         assert y_quantile(4, 0.4) == 2
         assert refined_contains(30.0, reps, 0.4)
@@ -231,7 +254,7 @@ class TestRefinedContains:
         rng = substream(36, "vals")
         for r in range(50):
             values = substream(36, "vals", r).standard_normal(9)
-            reps = ReplicateSet(values, 9, 9)
+            reps = ReplicateSet(values)
             t = float(substream(36, "t", r).standard_normal(1)[0]) * 2
             assert refined_contains(t, reps, 0.1) == (t <= values.max())
             assert refined_contains(t, reps, 0.05) == (t <= values.max())

@@ -24,12 +24,12 @@ from pivotboot.pivots import (
     t_star,
 )
 from pivotboot.rng import substream
-from pivotboot.weights import WeightScheme, WeightVector, center, draw_multinomial_weights
+from pivotboot.weights import WeightVector, center, draw_multinomial_weights
 
 
 def mw(counts) -> WeightVector:
     arr = np.asarray(counts, dtype=float)
-    return WeightVector(arr, WeightScheme.MULTINOMIAL)
+    return WeightVector(arr)
 
 
 def nondegenerate_draw(seed: int, n: int, m: int):

@@ -38,7 +38,7 @@ from pivotboot.simulation import (
     run_table2,
     sample_model,
 )
-from pivotboot.weights import (WeightScheme, WeightVector, center, dot, draw_multinomial_batch,
+from pivotboot.weights import (WeightVector, center, dot, draw_multinomial_batch,
                                draw_resample_counts)
 
 
@@ -310,7 +310,7 @@ class TestWhiteBoxConsistency:
                        for _ in range(T)]
             while True:
                 counts = draw_multinomial_batch(n, m, 1, rng)[0]
-                w = WeightVector(counts, WeightScheme.MULTINOMIAL)
+                w = WeightVector(counts)
                 cw = center(w, n)
                 if cw.sum_squares > 0:
                     break
@@ -369,8 +369,7 @@ class TestWhiteBoxConsistency:
                 t_val = student_t(sample, model.mean) * scale
                 valid["emp_T"] += 1
                 hits["emp_T"] += t_val <= threshold
-                vectors = [WeightVector(c, WeightScheme.MULTINOMIAL)
-                           for c in counts]
+                vectors = [WeightVector(c) for c in counts]
                 centereds = [center(v, n) for v in vectors]
                 if centereds[0].sum_squares > 0:
                     valid["emp_G_star"] += 1
@@ -429,8 +428,7 @@ def block_replicates(model, n: int, m: int, rows: int, seed: int, purpose: str, 
         data = model.transform(model.draw_base(rng, size * n).reshape(size, n))
         counts = draw_resample_counts(n, m, size * rows, rng).reshape(size, rows, n)
         for values, row_counts in zip(data, counts):
-            yield (Sample.from_values(values),
-                   [WeightVector(c, WeightScheme.MULTINOMIAL) for c in row_counts])
+            yield Sample.from_values(values), [WeightVector(c) for c in row_counts]
 
 
 def scalar_pivot(kind, sample, w, cw, mu, x, f_true):
@@ -542,7 +540,7 @@ class TestHarnessWhiteBox:
             except PivotbootError:
                 outcomes.append(None)
                 continue
-            outcomes.append(refined_contains(t_value, ReplicateSet(values, B, m), alpha))
+            outcomes.append(refined_contains(t_value, ReplicateSet(values), alpha))
         assert_cell(report.cells[0], outcomes)
 
 
@@ -555,8 +553,7 @@ def test_resampled_std_one_value_guard():
                      [2.0, 1.0, 3.0]])
     counts = np.array([[3, 0, 0], [2, 1, 0], [2, 1, 0], [1, 0, 2]], dtype=float)
     b = simulation._Block(MODELS["normal01"], data, counts, 3)
-    scalar = [math.sqrt(bootstrap_variance(Sample.from_values(values),
-                                           WeightVector(c, WeightScheme.MULTINOMIAL)))
+    scalar = [math.sqrt(bootstrap_variance(Sample.from_values(values), WeightVector(c)))
               for values, c in zip(data, counts)]
     assert scalar[0] == 0.0 and scalar[1] > 1.0
     assert b.resampled_std.tolist() == scalar
@@ -612,6 +609,15 @@ def test_harness_rejects_reps_below_one(harness, reps):
      "n and m must be"),
     (lambda: refined_ci_coverage("normal01", 20, -1, 9, 0.1, 40, 1), "n and m must be"),
     (lambda: run_table2(SimConfig(model="normal01", n=10, B=1)), "B must be at least 2"),
+    # threads below 1 ran serially
+    (lambda: run_coverage("population", "normal01", 20, 20, 0.1, 40, 1, threads=0),
+     "threads must be at least 1"),
+    (lambda: pivot_clt_frequencies([PivotKind.T_STAR], "normal01", 20, 20, 1.6, 40, 1,
+                                   threads=0), "threads must be at least 1"),
+    (lambda: refined_ci_coverage("normal01", 20, 20, 9, 0.1, 40, 1, threads=0),
+     "threads must be at least 1"),
+    (lambda: run_table1(SimConfig(model="normal01", n=10), threads=0),
+     "threads must be at least 1"),
 ])
 def test_harness_rejects_bad_arguments_before_any_draw(harness, message, monkeypatch):
     def no_draw(*args):

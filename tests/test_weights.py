@@ -19,7 +19,6 @@ from pivotboot.rng import substream
 from pivotboot.weights import (
     REDRAW_LIMIT,
     CenteredWeights,
-    WeightScheme,
     WeightVector,
     center,
     draw_multinomial_batch,
@@ -157,26 +156,26 @@ class TestNondegenerate:
 
 class TestCenter:
     def test_hand_example_two_zero(self):
-        w = WeightVector(np.array([2.0, 0.0]), WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([2.0, 0.0]))
         cw = center(w, 2)
         assert cw.values.tolist() == [0.5, -0.5]
         assert cw.sum_squares == 0.5
         assert cw.sum_abs == 1.0
 
     def test_hand_example_equal(self):
-        w = WeightVector(np.array([1.0, 1.0]), WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([1.0, 1.0]))
         cw = center(w, 2)
         assert cw.values.tolist() == [0.0, 0.0]
         assert cw.sum_squares == 0.0
 
     def test_hand_example_three_one_zero(self):
-        w = WeightVector(np.array([3.0, 1.0, 0.0]), WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([3.0, 1.0, 0.0]))
         cw = center(w, 3)
         assert cw.values == pytest.approx([5 / 12, -1 / 12, -1 / 3])
         assert cw.sum_squares == pytest.approx(42 / 144)
 
     def test_length_mismatch(self):
-        w = WeightVector(np.array([1.0, 1.0]), WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([1.0, 1.0]))
         with pytest.raises(DimensionMismatchError):
             center(w, 3)
 
@@ -184,7 +183,7 @@ class TestCenter:
     def test_centered_values_sum_to_zero(self, counts):
         if sum(counts) == 0:
             counts[0] = 1
-        w = WeightVector(np.array(counts, dtype=float), WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array(counts, dtype=float))
         cw = center(w, len(counts))
         assert abs(cw.values.sum()) <= 1e-12
 
@@ -197,10 +196,8 @@ class TestCenter:
             counts[0] = 1
         shuffled = list(counts)
         rnd.shuffle(shuffled)
-        a = center(WeightVector(np.array(counts, dtype=float), WeightScheme.MULTINOMIAL),
-                   len(counts))
-        b = center(WeightVector(np.array(shuffled, dtype=float), WeightScheme.MULTINOMIAL),
-                   len(counts))
+        a = center(WeightVector(np.array(counts, dtype=float)), len(counts))
+        b = center(WeightVector(np.array(shuffled, dtype=float)), len(counts))
         assert a.sum_squares == pytest.approx(b.sum_squares, rel=1e-12, abs=1e-15)
         assert a.sum_abs == pytest.approx(b.sum_abs, rel=1e-12, abs=1e-15)
         assert sorted(a.values) == pytest.approx(sorted(b.values))
@@ -212,7 +209,7 @@ class TestMaxRatio:
         assert max_ratio(cw) == pytest.approx(0.5)
 
     def test_hand_example(self):
-        w = WeightVector(np.array([3.0, 1.0, 0.0]), WeightScheme.MULTINOMIAL)
+        w = WeightVector(np.array([3.0, 1.0, 0.0]))
         assert max_ratio(center(w, 3)) == pytest.approx(25 / 42)
 
     def test_degenerate_raises(self):
@@ -260,38 +257,33 @@ class TestMomentFormulas:
 
 
 class TestWeightVectorValidation:
-    def test_multinomial_requires_integers(self):
-        with pytest.raises(ValueError):
-            WeightVector(np.array([1.5, 0.5]), WeightScheme.MULTINOMIAL)
-
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            WeightVector(np.array([-1.0, 3.0]), WeightScheme.MULTINOMIAL)
+        with pytest.raises(ValueError, match="^counts must be nonnegative$"):
+            WeightVector(np.array([-1.0, 3.0]))
 
     def test_m_is_the_count_total(self):
         # m is no parameter: an m that only rounds to the count total would
         # rescale every resampled mean (4.3 gives 1.163 here, not 1.25).
         with pytest.raises(TypeError):
-            WeightVector(np.array([3.0, 1.0, 0.0]), 4.3, WeightScheme.MULTINOMIAL)
-        w = WeightVector(np.array([3.0, 1.0, 0.0]), WeightScheme.MULTINOMIAL)
+            WeightVector(np.array([3.0, 1.0, 0.0]), 4.3)
+        w = WeightVector(np.array([3.0, 1.0, 0.0]))
         assert w.m == 4.0
         assert bootstrap_mean(Sample.from_values([1.0, 2.0, 4.0]), w) == 1.25
 
-    def test_iid_positive_takes_real_weights(self):
-        # the scheme of a CLI weights file with non-integer entries
-        w = WeightVector(np.array([3.0, 0.5]), WeightScheme.IID_POSITIVE)
-        assert w.m == 3.5 and w.scheme is WeightScheme.IID_POSITIVE
+    def test_real_weights_accepted(self):
+        # as a CLI weights file may hold them
+        w = WeightVector([3.0, 0.5])
+        assert w.m == 3.5 and w.counts.tolist() == [3.0, 0.5]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_counts_rejected(self, bad):
-        for scheme in WeightScheme:
-            with pytest.raises(ValueError, match="^counts must be finite and nonnegative$"):
-                WeightVector(np.array([1.0, bad]), scheme)
+        with pytest.raises(ValueError, match="^counts must be finite$"):
+            WeightVector(np.array([1.0, bad]))
 
     @pytest.mark.parametrize("counts", [np.ones((2, 2)), np.array([])])
     def test_two_dimensional_or_empty_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="^counts must be a non-empty 1-D sequence$"):
-            WeightVector(counts, WeightScheme.MULTINOMIAL)
+            WeightVector(counts)
 
     @given(
         counts=hnp.arrays(
@@ -301,28 +293,64 @@ class TestWeightVectorValidation:
                                st.floats(-2.0, 5.0, allow_nan=False, allow_infinity=False),
                                st.sampled_from([math.nan, math.inf, -math.inf])),
         ),
-        scheme=st.sampled_from(WeightScheme),
     )
-    def test_checks_agree_with_the_np_any_all_array_equal_predicate(self, counts, scheme):
-        expected = _reference_rejection(counts, scheme)
+    def test_checks_agree_with_the_np_any_all_array_equal_predicate(self, counts):
+        expected = _reference_rejection(counts)
         if expected is None:
-            WeightVector(counts, scheme)
+            WeightVector(counts)
         else:
             with pytest.raises(ValueError) as info:
-                WeightVector(counts, scheme)
+                WeightVector(counts)
             assert str(info.value) == expected
 
 
-def _reference_rejection(counts: np.ndarray, scheme: WeightScheme) -> str | None:
-    """WeightVector's checks as first written, with np.any, np.all and
-    np.array_equal: the message of the first failing check, or None."""
+def _reference_rejection(counts: np.ndarray) -> str | None:
+    """WeightVector's checks written with np.any and np.all: the message of
+    the first failing check, or None."""
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 1 or counts.size < 1:
         return "counts must be a non-empty 1-D sequence"
-    if np.any(counts < 0) or not np.all(np.isfinite(counts)):
-        return "counts must be finite and nonnegative"
-    if scheme is WeightScheme.MULTINOMIAL and not np.array_equal(counts, np.round(counts)):
-        return "multinomial counts must be integers"
+    if not np.all(np.isfinite(counts)):
+        return "counts must be finite"
+    if np.any(counts < 0):
+        return "counts must be nonnegative"
     if counts.sum() <= 0:
         return "resample size m must be positive"
     return None
+
+
+class TestValueTypesKeepAReadOnlyCopy:
+    def test_arrays_are_read_only(self):
+        w = WeightVector(np.array([2.0, 0.0]))
+        cw = center(w, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            w.counts[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            cw.values[:] = [0.25, -0.25]
+        assert (w.m, cw.sum_squares, cw.sum_abs) == (2.0, 0.5, 1.0)
+
+    def test_editing_the_callers_array_changes_nothing(self):
+        counts, values = np.array([2.0, 0.0]), np.array([0.5, -0.5])
+        w, cw = WeightVector(counts), CenteredWeights(values)
+        counts[0], values[:] = 5.0, [0.25, -0.25]
+        assert w.counts.tolist() == [2.0, 0.0] and w.m == 2.0
+        assert cw.values.tolist() == [0.5, -0.5] and cw.sum_squares == 0.5
+
+    def test_drawn_and_centred_arrays_are_read_only(self):
+        w = draw_multinomial_weights(4, 4, substream(3, "w"))
+        assert not w.counts.flags.writeable
+        assert not center(w, 4).values.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_centered_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="^centered weights must be finite$"):
+            CenteredWeights(np.array([bad, 0.0]))
+
+    @pytest.mark.parametrize("values, message", [
+        ([[0.5, -0.5]], "^sample values must be a non-empty 1-D sequence$"),
+        ([], "^sample values must be a non-empty 1-D sequence$"),
+        ([1.0, math.nan], "^sample values must be finite$"),
+    ])
+    def test_sample_uses_the_same_checks(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            Sample(values)
