@@ -148,14 +148,14 @@ def _weights_from_file(path: str, n: int) -> WeightVector:
     return WeightVector(values)
 
 
-def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[WeightVector, int]:
+def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[CenteredWeights, int]:
     from .weights import nondegenerate
 
     stream = substream(seed, "cli.ci")
 
-    def draw() -> tuple[WeightVector, float]:
-        w = draw_multinomial_weights(n, m, stream)
-        return w, center(w, n).sum_squares
+    def draw() -> tuple[CenteredWeights, float]:
+        cw = center(draw_multinomial_weights(n, m, stream))
+        return cw, cw.sum_squares
 
     return nondegenerate(draw)
 
@@ -176,11 +176,10 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
     if args.weights_file is not None:
         if args.m is not None:
             raise _CliError("give either --m (draw weights) or --weights-file, not both")
-        w = _weights_from_file(args.weights_file, n)
+        cw = center(_weights_from_file(args.weights_file, n))
     else:
         m = args.m if args.m is not None else n
-        w, redraws = _draw_nondegenerate(n, m, seed)
-    cw = center(w, n)
+        cw, redraws = _draw_nondegenerate(n, m, seed)
     if cw.sum_squares <= 0.0:
         raise DegenerateWeightsError("supplied weights are degenerate (all centered values zero)")
 
@@ -190,15 +189,15 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
     if method == "population":
         interval = ci_population_mean(sample, cw, args.alpha)
     elif method == "sample":
-        interval = ci_sample_mean(sample, w, cw, args.alpha)
+        interval = ci_sample_mean(sample, cw, args.alpha)
     elif method == "finitepop":
-        interval = ci_finite_pop_mean(sample, w, cw, args.alpha)
+        interval = ci_finite_pop_mean(sample, cw, args.alpha)
     elif method == "superpop":
-        interval = ci_superpop_mean(sample, w, cw, args.alpha)
+        interval = ci_superpop_mean(sample, cw, args.alpha)
     elif method == "ecdf":
-        interval = ci_ecdf(sample, w, cw, args.x, args.alpha, IntervalTarget.ECDF_VALUE)
+        interval = ci_ecdf(sample, cw, args.x, args.alpha, IntervalTarget.ECDF_VALUE)
     else:
-        interval = ci_ecdf(sample, w, cw, args.x, args.alpha, IntervalTarget.CDF_VALUE)
+        interval = ci_ecdf(sample, cw, args.x, args.alpha, IntervalTarget.CDF_VALUE)
 
     config = {
         "data": args.data,
@@ -206,7 +205,7 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
         "alpha": args.alpha,
         "n": n,
         "weights_file": args.weights_file,
-        "m": w.m,
+        "m": cw.weights.m,
     }
     if args.x is not None:
         config["x"] = args.x

@@ -6,6 +6,7 @@ every downstream pivot and interval formula assumes these conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Sample:
-    """Immutable observation vector with its mean and variance (divisor n),
-    computed once from a private copy of the values."""
+    """Immutable observation vector with its finite mean and variance
+    (divisor n), computed once from a private copy of the values."""
 
     values: np.ndarray
     mean: float = field(init=False)
@@ -39,9 +40,13 @@ class Sample:
         values = frozen_array(self.values, "sample values")
         mean = float(values.mean())
         centered = values - mean
+        variance = float(dot(centered, centered) / values.size)
+        for name, value in (("mean", mean), ("variance", variance)):
+            if not math.isfinite(value):
+                raise ValueError(f"sample {name} overflows")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", float(dot(centered, centered) / values.size))
+        object.__setattr__(self, "variance", variance)
 
     @classmethod
     def from_values(cls, values) -> "Sample":

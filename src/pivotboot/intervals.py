@@ -1,7 +1,7 @@
 """Confidence intervals built by inverting the pivot statistics.
 
-Each recipe centers at the matching point estimate and uses the two-sided
-normal cutoff z = Phi^{-1}(1 - alpha/2):
+Each recipe takes the centered weights alone, centers at the matching point
+estimate and uses the two-sided normal cutoff z = Phi^{-1}(1 - alpha/2):
 
     population mean    weighted-mean estimate  +/- z S_n sqrt(V^2) / sum|c|
     sample mean        resampled mean          +/- z S_n sqrt(V^2)
@@ -32,7 +32,7 @@ from .estimators import (
     weighted_mean_estimator,
 )
 from .gaussian import normal_quantile
-from .weights import CenteredWeights, WeightVector
+from .weights import CenteredWeights
 
 __all__ = [
     "RECIPES",
@@ -87,61 +87,54 @@ def _two_sided_cutoff(alpha: float) -> float:
     return normal_quantile(1.0 - alpha / 2.0)
 
 
-def _mean_interval(target: IntervalTarget, recipe: str, s: Sample, w: WeightVector | None,
-                   cw: CenteredWeights, alpha: float, *, resampled: bool,
-                   population: bool) -> Interval:
+def _mean_interval(target: IntervalTarget, recipe: str, s: Sample, cw: CenteredWeights,
+                   alpha: float, *, resampled: bool, population: bool) -> Interval:
     """centre +/- z scale sqrt(V^2) / divisor, checked in the order alpha, weights, scale,
     centre: the scale is S* if ``resampled``, else S_n; a ``population`` form centres at
     the weighted-mean estimate with divisor sum|c|, the others at the resampled mean with 1."""
     z = _two_sided_cutoff(alpha)
     norm = cw.norm
-    scale = bootstrap_std(s, w) if resampled else sample_std(s)
-    center_value = weighted_mean_estimator(s, cw) if population else bootstrap_mean(s, w)
+    scale = bootstrap_std(s, cw.weights) if resampled else sample_std(s)
+    center_value = weighted_mean_estimator(s, cw) if population else bootstrap_mean(s, cw.weights)
     half = z * scale * norm / (cw.sum_abs if population else 1.0)  # x / 1.0 is exactly x
     return Interval(center_value - half, center_value + half, 1.0 - alpha, target, recipe)
 
 
 def ci_population_mean(s: Sample, cw: CenteredWeights, alpha: float) -> Interval:
     """Interval for the underlying population mean."""
-    return _mean_interval(IntervalTarget.POPULATION_MEAN, "ci_population_mean", s, None, cw,
-                          alpha, resampled=False, population=True)
+    return _mean_interval(IntervalTarget.POPULATION_MEAN, "ci_population_mean", s, cw, alpha,
+                          resampled=False, population=True)
 
 
-def ci_sample_mean(s: Sample, w: WeightVector, cw: CenteredWeights, alpha: float) -> Interval:
+def ci_sample_mean(s: Sample, cw: CenteredWeights, alpha: float) -> Interval:
     """Interval covering the observed sample mean."""
-    return _mean_interval(IntervalTarget.SAMPLE_MEAN, "ci_sample_mean", s, w, cw, alpha,
+    return _mean_interval(IntervalTarget.SAMPLE_MEAN, "ci_sample_mean", s, cw, alpha,
                           resampled=False, population=False)
 
 
-def ci_finite_pop_mean(s: Sample, w: WeightVector, cw: CenteredWeights, alpha: float) -> Interval:
+def ci_finite_pop_mean(s: Sample, cw: CenteredWeights, alpha: float) -> Interval:
     """Interval covering a finite-population mean, scaled by the resampled
     standard deviation (the sample here plays the role of the population)."""
-    return _mean_interval(IntervalTarget.FINITE_POP_MEAN, "ci_finite_pop_mean", s, w, cw, alpha,
+    return _mean_interval(IntervalTarget.FINITE_POP_MEAN, "ci_finite_pop_mean", s, cw, alpha,
                           resampled=True, population=False)
 
 
-def ci_superpop_mean(s: Sample, w: WeightVector, cw: CenteredWeights, alpha: float) -> Interval:
+def ci_superpop_mean(s: Sample, cw: CenteredWeights, alpha: float) -> Interval:
     """Interval for the mean of the infinite super-population behind the
     observed finite population."""
-    return _mean_interval(IntervalTarget.SUPER_POP_MEAN, "ci_superpop_mean", s, w, cw, alpha,
+    return _mean_interval(IntervalTarget.SUPER_POP_MEAN, "ci_superpop_mean", s, cw, alpha,
                           resampled=True, population=True)
 
 
-def ci_ecdf(
-    s: Sample,
-    w: WeightVector,
-    cw: CenteredWeights,
-    x: float,
-    alpha: float,
-    target: IntervalTarget,
-) -> Interval:
+def ci_ecdf(s: Sample, cw: CenteredWeights, x: float, alpha: float,
+            target: IntervalTarget) -> Interval:
     """Pointwise interval at ``x`` for the ECDF (target ECDF_VALUE) or the
     underlying CDF (target CDF_VALUE), clamped to [0, 1]."""
     if target not in (IntervalTarget.ECDF_VALUE, IntervalTarget.CDF_VALUE):
         raise ValueError("target must be ECDF_VALUE or CDF_VALUE")
     z = _two_sided_cutoff(alpha)
     norm = cw.norm
-    f_star = bootstrap_ecdf(s, w, x)
+    f_star = bootstrap_ecdf(s, cw.weights, x)
     spread = f_star * (1.0 - f_star)
     if spread <= 0.0:
         raise DegenerateScaleError(f"resampled ECDF is degenerate at x={x!r}")

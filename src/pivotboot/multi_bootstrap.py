@@ -178,7 +178,7 @@ def draw_replicates(
         raise DomainError("B must be at least 2")
 
     def draw():
-        cw = center(draw_multinomial_weights(s.n, m, stream), s.n)
+        cw = center(draw_multinomial_weights(s.n, m, stream))
         return cw, cw.sum_squares
 
     draws = [nondegenerate(draw) for _ in range(B)]

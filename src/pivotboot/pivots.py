@@ -18,6 +18,8 @@ The empirical variants apply the same formulas to indicator data
 "hat" forms use the plain ECDF F_n(x) there and the "hat-hat" forms the
 resampled ECDF F*(x).  The *1 family uses signed weights on the indicators,
 the *2 family absolute weights on indicators centered at a known CDF value.
+Each pivot takes the centered weights alone: S*, F*(x) and m are read from
+the weight vector they carry.
 
 Zero denominators raise typed errors rather than yielding NaN, so that
 simulation harnesses can count degenerate draws.
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateScaleError, MuArityError
 from .estimators import Sample, _check_lengths, bootstrap_ecdf, bootstrap_std, ecdf, sample_std
-from .weights import CenteredWeights, WeightVector, dot
+from .weights import CenteredWeights, dot
 
 __all__ = [
     "PivotKind",
@@ -94,13 +96,8 @@ def g_star(s: Sample, cw: CenteredWeights, mu: float) -> float:
     return float(dot(np.abs(cw.values), s.values - mu)) / (scale * cw.norm)
 
 
-def starred_variant(
-    kind: PivotKind,
-    s: Sample,
-    w: WeightVector,
-    cw: CenteredWeights,
-    mu: float | None = None,
-) -> float:
+def starred_variant(kind: PivotKind, s: Sample, cw: CenteredWeights,
+                    mu: float | None = None) -> float:
     """Evaluate a pivot scaled by the resampled standard deviation.
 
     ``mu`` is required for the G forms and forbidden for the T forms.
@@ -114,25 +111,18 @@ def starred_variant(
         raise MuArityError(f"{kind.value} requires mu")
     if not g_form and mu is not None:
         raise MuArityError(f"{kind.value} does not take mu")
-    resampled_std = bootstrap_std(s, w)
+    resampled_std = bootstrap_std(s, cw.weights)
     if g_form:
         numerator = float(dot(np.abs(cw.values), s.values - mu))
     else:
         numerator = float(dot(cw.values, s.values))
     if kind in (PivotKind.T_DOUBLE_STAR, PivotKind.G_DOUBLE_STAR):
         return numerator / (resampled_std * cw.norm)
-    return numerator / (resampled_std / math.sqrt(w.m))
+    return numerator / (resampled_std / math.sqrt(cw.weights.m))
 
 
-def empirical_pivot(
-    kind: PivotKind,
-    s: Sample,
-    w: WeightVector,
-    cw: CenteredWeights,
-    x: float,
-    f_true: float | None = None,
-    inverse_root_m_scale: bool = False,
-) -> float:
+def empirical_pivot(kind: PivotKind, s: Sample, cw: CenteredWeights, x: float,
+                    f_true: float | None = None, inverse_root_m_scale: bool = False) -> float:
     """Evaluate a distribution-function pivot at the point ``x``.
 
     ``f_true`` (the CDF value being estimated, in (0,1)) is required for the
@@ -153,12 +143,12 @@ def empirical_pivot(
 
     weight_norm = cw.norm  # weight degeneracy checked even if substituted
     if inverse_root_m_scale:
-        weight_norm = 1.0 / math.sqrt(w.m)
+        weight_norm = 1.0 / math.sqrt(cw.weights.m)
 
     if kind in (PivotKind.ALPHA1_HAT, PivotKind.ALPHA2_HAT):
         f_scale = ecdf(s, x)
     else:
-        f_scale = bootstrap_ecdf(s, w, x)
+        f_scale = bootstrap_ecdf(s, cw.weights, x)
     spread = f_scale * (1.0 - f_scale)
     if spread <= 0.0:
         raise DegenerateScaleError(f"distribution scale vanishes at x={x!r}")

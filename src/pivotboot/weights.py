@@ -5,7 +5,8 @@ selected when resampling ``m`` times with replacement (multinomial counts),
 or any ``n`` nonnegative real weights supplied by the caller, such as a
 weights file given to ``pivotboot ci``; ``m`` is their total.  The centered
 values ``w_i/m - 1/n`` and their squared/absolute sums drive every pivot
-statistic in this package.
+statistic in this package.  Centered weights keep the weight vector they
+derive from, so the pivots and interval recipes take them alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, DimensionMismatchError
+from .errors import DegenerateWeightsError
 
 __all__ = [
     "REDRAW_LIMIT",
@@ -78,8 +79,8 @@ class WeightVector:
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "m", float(counts.sum()))
-        if self.m <= 0:
-            raise ValueError("resample size m must be positive")
+        if not 0.0 < self.m < math.inf:
+            raise ValueError("resample size m must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -88,22 +89,23 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class CenteredWeights:
-    """Centered weight values ``w_i/m - 1/n`` with their norms, computed
-    once from the values.
+    """The centered values ``w_i/m - 1/n`` of a weight vector with their
+    norms, computed once from the weights, which they keep.
 
     ``sum_squares`` is the squared Euclidean norm of the centered values and
     ``sum_abs`` their absolute sum; both scales appear in the pivot and
-    interval formulas.
+    interval formulas, and the pivots and recipes read the weights here.
     """
 
-    values: np.ndarray
+    weights: WeightVector
+    values: np.ndarray = field(init=False)
     sum_squares: float = field(init=False)
     sum_abs: float = field(init=False)
 
     def __post_init__(self) -> None:
-        values = frozen_array(self.values, "centered weights")
-        if abs(values.sum()) > 1e-12:
-            raise ValueError("centered weights must sum to zero")
+        w = self.weights
+        values = w.counts / w.m - 1.0 / w.n
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sum_squares", float(dot(values, values)))
         object.__setattr__(self, "sum_abs", float(np.abs(values).sum()))
@@ -183,11 +185,9 @@ def dot(a, b) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def center(w: WeightVector, n: int) -> CenteredWeights:
+def center(w: WeightVector) -> CenteredWeights:
     """Center the weights to ``w_i/m - 1/n``."""
-    if w.n != n:
-        raise DimensionMismatchError(f"weight vector has length {w.n}, expected {n}")
-    return CenteredWeights(values=w.counts / w.m - 1.0 / n)
+    return CenteredWeights(w)
 
 
 def max_ratio(cw: CenteredWeights) -> float:

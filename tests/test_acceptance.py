@@ -311,7 +311,7 @@ def test_criterion_8_algebraic_dualities():
         w = None
         for k in range(50):
             cand = draw_multinomial_weights(n, n + 2, substream(ACCEPTANCE_SEED, "accept.dual.w", r, k))
-            cw = center(cand, n)
+            cw = center(cand)
             if cw.sum_squares > 0:
                 w = cand
                 break
@@ -321,7 +321,7 @@ def test_criterion_8_algebraic_dualities():
                            ((interval.lo + interval.hi) / 2, True)):
             gap = abs(g_star(s, cw, mu)) - z
             worst_pop = max(worst_pop, gap if inside else -gap)
-        si = ci_sample_mean(s, w, cw, 0.1)
+        si = ci_sample_mean(s, cw, 0.1)
         t_gap = abs(t_star(s, cw)) - z
         if s.mean in si:
             worst_sample = max(worst_sample, t_gap)
@@ -330,11 +330,11 @@ def test_criterion_8_algebraic_dualities():
         # indicator reduction
         x = float(np.median(values)) + 0.05
         indicators = Sample.from_values((values <= x).astype(float))
-        lhs = empirical_pivot(PivotKind.ALPHA1_HAT, s, w, cw, x)
+        lhs = empirical_pivot(PivotKind.ALPHA1_HAT, s, cw, x)
         rhs = t_star(indicators, cw)
         if abs(lhs - rhs) > 1e-12 * max(1.0, abs(rhs)):
             reduction_exact = False
-        lhs2 = empirical_pivot(PivotKind.ALPHA2_HAT, s, w, cw, x, f_true=0.4)
+        lhs2 = empirical_pivot(PivotKind.ALPHA2_HAT, s, cw, x, f_true=0.4)
         rhs2 = g_star(indicators, cw, 0.4)
         if abs(lhs2 - rhs2) > 1e-12 * max(1.0, abs(rhs2)):
             reduction_exact = False

@@ -97,8 +97,8 @@ class TestCiCommand:
         ("huge.txt", "1e308\n-1e308\n1e308\n-1e308\n", "sample"),
     ])
     def test_non_finite_data_exits_2(self, capsys, tmp_path, name, text, method):
-        # a nan is rejected when read; +-1e308 overflows the variance, and the
-        # non-finite interval is rejected when the report is written
+        # a nan is rejected when read; +-1e308 overflows the variance, which
+        # Sample rejects before any interval is built
         path = tmp_path / name
         path.write_text(text)
         code, out, err = run_cli(capsys, "ci", str(path), "--method", method, "--seed", "1")
@@ -115,6 +115,15 @@ class TestCiCommand:
                                  "--weights-file", str(wfile), "--seed", "1")
         assert (code, out) == (2, "")
         assert "nonnegative" in err
+
+    def test_overflowing_weights_file_exits_2(self, capsys, tmp_path):
+        data, wfile = tmp_path / "data.txt", tmp_path / "w.txt"
+        data.write_text("1\n2\n3\n4\n")
+        wfile.write_text("1e308\n1e308\n1\n1\n")
+        code, out, err = run_cli(capsys, "ci", str(data), "--method", "population",
+                                 "--weights-file", str(wfile), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "pivotboot: error: resample size m must be positive and finite\n"
 
     def test_weights_file_drives_interval(self, capsys, data_file, tmp_path):
         wfile = tmp_path / "w.txt"

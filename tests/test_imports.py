@@ -1,12 +1,17 @@
 """Every name a module of the package imports at module level is used in that
 module: read, or listed in its ``__all__``; every private module-level
-definition is read somewhere in the package; and no module reaches BLAS or
-LAPACK."""
+definition is read somewhere in the package; no module reaches BLAS or
+LAPACK; and no public callable takes the weights twice."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
+
+from pivotboot.weights import CenteredWeights, WeightVector
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pivotboot"
 
@@ -113,3 +118,28 @@ def blas_uses(tree: ast.Module) -> list[int]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_blas_or_lapack(path):
     assert blas_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def public_callables():
+    """(qualified name, object) of every public callable that a module of the
+    package defines, exception types (builtin signatures) aside."""
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "pivotboot" if path.stem == "__init__" else f"pivotboot.{path.stem}")
+        for attr, obj in vars(module).items():
+            if (callable(obj) and not attr.startswith("_")
+                    and getattr(obj, "__module__", None) == module.__name__
+                    and not (isinstance(obj, type) and issubclass(obj, Exception))):
+                yield f"{module.__name__}.{attr}", obj
+
+
+def test_no_public_callable_takes_weights_and_their_centred_values():
+    # Centred weights carry their weight vector, so a parameter of each type
+    # could only be a second, possibly mismatched, copy of the same weights.
+    both = []
+    for name, obj in public_callables():
+        parameters = inspect.signature(obj, eval_str=True).parameters.values()
+        types = [t for p in parameters for t in (p.annotation, *typing.get_args(p.annotation))]
+        if WeightVector in types and CenteredWeights in types:
+            both.append(name)
+    assert both == []

@@ -35,7 +35,7 @@ def mw(counts) -> WeightVector:
 def nondegenerate_draw(seed: int, n: int, m: int):
     for r in range(100):
         w = draw_multinomial_weights(n, m, substream(seed, "w", r))
-        cw = center(w, n)
+        cw = center(w)
         if cw.sum_squares > 0:
             return w, cw
     raise AssertionError("no non-degenerate draw found")
@@ -43,7 +43,7 @@ def nondegenerate_draw(seed: int, n: int, m: int):
 
 ONE_ZERO = Sample.from_values([1.0, 0.0])
 W20 = mw([2, 0])
-CW20 = center(W20, 2)
+CW20 = center(W20)
 
 
 class TestStudentT:
@@ -81,7 +81,7 @@ class TestTStar:
 
     def test_degenerate_weights_raise(self):
         with pytest.raises(DegenerateWeightsError):
-            t_star(ONE_ZERO, center(mw([1, 1]), 2))
+            t_star(ONE_ZERO, center(mw([1, 1])))
 
 
 class TestGStar:
@@ -91,67 +91,67 @@ class TestGStar:
 
     def test_degenerate_weights_raise(self):
         with pytest.raises(DegenerateWeightsError):
-            g_star(ONE_ZERO, center(mw([1, 1]), 2), 0.0)
+            g_star(ONE_ZERO, center(mw([1, 1])), 0.0)
 
 
 class TestStarredVariants:
     def test_g_double_star_hand_value(self):
         s = Sample.from_values([1.0, 0.0, 2.0])
         w = mw([2, 1, 0])
-        cw = center(w, 3)
-        value = starred_variant(PivotKind.G_DOUBLE_STAR, s, w, cw, mu=1.0)
+        cw = center(w)
+        value = starred_variant(PivotKind.G_DOUBLE_STAR, s, cw, mu=1.0)
         assert value == pytest.approx(1.5)
 
     def test_t_tilde_hand_value(self):
         s = Sample.from_values([1.0, 0.0, 2.0])
         w = mw([2, 1, 0])
-        cw = center(w, 3)
-        value = starred_variant(PivotKind.T_TILDE, s, w, cw)
+        cw = center(w)
+        value = starred_variant(PivotKind.T_TILDE, s, cw)
         assert value == pytest.approx(-math.sqrt(1.5))
 
     def test_zero_resampled_variance(self):
         with pytest.raises(ZeroBootstrapVarianceError):
-            starred_variant(PivotKind.T_DOUBLE_STAR, ONE_ZERO, W20, CW20)
+            starred_variant(PivotKind.T_DOUBLE_STAR, ONE_ZERO, CW20)
 
     def test_mu_arity(self):
         s = Sample.from_values([1.0, 0.0, 2.0])
         w = mw([2, 1, 0])
-        cw = center(w, 3)
+        cw = center(w)
         with pytest.raises(MuArityError):
-            starred_variant(PivotKind.T_DOUBLE_STAR, s, w, cw, mu=1.0)
+            starred_variant(PivotKind.T_DOUBLE_STAR, s, cw, mu=1.0)
         with pytest.raises(MuArityError):
-            starred_variant(PivotKind.G_DOUBLE_STAR, s, w, cw)
+            starred_variant(PivotKind.G_DOUBLE_STAR, s, cw)
 
     def test_tilde_vs_double_star_scale_relation(self):
         # the two scales differ exactly by sqrt(m * V^2)
         rng = substream(11, "data")
         s = Sample.from_values(rng.standard_normal(12))
         w, cw = nondegenerate_draw(11, 12, 18)
-        tds = starred_variant(PivotKind.T_DOUBLE_STAR, s, w, cw)
-        ttl = starred_variant(PivotKind.T_TILDE, s, w, cw)
+        tds = starred_variant(PivotKind.T_DOUBLE_STAR, s, cw)
+        ttl = starred_variant(PivotKind.T_TILDE, s, cw)
         assert ttl == pytest.approx(tds * math.sqrt(cw.sum_squares * w.m), rel=1e-12)
 
 
 class TestEmpiricalPivots:
     def test_alpha1_hand_value(self):
-        value = empirical_pivot(PivotKind.ALPHA1_HAT, ONE_ZERO, W20, CW20, 0.5)
+        value = empirical_pivot(PivotKind.ALPHA1_HAT, ONE_ZERO, CW20, 0.5)
         assert value == pytest.approx(-math.sqrt(2.0))
 
     def test_alpha2_hand_value(self):
-        value = empirical_pivot(PivotKind.ALPHA2_HAT, ONE_ZERO, W20, CW20, 0.5, f_true=0.5)
+        value = empirical_pivot(PivotKind.ALPHA2_HAT, ONE_ZERO, CW20, 0.5, f_true=0.5)
         assert value == pytest.approx(0.0)
 
     def test_degenerate_scale(self):
         s = Sample.from_values([1.0, 2.0])
         w = mw([2, 0])
         with pytest.raises(DegenerateScaleError):
-            empirical_pivot(PivotKind.ALPHA1_HAT, s, w, center(w, 2), 0.0)
+            empirical_pivot(PivotKind.ALPHA1_HAT, s, center(w), 0.0)
 
     def test_f_true_arity(self):
         with pytest.raises(MuArityError):
-            empirical_pivot(PivotKind.ALPHA1_HAT, ONE_ZERO, W20, CW20, 0.5, f_true=0.5)
+            empirical_pivot(PivotKind.ALPHA1_HAT, ONE_ZERO, CW20, 0.5, f_true=0.5)
         with pytest.raises(MuArityError):
-            empirical_pivot(PivotKind.ALPHA2_HAT, ONE_ZERO, W20, CW20, 0.5)
+            empirical_pivot(PivotKind.ALPHA2_HAT, ONE_ZERO, CW20, 0.5)
 
     def test_reduction_to_mean_pivots_on_indicators(self):
         rng = substream(12, "data")
@@ -161,12 +161,12 @@ class TestEmpiricalPivots:
             w, cw = nondegenerate_draw(100 + r, 11, 11)
             x = float(np.median(values)) + 0.01
             indicators = Sample.from_values((values <= x).astype(float))
-            assert empirical_pivot(PivotKind.ALPHA1_HAT, s, w, cw, x) == pytest.approx(
+            assert empirical_pivot(PivotKind.ALPHA1_HAT, s, cw, x) == pytest.approx(
                 t_star(indicators, cw), rel=1e-12
             )
             f_true = 0.37
             assert empirical_pivot(
-                PivotKind.ALPHA2_HAT, s, w, cw, x, f_true=f_true
+                PivotKind.ALPHA2_HAT, s, cw, x, f_true=f_true
             ) == pytest.approx(g_star(indicators, cw, f_true), rel=1e-12)
 
     def test_hat_hat_uses_resampled_scale(self):
@@ -178,8 +178,8 @@ class TestEmpiricalPivots:
         f_star = float(w.counts @ (values <= x) / w.m)
         if f_star in (0.0, 1.0):
             pytest.skip("degenerate resampled ECDF for this draw")
-        hat = empirical_pivot(PivotKind.ALPHA1_HAT, s, w, cw, x)
-        hat_hat = empirical_pivot(PivotKind.ALPHA1_HAT_HAT, s, w, cw, x)
+        hat = empirical_pivot(PivotKind.ALPHA1_HAT, s, cw, x)
+        hat_hat = empirical_pivot(PivotKind.ALPHA1_HAT_HAT, s, cw, x)
         f_n = float(np.mean(values <= x))
         ratio = math.sqrt(f_n * (1 - f_n)) / math.sqrt(f_star * (1 - f_star))
         assert hat_hat == pytest.approx(hat * ratio, rel=1e-12)
@@ -187,10 +187,10 @@ class TestEmpiricalPivots:
     def test_inverse_root_m_scale_switch(self):
         s = Sample.from_values([1.0, 0.0, 2.0, 4.0])
         w = mw([2, 1, 0, 1])
-        cw = center(w, 4)
+        cw = center(w)
         x = 1.5
-        default = empirical_pivot(PivotKind.ALPHA1_HAT, s, w, cw, x)
-        switched = empirical_pivot(PivotKind.ALPHA1_HAT, s, w, cw, x,
+        default = empirical_pivot(PivotKind.ALPHA1_HAT, s, cw, x)
+        switched = empirical_pivot(PivotKind.ALPHA1_HAT, s, cw, x,
                                    inverse_root_m_scale=True)
         assert switched == pytest.approx(default * math.sqrt(cw.sum_squares * w.m), rel=1e-12)
 

@@ -311,7 +311,7 @@ class TestWhiteBoxConsistency:
             while True:
                 counts = draw_multinomial_batch(n, m, 1, rng)[0]
                 w = WeightVector(counts)
-                cw = center(w, n)
+                cw = center(w)
                 if cw.sum_squares > 0:
                     break
                 redraws += 1
@@ -370,7 +370,7 @@ class TestWhiteBoxConsistency:
                 valid["emp_T"] += 1
                 hits["emp_T"] += t_val <= threshold
                 vectors = [WeightVector(c) for c in counts]
-                centereds = [center(v, n) for v in vectors]
+                centereds = [center(v) for v in vectors]
                 if centereds[0].sum_squares > 0:
                     valid["emp_G_star"] += 1
                     hits["emp_G_star"] += (
@@ -431,15 +431,15 @@ def block_replicates(model, n: int, m: int, rows: int, seed: int, purpose: str, 
             yield Sample.from_values(values), [WeightVector(c) for c in row_counts]
 
 
-def scalar_pivot(kind, sample, w, cw, mu, x, f_true):
+def scalar_pivot(kind, sample, cw, mu, x, f_true):
     """Each kind's scalar pivot function, with the arguments its family takes."""
     if kind in EMPIRICAL_KINDS:
         absolute = kind in (PivotKind.ALPHA2_HAT, PivotKind.ALPHA2_HAT_HAT)
-        return empirical_pivot(kind, sample, w, cw, x, f_true if absolute else None)
+        return empirical_pivot(kind, sample, cw, x, f_true if absolute else None)
     if kind in (PivotKind.T_DOUBLE_STAR, PivotKind.T_TILDE):
-        return starred_variant(kind, sample, w, cw)
+        return starred_variant(kind, sample, cw)
     if kind in (PivotKind.G_DOUBLE_STAR, PivotKind.G_TILDE):
-        return starred_variant(kind, sample, w, cw, mu=mu)
+        return starred_variant(kind, sample, cw, mu=mu)
     if kind is PivotKind.STUDENT_T:
         return student_t(sample, mu)
     return t_star(sample, cw) if kind is PivotKind.T_STAR else g_star(sample, cw, mu)
@@ -480,15 +480,15 @@ class TestHarnessWhiteBox:
         model = resolve_model(model)
         outcomes = []
         for sample, (w,) in block_replicates(model, n, m, 1, seed, f"coverage.{recipe}", reps):
-            cw = center(w, n)
+            cw = center(w)
             calls = {
                 "population": lambda: (ci_population_mean(sample, cw, alpha), model.mean),
-                "sample": lambda: (ci_sample_mean(sample, w, cw, alpha), sample.mean),
-                "finitepop": lambda: (ci_finite_pop_mean(sample, w, cw, alpha), sample.mean),
-                "superpop": lambda: (ci_superpop_mean(sample, w, cw, alpha), model.mean),
-                "ecdf": lambda: (ci_ecdf(sample, w, cw, x, alpha, IntervalTarget.ECDF_VALUE),
+                "sample": lambda: (ci_sample_mean(sample, cw, alpha), sample.mean),
+                "finitepop": lambda: (ci_finite_pop_mean(sample, cw, alpha), sample.mean),
+                "superpop": lambda: (ci_superpop_mean(sample, cw, alpha), model.mean),
+                "ecdf": lambda: (ci_ecdf(sample, cw, x, alpha, IntervalTarget.ECDF_VALUE),
                                  ecdf(sample, x)),
-                "cdf": lambda: (ci_ecdf(sample, w, cw, x, alpha, IntervalTarget.CDF_VALUE),
+                "cdf": lambda: (ci_ecdf(sample, cw, x, alpha, IntervalTarget.CDF_VALUE),
                                 model.cdf(x)),
             }
             try:
@@ -511,10 +511,10 @@ class TestHarnessWhiteBox:
         model = resolve_model(model)
         outcomes = {kind: [] for kind in kinds}
         for sample, (w,) in block_replicates(model, n, m, 1, seed, "pivot_clt", reps):
-            cw = center(w, n)
+            cw = center(w)
             for kind in kinds:
                 try:
-                    value = scalar_pivot(kind, sample, w, cw, model.mean, x, model.cdf(x))
+                    value = scalar_pivot(kind, sample, cw, model.mean, x, model.cdf(x))
                 except PivotbootError:
                     outcomes[kind].append(None)
                     continue
@@ -533,7 +533,7 @@ class TestHarnessWhiteBox:
         model = resolve_model(model)
         outcomes = []
         for sample, vectors in block_replicates(model, n, m, B, seed, "refined_ci", reps):
-            rows = [center(w, n) for w in vectors]
+            rows = [center(w) for w in vectors]
             try:  # a degenerate row makes t_star raise: the replicate is not redrawn
                 values = [t_star(sample, cw) for cw in rows]
                 t_value = student_t(sample, model.mean)
@@ -691,7 +691,7 @@ class TestRefinedCoverage:
         # The golden case: at n = m = 2 a count row (1, 1) is degenerate with
         # probability 1/2, so most replicates have one among their 4 rows.
         report = refined_ci_coverage("normal01", 2, 2, 4, 0.2, 60, 14)
-        by_hand = sum(sample.variance <= 0.0 or any(center(w, 2).sum_squares <= 0.0 for w in rows)
+        by_hand = sum(sample.variance <= 0.0 or any(center(w).sum_squares <= 0.0 for w in rows)
                       for sample, rows in block_replicates(resolve_model("normal01"), 2, 2, 4, 14,
                                                            "refined_ci", 60))
         assert 0 < by_hand < 60

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from pivotboot import weights
 from pivotboot.bounds import sixth_moment_expression
-from pivotboot.errors import DegenerateWeightsError, DimensionMismatchError
+from pivotboot.errors import DegenerateWeightsError
 from pivotboot.estimators import Sample, bootstrap_mean
 from pivotboot.rng import substream
 from pivotboot.weights import (
@@ -157,34 +157,42 @@ class TestNondegenerate:
 class TestCenter:
     def test_hand_example_two_zero(self):
         w = WeightVector(np.array([2.0, 0.0]))
-        cw = center(w, 2)
+        cw = center(w)
         assert cw.values.tolist() == [0.5, -0.5]
         assert cw.sum_squares == 0.5
         assert cw.sum_abs == 1.0
 
     def test_hand_example_equal(self):
         w = WeightVector(np.array([1.0, 1.0]))
-        cw = center(w, 2)
+        cw = center(w)
         assert cw.values.tolist() == [0.0, 0.0]
         assert cw.sum_squares == 0.0
 
     def test_hand_example_three_one_zero(self):
         w = WeightVector(np.array([3.0, 1.0, 0.0]))
-        cw = center(w, 3)
+        cw = center(w)
         assert cw.values == pytest.approx([5 / 12, -1 / 12, -1 / 3])
         assert cw.sum_squares == pytest.approx(42 / 144)
 
-    def test_length_mismatch(self):
-        w = WeightVector(np.array([1.0, 1.0]))
-        with pytest.raises(DimensionMismatchError):
-            center(w, 3)
+    def test_built_from_its_weight_vector_alone(self):
+        # values, n and hand-made norms are no arguments: the centred values
+        # and every scale derive from the weight vector the pivots read
+        w = WeightVector([3.0, 1.0, 0.0])
+        for call in (lambda: CenteredWeights(values=np.array([0.5, -0.5])),
+                     lambda: CenteredWeights(w, np.array([0.5, -0.5])),
+                     lambda: center(w, 3)):
+            with pytest.raises(TypeError):
+                call()
+        cw = center(w)
+        assert cw.weights is w
+        assert cw.values.tobytes() == (w.counts / w.m - 1.0 / 3).tobytes()
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=25))
     def test_centered_values_sum_to_zero(self, counts):
         if sum(counts) == 0:
             counts[0] = 1
         w = WeightVector(np.array(counts, dtype=float))
-        cw = center(w, len(counts))
+        cw = center(w)
         assert abs(cw.values.sum()) <= 1e-12
 
     @given(
@@ -196,8 +204,8 @@ class TestCenter:
             counts[0] = 1
         shuffled = list(counts)
         rnd.shuffle(shuffled)
-        a = center(WeightVector(np.array(counts, dtype=float)), len(counts))
-        b = center(WeightVector(np.array(shuffled, dtype=float)), len(counts))
+        a = center(WeightVector(np.array(counts, dtype=float)))
+        b = center(WeightVector(np.array(shuffled, dtype=float)))
         assert a.sum_squares == pytest.approx(b.sum_squares, rel=1e-12, abs=1e-15)
         assert a.sum_abs == pytest.approx(b.sum_abs, rel=1e-12, abs=1e-15)
         assert sorted(a.values) == pytest.approx(sorted(b.values))
@@ -205,22 +213,22 @@ class TestCenter:
 
 class TestMaxRatio:
     def test_two_coordinate_case_is_half(self):
-        cw = CenteredWeights(np.array([0.5, -0.5]))
+        cw = center(WeightVector([2.0, 0.0]))
         assert max_ratio(cw) == pytest.approx(0.5)
 
     def test_hand_example(self):
         w = WeightVector(np.array([3.0, 1.0, 0.0]))
-        assert max_ratio(center(w, 3)) == pytest.approx(25 / 42)
+        assert max_ratio(center(w)) == pytest.approx(25 / 42)
 
     def test_degenerate_raises(self):
-        cw = CenteredWeights(np.array([0.0, 0.0]))
+        cw = center(WeightVector([1.0, 1.0]))
         with pytest.raises(DegenerateWeightsError):
             max_ratio(cw)
 
     def test_bounded_by_one_on_random_draws(self):
         for r in range(200):
             w = draw_multinomial_weights(5, 8, substream(8, "w", r))
-            cw = center(w, 5)
+            cw = center(w)
             if cw.sum_squares == 0.0:
                 continue
             assert 0.0 < max_ratio(cw) <= 1.0
@@ -270,6 +278,13 @@ class TestWeightVectorValidation:
         assert w.m == 4.0
         assert bootstrap_mean(Sample.from_values([1.0, 2.0, 4.0]), w) == 1.25
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_total_rejected(self):
+        # each count is finite, but m = inf would give bootstrap_mean NaN and
+        # centered weights that are all -1/n, a finite but wrong interval
+        with pytest.raises(ValueError, match="^resample size m must be positive and finite$"):
+            WeightVector([1e308, 1e308, 1.0, 1.0])
+
     def test_real_weights_accepted(self):
         # as a CLI weights file may hold them
         w = WeightVector([3.0, 0.5])
@@ -314,15 +329,15 @@ def _reference_rejection(counts: np.ndarray) -> str | None:
         return "counts must be finite"
     if np.any(counts < 0):
         return "counts must be nonnegative"
-    if counts.sum() <= 0:
-        return "resample size m must be positive"
+    if not 0 < counts.sum() < math.inf:
+        return "resample size m must be positive and finite"
     return None
 
 
 class TestValueTypesKeepAReadOnlyCopy:
     def test_arrays_are_read_only(self):
         w = WeightVector(np.array([2.0, 0.0]))
-        cw = center(w, 2)
+        cw = center(w)
         with pytest.raises(ValueError, match="read-only"):
             w.counts[0] = 5.0
         with pytest.raises(ValueError, match="read-only"):
@@ -330,21 +345,17 @@ class TestValueTypesKeepAReadOnlyCopy:
         assert (w.m, cw.sum_squares, cw.sum_abs) == (2.0, 0.5, 1.0)
 
     def test_editing_the_callers_array_changes_nothing(self):
-        counts, values = np.array([2.0, 0.0]), np.array([0.5, -0.5])
-        w, cw = WeightVector(counts), CenteredWeights(values)
-        counts[0], values[:] = 5.0, [0.25, -0.25]
+        counts = np.array([2.0, 0.0])
+        w = WeightVector(counts)
+        cw = center(w)
+        counts[0] = 5.0
         assert w.counts.tolist() == [2.0, 0.0] and w.m == 2.0
         assert cw.values.tolist() == [0.5, -0.5] and cw.sum_squares == 0.5
 
     def test_drawn_and_centred_arrays_are_read_only(self):
         w = draw_multinomial_weights(4, 4, substream(3, "w"))
         assert not w.counts.flags.writeable
-        assert not center(w, 4).values.flags.writeable
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_centered_weights_rejected(self, bad):
-        with pytest.raises(ValueError, match="^centered weights must be finite$"):
-            CenteredWeights(np.array([bad, 0.0]))
+        assert not center(w).values.flags.writeable
 
     @pytest.mark.parametrize("values, message", [
         ([[0.5, -0.5]], "^sample values must be a non-empty 1-D sequence$"),
