@@ -31,7 +31,6 @@ import datetime as _dt
 import math
 import os
 import sys
-import warnings
 from importlib import import_module
 
 from . import RECIPES, __version__
@@ -416,15 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # dumps rejects NaN and infinity, so a non-finite result (say, a
-        # variance that overflows) ends here with exit 2, as does a float
-        # overflow in plain arithmetic; numpy's floating-point warnings on
-        # the way would only repeat that.  (A filter, not np.errstate, so
-        # that commands which need no numpy never import it.)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = args.func(args)
-            text = result if isinstance(result, str) else dumps(result)
+        result = args.func(args)
+        text = result if isinstance(result, str) else dumps(result)
     except DegenerateWeightsError as exc:
         print(f"pivotboot: error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

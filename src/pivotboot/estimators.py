@@ -38,9 +38,11 @@ class Sample:
 
     def __post_init__(self) -> None:
         values = frozen_array(self.values, "sample values")
-        mean = float(values.mean())
-        centered = values - mean
-        variance = float(dot(centered, centered) / values.size)
+        # An overflow (or the inf - inf it can leave) is the ValueError below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(values.mean())
+            centered = values - mean
+            variance = float(dot(centered, centered) / values.size)
         for name, value in (("mean", mean), ("variance", variance)):
             if not math.isfinite(value):
                 raise ValueError(f"sample {name} overflows")

@@ -1,20 +1,29 @@
-"""Counter-based, splittable random streams.
+"""Seeded, splittable random streams.
 
 Every random draw in this package comes from a stream addressed by
-``(master seed, purpose tag, *indices)``.  Streams are independent Philox
-generators, each built directly from its 128-bit key and 256-bit counter:
-the key is the first 16 bytes of sha256(seed as little-endian int64 ||
-purpose), and the stream indices are placed in the high words of the
-counter.  Two streams with different addresses never overlap (a single
-stream would have to consume 2^128 blocks to run into its neighbour), and
-results are identical no matter how many worker threads consume the
-streams or in which order.
+``(master seed, purpose tag, *indices)``.  A stream is a PCG64DXSM generator
+(O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation") seeded through numpy's
+``SeedSequence``: the entropy is the 128-bit key, the first 16 bytes of
+sha256(seed as little-endian int64 || purpose) read as a little-endian
+integer, and the stream indices are its ``spawn_key``.  ``SeedSequence``
+hashes key and indices into the generator's 128-bit state and increment, so
+every address gets its own state, and the same address always the same.
+Results are identical no matter how many worker threads consume the streams
+or in which order.
+
+Unlike a counter-based generator, this construction does not prove that
+two addresses never overlap; it bounds the chance.  Each address starts at
+an effectively random point of PCG64DXSM's period of 2**128, so N streams
+of at most L draws each overlap anywhere with probability of about
+N**2 L / 2**128 (the estimate in numpy's notes on parallel random number
+generation): below 2**-24 for a million streams of 2**64 draws.  Those
+notes recommend ``SeedSequence``-seeded PCG64DXSM for many parallel streams.
 
 The unit of work that owns a stream is the caller's choice.  The simulation
-harnesses address one stream per table outer cell (stream layout 2) and one
-per block of harness replicates (layout 3), and draw all of that unit's
-variates from it in order: the base variates of all its replicates in one
-call, then their weights.
+harnesses address one stream per table outer cell and one per block of
+harness replicates (stream layout 4), and draw all of that unit's variates
+from it in order.
 """
 
 from __future__ import annotations
@@ -26,8 +35,7 @@ import numpy as np
 
 __all__ = ["check_seed", "substream"]
 
-# Counter words 0..1 are left for the stream's own draw counter; words 2..3
-# hold up to four 32-bit user indices (two per word, high word first).
+# Indices per address, each one 32-bit word of the spawn key.
 _MAX_INDICES = 4
 
 
@@ -37,33 +45,22 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must lie in [-2**63, 2**63), got {seed}")
 
 
-def _philox_key(seed: int, purpose: str) -> np.ndarray:
-    """The 128-bit key as two uint64 words (Philox takes these faster than an int)."""
+def _key(seed: int, purpose: str) -> int:
+    """The 128-bit key of ``(seed, purpose)``."""
     check_seed(seed)
     digest = hashlib.sha256(struct.pack("<q", seed) + purpose.encode("utf-8")).digest()
-    return np.frombuffer(digest[:16], dtype="<u8")
-
-
-def _counter(indices: tuple[int, ...]) -> list[int]:
-    """The 256-bit counter of a stream address, as four words (low first)."""
-    if len(indices) > _MAX_INDICES:
-        raise ValueError("too many stream indices")
-    counter = [0, 0, 0, 0]
-    for j, ix in enumerate(indices):
-        if not 0 <= ix < 2**32:
-            raise ValueError("stream indices must lie in [0, 2**32)")
-        word, half = divmod(j, 2)
-        counter[3 - word] |= ix << (32 * half)
-    return counter
+    return int.from_bytes(digest[:16], "little")
 
 
 def substream(seed: int, purpose: str, *indices: int) -> np.random.Generator:
     """Return the generator addressed by ``(seed, purpose, *indices)``.
 
-    Up to four indices, each in ``[0, 2**32)``.  Within one purpose tag,
-    distinct index tuples of equal length address distinct, non-overlapping
-    streams.
+    Up to four indices, each in ``[0, 2**32)``.  Distinct addresses seed
+    distinct streams.
     """
-    bit_generator = np.random.Philox(counter=np.array(_counter(indices), dtype=np.uint64),
-                                     key=_philox_key(seed, purpose))
-    return np.random.Generator(bit_generator)
+    if len(indices) > _MAX_INDICES:
+        raise ValueError("too many stream indices")
+    if not all(0 <= ix < 2**32 for ix in indices):
+        raise ValueError("stream indices must lie in [0, 2**32)")
+    seed_sequence = np.random.SeedSequence(_key(seed, purpose), spawn_key=indices)
+    return np.random.Generator(np.random.PCG64DXSM(seed_sequence))

@@ -11,20 +11,22 @@ replicate and scores three one-sided methods side by side: the
 absolute-weight pivot, the Studentized mean, and the Studentized mean
 compared against the maximum of B replicate pivots.
 
-Every random draw comes from a counter-based substream addressed by the
-seed and the unit of work, so reports are byte-identical for any
-worker-thread count and any execution order.  The unit is an outer cell of
-a table (stream layout 2) or a block of ``BLOCK`` replicates of the
-coverage, pivot-law and replicate-cutoff harnesses (layout 3); each report
-records its layout as ``rng_layout``.  A unit draws the base variates of
-all its replicates in one call, then their weights: a table1 cell its one
-weight vector, and every other unit all its count rows
-(:func:`~pivotboot.weights.draw_resample_counts`; B + 1 per table2 inner
-replicate, B per replicate-cutoff replicate, else one).  One set of array
-kernels scores every unit, to the bit as the scalar functions of ``pivots``
-and ``intervals`` do, ties included (tested).  Each unit counts, per
-statistic, its hit, valid and degenerate replicates; one builder band-scores
-the units (the tables) or pools them (the harnesses) into the report.
+Every random draw comes from a seeded substream (:mod:`pivotboot.rng`)
+addressed by the seed and the unit of work, so reports are byte-identical for
+any worker-thread count and any execution order.  The unit is an outer cell
+of a table or a block of ``BLOCK`` replicates of the coverage, pivot-law and
+replicate-cutoff harnesses: stream layout 4, recorded as ``rng_layout`` in
+every report; the report's kind names the unit.  A unit draws the base
+variates of all its replicates in one call, then their weights: a table1
+cell its one weight vector, a table2 cell one count row per inner replicate
+for g* and then B per replicate for the replicate pivots, and every other
+unit all its count rows in one call
+(:func:`~pivotboot.weights.draw_resample_counts`; B per replicate-cutoff
+replicate, else one).  One set of array kernels scores every unit, to the
+bit as the scalar functions of ``pivots`` and ``intervals`` do, ties
+included (tested).  Each unit counts, per statistic, its hit, valid and
+degenerate replicates; one function band-scores the units (the tables) or
+pools them (the harnesses) into the report.
 """
 
 from __future__ import annotations
@@ -79,10 +81,9 @@ TABLE1_NOMINAL = 0.95
 TABLE2_THRESHOLD = 1.281648
 TABLE2_NOMINAL = GENZ_LEVEL_B9
 
-# The stream layouts of the tables and the harnesses, recorded as rng_layout
-# (see the module docstring; layout 1, one stream per replicate, is retired).
-TABLE_LAYOUT = 2
-HARNESS_LAYOUT = 3
+# The stream layout of every table cell and harness block, recorded as
+# rng_layout (see the module docstring); layouts 1 to 3 drew from Philox.
+RNG_LAYOUT = 4
 # The divisor n - STUDENTIZE_DDOF of the tables' Studentizing variance.
 STUDENTIZE_DDOF = 1
 # Replicates per block of the coverage, pivot-law and replicate-cutoff
@@ -310,8 +311,7 @@ def _report(purpose: str, config: dict, statistics: Sequence[str], model: Model,
     is the share of units whose hits/valid lies within ``tolerance_band`` of
     ``nominal``; pooled (the harnesses), it is hits over valid replicates,
     0.0 if none is valid.  Degenerate counts are summed.  The report's kind
-    is ``purpose`` up to its first dot; its config gains ``rng_layout``: the
-    tables' layout if banded, else the harnesses'.
+    is ``purpose`` up to its first dot; its config gains ``rng_layout``.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -338,8 +338,7 @@ def _report(purpose: str, config: dict, statistics: Sequence[str], model: Model,
         else:
             frequency = hits / valid if valid else 0.0
         cells.append(CellResult(config["model"], n, statistic, frequency, degenerate))
-    layout = TABLE_LAYOUT if banded else HARNESS_LAYOUT
-    return CoverageReport(purpose.partition(".")[0], seed, {**config, "rng_layout": layout},
+    return CoverageReport(purpose.partition(".")[0], seed, {**config, "rng_layout": RNG_LAYOUT},
                           tuple(cells))
 
 
@@ -394,7 +393,8 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     pivots; the replicate criterion compares the Studentized mean against
     the maximum of the B replicate pivots (both with divisor n, which
     cancels; a tie is a hit).  Each outer cell's stream draws the data of all
-    its inner replicates, then all their weight rows.
+    its inner replicates, then the g* row of each, then the B replicate rows
+    of each.
     """
     if cfg.B < 2:  # table 2 only: table 1 reads no B
         raise ValueError("B must be at least 2")
@@ -404,13 +404,11 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     threshold = resolved["threshold"]
 
     def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
-        counts = draw_resample_counts(n, m, T * (B + 1), rng).reshape(T, B + 1, n)
-        # Row 0 weighs g*: its block centres a copy, so it is scored before
-        # the block of all rows centres the counts in place.
-        scored = _table_scores(_Block(model, data, counts[:, 0], m), threshold)
-        # All B + 1 contiguous rows, first=1 skips row 0: counts[:, 1:] gives the same bits, slower
-        every = _Block(model, data[:, None], counts, m)
-        return (*scored, _score(*_below_cutoff(every, B - 1, first=1)))
+        g_rows = draw_resample_counts(n, m, T, rng)
+        scored = _table_scores(_Block(model, data, g_rows, m), threshold)
+        replicate_rows = draw_resample_counts(n, m, T * B, rng).reshape(T, B, n)
+        every = _Block(model, data[:, None], replicate_rows, m)
+        return (*scored, _score(*_below_cutoff(every, B - 1)))
 
     return _report("table2.cell", resolved, ("emp_G_star", "emp_T", "emp_boot"), model,
                    [T] * resolved["outer_reps"], score, threads, banded=True)
@@ -554,12 +552,12 @@ _PIVOTS: dict[PivotKind, Callable[[_Block], _Values]] = {
 }
 
 
-def _below_cutoff(b: _Block, index: int, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _below_cutoff(b: _Block, index: int) -> tuple[np.ndarray, np.ndarray]:
     """Whether each replicate's Studentized mean is at most the order
     statistic ``index`` (from 0; B - 1 is the maximum) of its t* on its count
-    rows from ``first`` on, and the valid mask: all those t* defined."""
+    rows, and the valid mask: all those t* defined."""
     t_values, _ = _PIVOTS[PivotKind.STUDENT_T](b)  # defined wherever a t* is
-    replicates, ok = (a[:, first:] for a in _PIVOTS[PivotKind.T_STAR](b))
+    replicates, ok = _PIVOTS[PivotKind.T_STAR](b)
     return t_values[:, 0] <= np.partition(replicates, index, axis=1)[:, index], ok.all(axis=1)
 
 

@@ -78,7 +78,8 @@ class WeightVector:
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "m", float(counts.sum()))
+        with np.errstate(over="ignore"):  # an overflow is the ValueError below
+            object.__setattr__(self, "m", float(counts.sum()))
         if not 0.0 < self.m < math.inf:
             raise ValueError("resample size m must be positive and finite")
 

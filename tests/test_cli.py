@@ -261,10 +261,10 @@ class TestTableCommand:
     # The exact bytes, column padding included, of one small run of each table.
     @pytest.mark.parametrize("which, expected", [
         ("1", "Distribution  n   emp_G_star           emp_T\n"
-              "poisson1      10  0.42857142857142855  0.5714285714285714\n"),
-        ("2", "Distribution  n   emp_G_star           emp_T               emp_boot\n"
-              "poisson1      10  0.42857142857142855  0.2857142857142857  0.0\n"),
-    ])
+              "poisson1      10  0.14285714285714285  0.42857142857142855\n"),
+        ("2", "Distribution  n   emp_G_star          emp_T  emp_boot\n"
+              "poisson1      10  0.2857142857142857  0.0    0.0\n"),
+    ], ids=["1", "2"])
     def test_text_bytes_pinned(self, capsys, which, expected):
         code, out, _ = run_cli(capsys, "table", "--which", which, "--model", "poisson1",
                                "--n", "10", "--outer", "7", "--inner", "20", "--B", "3",

@@ -56,8 +56,9 @@ class TestSample:
     @pytest.mark.parametrize("values, field", [
         ([1e308, 1e308, 1.0], "mean"),
         ([1e308, -1e308, 1e308, -1e308], "variance"),
+        # numpy's pairwise sum meets inf - inf here: a NaN mean, no warning
+        ([1e308, -1e308] * 8, "mean"),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_moments_rejected(self, values, field):
         # an infinite mean or variance would make student_t return NaN
         with pytest.raises(ValueError, match=f"^sample {field} overflows$"):

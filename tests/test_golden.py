@@ -12,8 +12,8 @@ The same holds for the CLI's own streams (``cli.weights``, ``cli.ci``),
 pinned through the stdout of ``pivotboot weights`` and of ``pivotboot ci``
 with drawn weights, and for the stream layout itself: the first draws of
 ``substream`` at zero to four indices, and the first draws of a table2
-outer cell's stream (layout 2) and of a harness block's stream (layout 3):
-the unit's base variates, then its count rows.
+outer cell's stream and of a harness block's stream (layout 4): the unit's
+base variates, then its count rows.
 
 None of these bytes depends on the BLAS kernel or on numpy's CPU dispatch:
 every inner product of the package sums through ``weights.dot`` (numpy's
@@ -83,53 +83,53 @@ CASES = {
 
 GOLDEN = {
     "coverage/cdf/normal01":
-        "e65dbd88c9d98ffc95e2d81d80d55af5baa265a67251f502f758df7753321691",
+        "5cb36dc5b89c43afdea4224eefae0a6f95b795ddc9e047c2716f81c3414d4bf5",
     "coverage/cdf/poisson1":
-        "c9207a4c4b87b6fd1dcfe41ab2df49c6dc67f8f62c40539159c6e58a7035c4b0",
+        "49e649ecf9628bf3a42595cf29bce5cdd7d60b1034f9cbf87b3abfd45c463ce3",
     "coverage/ecdf/normal01":
-        "d2e94b02d0edde66bc557e2100b6cef143c094ecf7231bebf2723c7b5b7e1855",
+        "11fbdcacc4a851b78982a33300e775cb8fd3404922d8c763da4233c53c40334e",
     "coverage/ecdf/poisson1":
-        "9db55189d4554a23598974958f07227a75d3b1fa81eb072b4556628d35f3854d",
+        "79f2a699bc81ae7a876759b916d53587edc8ee86558105fb7d5bcd11d355c774",
     "coverage/finitepop/normal01":
-        "ed5bbd8d06f9c1add02bf23f76c9e97467a21ceb23cf4d95ab5aa396f95b335c",
+        "04910706038096ee6c080bbbddeaea82cc660c01b9ee973a1b8dba4af204fd5c",
     "coverage/finitepop/poisson1":
-        "ea169580a40c42f0eaad9325db01774a010dcdd43569e21c9f93e48f6f9ca767",
+        "7c6f592010da32dd12bac42ff1f97bfa5f0207768c470f2cf717686e50133d2b",
     "coverage/population/normal01":
-        "df5daf15200d26f859e5b6e2becc06f512fe15ca9041c60ca931c50caec8c0f9",
+        "27357d354bf8454d90c0d71999d45582069ca241ced26f6e241b15399145e40f",
     "coverage/population/poisson1":
-        "5591fbee17bebd738dbc90632fa072ea391ab01e6ef8a9a60e3101852892fbcb",
+        "8ea1a4637f79bf86f78baf91623d843f0a3319589218004112909c684c56c3ef",
     "coverage/sample/normal01":
-        "36ccf6bc6fe509adea7b0b22882943962664300ee206a1dc96795d3b18a1a2f4",
+        "59e78e0782af47b70cafb589b1113aaefda0ef613274ac6a0b9cfa7c29eb5278",
     "coverage/sample/poisson1":
-        "5d42e0afa6af8ba9ff833908998bf7808be3fb4cdf023942bfd8e7aeb03d22c2",
+        "4cb7327aac34116205605affeb41e4df33144a29dfef4c6c6e3f186e1d726231",
     "coverage/superpop/normal01":
-        "085df678b6247c7faa2030d1e4f1da6775f21047f94e5d172c7fae4b9e9cce4d",
+        "034f179a7e61b79a6fb7374ed2054c1cd05f99c30df44347eec4e0406804a39a",
     "coverage/superpop/poisson1":
-        "81968d82db1a089e103113b977b5e39aead80de351e0dae3a9ed56fa1ef9c2b2",
+        "1229d59967bbafd35e16a1b170338acc096ada08742249404851d557e73a97aa",
     "pivot_clt/normal01":
-        "911cf53daff16dd176c63288b12faad7676198086a432120c17173c09f5f1427",
+        "8137cb4c69fcf2bdf8b6f4bd8b5683045761e84b16b44aadb30397733948027d",
     "pivot_clt/poisson1":
-        "adae78bcae4014aede12ac2506716eee574581d09dbeee5b8f4be8ed85faee13",
+        "94e3ebbc1a56efea4fda501f0a77886a37ee46c937260db0fe9511f92a2491db",
     "refined_ci/lognormal01":
-        "cefbd3917033807cb0230f393d6270bb872e4ee15a2a640528f8c9973a509037",
+        "8d216650868cb7c24374cbd7c30d72b76a6c8dbce47addcd22921244eb7dcc90",
     "refined_ci/normal01/n2":
-        "a0a43a139f02984d54c2d03e5741bcab6b7efd3fe038eec1b1bce4760e81566e",
+        "014d7ce99f1655c0f5267a23bc02953afa1450d8fb3fbebfa5b44f649204ea11",
     "table1/exponential1/10":
-        "658174e0b5a5694f0b78931c2170354b3b43cee818cc08075cec51359d5d1e4c",
+        "81baff2e866d34c66bffbf7a0e449738cf975a9fb34dc0020ab43cb3ebc2dd54",
     "table1/lognormal01/10":
-        "0757d751a05bfe03164d014f4b2a1b5a2c7c53e6cd6710b2b7c2c79c70bfc651",
+        "83f2999f9bc9e10ffc48ac63027a85dbefbb20529df8a502f4d70bfb3a7a1edc",
     "table1/normal01/2":
-        "76807907fc56145c0a63b1452da825439a2a50e4bb61b173a515d81af5d4600d",
+        "bdfc857ff093d30497307a934544a3bd20929597fbf62dda9ea448833f794f6c",
     "table1/poisson1/10":
-        "8977db363693407a648ed09b6a21f43a50920c5fd8837cd0c79181e71bc3b0cd",
+        "6f0722ea1cb0a13acc3538b8e2e7514f5f5fd4bab95288c074e47b021fe418ed",
     "table2/exponential1/10":
-        "b7c16fc0a3e49c3f8dba4f750cc9546f09ada9f88d1b66d7538f6e4e9c6673fd",
+        "9686512e5d18d5b1ac69abf301a7c5372ecbc9fe1baf72aa86506b486e626ab8",
     "table2/lognormal01/10":
-        "2944a953d10af5b72ea8ec27e36b63af0f0913a699ebd7f5f248dbdc60ddc477",
+        "0d5aad62cd9568c9aea02d4d8f650e507d490b304f3376739be0d5ce93081084",
     "table2/normal01/2":
-        "c1ee41d5de5ce9a576c1b40f4d7f0849735d874be1a580526fe90ce83cdee1d0",
+        "4aa544878ebac248ac8858d4bcdc1c1f1fdba7e20e08b897c069ae2aaf0103c0",
     "table2/poisson1/10":
-        "7082a1484890eb4a65141a97c92b7e13c3d0a738c69f60ec9e19b7046c511bb5",
+        "0f98196a8058cf089a80b90c4d7bdd92dd7c52e91db54ffa6a3c5316f822965d",
 }
 
 
@@ -139,10 +139,16 @@ def test_report_bytes_unchanged(case):
     assert digest == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_records_stream_layout(case):
+    # every table cell and harness block reads its own PCG64DXSM stream
+    assert CASES[case]().config["rng_layout"] == 4
+
+
 CLI_PINNED = ["--seed", "21", "--timestamp", "2000-01-01T00:00:00+00:00"]
 CLI_FILES = {
     "data.txt": "9.5\n10.25\n11.0\n8.75\n10.5\n12.0\n9.0\n",
-    "two.txt": "1\n0\n",  # --m 2 redraws once at seed 21
+    "two.txt": "1\n0\n",  # --m 2 redraws twice at seed 21
 }
 CLI_CASES = {
     "weights/n10m10": ["weights", "--n", "10", "--m", "10"],
@@ -154,16 +160,16 @@ CLI_CASES = {
     "ci/two/redraws": ["ci", "two.txt", "--method", "population", "--m", "2"],
 }
 CLI_GOLDEN = {
-    "weights/n10m10": "a087b24c5f3fc11cfa1c0bd66c7c164d9793651ceaf55d588b4664ebde454516",
-    "weights/n7m30": "cedb779873e171138856971a0b4be61d67e9f99a67499f91a457691f700874ae",
-    "weights/n1m3": "b49cc96130ecd9cdf2637b934a400ee5be18244de8fc97de6ca7e551fc001f45",
-    "ci/population": "6c193191bb957a41daa8c0d13f1bdcdc38b18496d4da603c53be91adf0c44d55",
-    "ci/sample": "9b1856b13b053db9f955360b61adb3ac138bf7c3b7fd11db6b8bb7f05904a11e",
-    "ci/finitepop": "81d31a617e6fc0fa9fe4669eb81c3360d776463c1d511f906cfb2d9fca3ee72f",
-    "ci/superpop": "ffdc87a808a6ac6350da0dd7231308d3160faeb4316e8d658d888d5f99aabaa5",
-    "ci/ecdf": "f9f4ea8fb4182a6baddb5b715c3130bf3675ea0fd4754e34688ee5a639e9430e",
-    "ci/cdf": "a898af64736e457022137d4f4a5c7b383e218a6b6881d514f797db915abe6109",
-    "ci/two/redraws": "3c43a50a733533f8cd6c62f09e0c1f4f92da0d6a3ae36506855103835c7d98f3",
+    "weights/n10m10": "832599ec05f65dbd73e48ae0775200ca02338f556e013490da59e39a568feff4",
+    "weights/n7m30": "dfc6f16975d178675c0c8d79ab54b379118cb5fceb9da1135bd4c99a076b6a39",
+    "weights/n1m3": "cb9dec828b76222a60543564317c863b5491d7320ff84ab35aea475041a0b637",
+    "ci/population": "f6b7f4e5f370cbafeb0b4afc4b0eb52b413a5c5fb66cd95b83f76b1aaf89b727",
+    "ci/sample": "2b50561c30ed283c57d8d48a5ff631b62aca13fd21ceae517bae970ccb0ba1f5",
+    "ci/finitepop": "814b9af1893a85f3883d909d5c9339ef5da398ea529b6f0a637bcf29d05860f9",
+    "ci/superpop": "2141477ad08fb90998b5f66456e4a2caa4aba3999743cda01765c6d7f0d7964a",
+    "ci/ecdf": "2dd676c9a65f0660b9f07ce0737895d447c14c63476503a285fff259dd74cc39",
+    "ci/cdf": "faf8cbca1372cd496cfd41adc5470a95a8183fa1785134e1eb258b28d6e372b4",
+    "ci/two/redraws": "e6eb3455ad6995a15eef2943fd85c134206bba418d2237922601535685f83947",
 }
 
 
@@ -179,16 +185,16 @@ def test_cli_output_bytes_unchanged(case, tmp_path, monkeypatch, capsys):
 
 # substream(2024, "layout", *indices).random(4), as float.hex.
 STREAM_GOLDEN = {
-    (): ["0x1.70c02cf961a14p-1", "0x1.94cef4686f800p-7",
-         "0x1.ecaa3cbab280cp-1", "0x1.3ab009f9361f0p-3"],
-    (3,): ["0x1.29fc2b0146fccp-1", "0x1.3b2d2cfecafc0p-1",
-           "0x1.9f71d8b8b0c0ap-1", "0x1.0ad3e38a8fa68p-3"],
-    (3, 2**32 - 1): ["0x1.3380b944678ecp-2", "0x1.c0aea7732274cp-2",
-                     "0x1.18299d98db2cep-1", "0x1.3b4fbe0a81c8ap-1"],
-    (3, 2**32 - 1, 17): ["0x1.a25ea88bcdf74p-2", "0x1.eff1c86a70113p-1",
-                         "0x1.d8dd84c2e45fcp-2", "0x1.cdc548f20dd10p-4"],
-    (3, 2**32 - 1, 17, 65537): ["0x1.269da9859aba8p-1", "0x1.c673b2ea1e194p-1",
-                                "0x1.a194c98916237p-1", "0x1.4e7f820d8547cp-3"],
+    (): ["0x1.2738f8ff4223ap-1", "0x1.a63a5286fb5f6p-1",
+         "0x1.9e536cbf68bcep-1", "0x1.a0254d9863200p-5"],
+    (3,): ["0x1.753ec87dde958p-3", "0x1.39971899e2010p-3",
+           "0x1.2f59188129a40p-1", "0x1.c24817c638ae8p-2"],
+    (3, 2**32 - 1): ["0x1.4914127f51aacp-3", "0x1.876ffa70c9e7ap-1",
+                     "0x1.4742895b6fa4ep-1", "0x1.fdab21342ab38p-4"],
+    (3, 2**32 - 1, 17): ["0x1.d7bd6c3585500p-3", "0x1.a9cadd25e0518p-4",
+                         "0x1.89548a5690380p-8", "0x1.b3832e0887fb6p-1"],
+    (3, 2**32 - 1, 17, 65537): ["0x1.c7a559ccc3d93p-1", "0x1.4548a79b8aef0p-4",
+                                "0x1.b021b8f4ba580p-5", "0x1.7374540f0c04ap-1"],
 }
 
 
@@ -200,14 +206,14 @@ def test_stream_layout_unchanged(indices):
 
 def test_table_cell_layout_unchanged():
     # A table2 cell of poisson1, n = m = 5, B = 2, 3 inner replicates, at
-    # seed 2024, outer cell 0: the first base variates, then the first count
-    # row (index counting, m <= 8n).
+    # seed 2024, outer cell 0: the first base variates, then the first of
+    # the 3 g* count rows (index counting, m <= 8n).
     rng = substream(2024, "table2.cell", 0)
     base = resolve_model("poisson1").draw_base(rng, 3 * 5)
     assert [float.hex(v) for v in base[:4]] == [
-        "0x1.e7b0f163e1c9cp-3", "0x1.5454015906e40p-7",
-        "0x1.22256c54d93e8p-1", "0x1.19c131fcfdf62p-2"]
-    assert draw_resample_counts(5, 5, 3 * 3, rng)[0].tolist() == [1, 2, 2, 0, 0]
+        "0x1.72c38201d0fa8p-4", "0x1.32e8b9e62193ep-1",
+        "0x1.af15adb606d60p-5", "0x1.bf8aa0fa8cd48p-2"]
+    assert draw_resample_counts(5, 5, 3, rng)[0].tolist() == [0, 3, 1, 1, 0]
 
 
 def test_harness_block_layout_unchanged():
@@ -217,10 +223,10 @@ def test_harness_block_layout_unchanged():
     rng = substream(2024, "refined_ci", 0)
     base = resolve_model("lognormal01").draw_base(rng, 32 * 5)
     assert [float.hex(v) for v in base[:4]] == [
-        "-0x1.3e33fce9b0d47p-3", "0x1.e4fe145db01f6p-3",
-        "0x1.b21ddb6760bfap+0", "-0x1.0dcb27f5b3565p+1"]
+        "0x1.00b7dbf3145c2p-1", "0x1.1913ee85110bcp-1",
+        "0x1.088ed6532a880p-3", "-0x1.24bbe11c6b372p+0"]
     counts = draw_resample_counts(5, 5, 32 * 3, rng)
-    assert counts[:2].tolist() == [[2, 2, 1, 0, 0], [1, 0, 1, 1, 2]]
+    assert counts[:2].tolist() == [[1, 1, 2, 0, 1], [2, 1, 0, 1, 1]]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

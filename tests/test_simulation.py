@@ -1,6 +1,7 @@
 """Simulation-harness tests: model laws, determinism, white-box consistency
 of the vectorized kernels against the scalar pivot functions."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -270,9 +271,10 @@ class TestWhiteBoxConsistency:
     """Recompute tiny table cells with the scalar library functions on the
     same substreams and require identical reports.
 
-    The scalar paths derive stream layout 2 on their own: one stream per
+    The scalar paths derive stream layout 4 on their own: one stream per
     outer cell, read one inner replicate (and, in table2, one count row) at
-    a time, where the kernels draw each cell's blocks in one call."""
+    a time, where the kernels draw each cell's blocks in one call: table2's
+    g* rows, then its replicate rows."""
 
     # The fixed designs of the original white-box cases, plus random designs:
     # any law, n in 2..8.  The scalar pivots use divisor n; sqrt((n - 1)/n)
@@ -361,7 +363,8 @@ class TestWhiteBoxConsistency:
             valid = {"emp_G_star": 0, "emp_T": 0, "emp_boot": 0}
             rng = substream(seed, "table2.cell", s)
             samples = [model.transform(model.draw_base(rng, n)) for _ in range(T)]
-            rows = [[count_row(rng) for _ in range(B + 1)] for _ in range(T)]
+            g_rows = [count_row(rng) for _ in range(T)]
+            rows = [[g_row] + [count_row(rng) for _ in range(B)] for g_row in g_rows]
             for data, counts in zip(samples, rows):
                 sample = Sample.from_values(data)
                 if sample.variance <= 0:
@@ -386,34 +389,29 @@ class TestWhiteBoxConsistency:
         for key, total in within.items():
             assert report.frequency(key) == total / S
 
-    def test_ddof_one_matches_direct_recompute(self):
-        # At this nominal level and band 4 of the 6 cells score with divisor
-        # n - 1 and 3 with divisor n, so the comparison resolves the divisor.
-        n, S, T, seed, nominal, band = 6, 6, 40, 31, 0.9, 0.03
-        cfg = SimConfig(model="normal01", n=n, outer_reps=S, inner_reps=T, seed=seed,
-                        nominal=nominal, tolerance_band=band)
-        report = run_table1(cfg)
+    def test_ddof_one_matches_direct_recompute(self, monkeypatch):
+        # Fixed data, so that the divisor decides the cell whatever the
+        # stream: the first row's Studentized mean is 1.565 with divisor
+        # n - 1 and 1.715 with divisor n, either side of the cutoff; the
+        # second row's is negative.  Both rows stay below the cutoff (1.0,
+        # in the band) only with divisor n - 1; with divisor n one does (0.5).
+        n, nominal, band = 6, 0.9, 0.2
+        rows = np.array([[-0.3, 1.7] * 3, [-1.7, 0.3] * 3])
+        fixed = dataclasses.replace(MODELS["normal01"], name="fixed", transform=lambda u: rows)
+        monkeypatch.setitem(simulation.MODELS, "fixed", fixed)
+        report = run_table1(SimConfig(model="fixed", n=n, outer_reps=2, inner_reps=len(rows),
+                                      seed=31, nominal=nominal, tolerance_band=band))
         assert report.config["studentize_ddof"] == 1
-        model = resolve_model("normal01")
-        within = {0: 0, 1: 0}
-        for s in range(S):
-            rng = substream(seed, "table1.cell", s)
-            hits, valid = {0: 0, 1: 0}, 0
-            for t in range(T):
-                data = model.transform(model.draw_base(rng, n))
-                if data.std() <= 0:
-                    continue
-                valid += 1
-                for ddof in within:
-                    t_value = (data.mean() - model.mean) * math.sqrt(n) / data.std(ddof=ddof)
-                    hits[ddof] += t_value <= TABLE1_THRESHOLD
-            for ddof in within:
-                within[ddof] += _within(hits[ddof], valid, nominal, band)
-        assert 0 < within[1] < S and within[0] != within[1]
-        assert report.frequency("emp_T") == within[1] / S
+        within = {}
+        for ddof in (0, 1):
+            t_values = rows.mean(axis=1) * math.sqrt(n) / rows.std(axis=1, ddof=ddof)
+            within[ddof] = _within(int(np.count_nonzero(t_values <= TABLE1_THRESHOLD)),
+                                   len(rows), nominal, band)
+        assert within == {0: False, 1: True}
+        assert report.frequency("emp_T") == 1.0
 
 
-# Stream layout 3 of the harnesses: replicates in blocks of this many.
+# Stream layout 4 of the harnesses: replicates in blocks of this many.
 BLOCK = 32
 
 
@@ -456,7 +454,7 @@ def assert_cell(cell, outcomes):
 
 
 class TestHarnessWhiteBox:
-    """Re-derive each harness report by hand on stream layout 3: redraw each
+    """Re-derive each harness report by hand on stream layout 4: redraw each
     block's data and count rows, then score every replicate with the scalar
     interval, pivot or refined-cutoff functions.  The kernels take the
     scalar functions' operations row by row, so their values are equal to
@@ -497,7 +495,7 @@ class TestHarnessWhiteBox:
                 outcomes.append(None)
                 continue
             outcomes.append(target in interval)
-        assert report.config["rng_layout"] == 3
+        assert report.config["rng_layout"] == 4
         assert_cell(report.cells[0], outcomes)
 
     @settings(max_examples=25, deadline=None)

@@ -278,7 +278,6 @@ class TestWeightVectorValidation:
         assert w.m == 4.0
         assert bootstrap_mean(Sample.from_values([1.0, 2.0, 4.0]), w) == 1.25
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_total_rejected(self):
         # each count is finite, but m = inf would give bootstrap_mean NaN and
         # centered weights that are all -1/n, a finite but wrong interval
