@@ -22,7 +22,7 @@ notes recommend ``SeedSequence``-seeded PCG64DXSM for many parallel streams.
 
 The unit of work that owns a stream is the caller's choice.  The simulation
 harnesses address one stream per table outer cell and one per block of
-harness replicates (stream layout 4), and draw all of that unit's variates
+harness replicates (stream layout 5), and draw all of that unit's variates
 from it in order.
 """
 

@@ -15,16 +15,15 @@ Every random draw comes from a seeded substream (:mod:`pivotboot.rng`)
 addressed by the seed and the unit of work, so reports are byte-identical for
 any worker-thread count and any execution order.  The unit is an outer cell
 of a table or a block of ``BLOCK`` replicates of the coverage, pivot-law and
-replicate-cutoff harnesses: stream layout 4, recorded as ``rng_layout`` in
+replicate-cutoff harnesses: stream layout 5, recorded as ``rng_layout`` in
 every report; the report's kind names the unit.  A unit draws the base
-variates of all its replicates in one call, then their weights: a table1
-cell its one weight vector, a table2 cell one count row per inner replicate
-for g* and then B per replicate for the replicate pivots, and every other
-unit all its count rows in one call
-(:func:`~pivotboot.weights.draw_resample_counts`; B per replicate-cutoff
-replicate, else one).  One set of array kernels scores every unit, to the
-bit as the scalar functions of ``pivots`` and ``intervals`` do, ties
-included (tested).  Each unit counts, per statistic, its hit, valid and
+variates of all its replicates in one call, then their count rows, every
+one by :func:`~pivotboot.weights.draw_multinomial_batch`: a table1 cell its
+one weight row, a table2 cell one row per inner replicate for g* and then B
+per replicate for the replicate pivots, and every other unit B rows per
+replicate-cutoff replicate, else one.  One set of array kernels scores every
+unit, to the bit as the scalar functions of ``pivots`` and ``intervals`` do,
+ties included (tested).  Each unit counts, per statistic, its hit, valid and
 degenerate replicates; one function band-scores the units (the tables) or
 pools them (the harnesses) into the report.
 """
@@ -32,6 +31,7 @@ pools them (the harnesses) into the report.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -44,7 +44,7 @@ from .intervals import RECIPES
 from .multi_bootstrap import GENZ_LEVEL_B9, _cutoff_index
 from .pivots import EMPIRICAL_KINDS, PivotKind
 from .rng import check_seed, substream
-from .weights import dot, draw_multinomial_batch, draw_resample_counts, nondegenerate
+from .weights import dot, draw_multinomial_batch, nondegenerate
 
 # The harnesses call none of these; they stay bound here only because
 # perfbench/layers.instrument patches them by these names in this module
@@ -82,17 +82,19 @@ TABLE2_THRESHOLD = 1.281648
 TABLE2_NOMINAL = GENZ_LEVEL_B9
 
 # The stream layout of every table cell and harness block, recorded as
-# rng_layout (see the module docstring); layouts 1 to 3 drew from Philox.
-RNG_LAYOUT = 4
+# rng_layout (see the module docstring); layouts 1 to 3 drew from Philox, and
+# layout 4 drew table1's weight row with numpy's multinomial sampler.
+RNG_LAYOUT = 5
 # The divisor n - STUDENTIZE_DDOF of the tables' Studentizing variance.
 STUDENTIZE_DDOF = 1
 # Replicates per block of the coverage, pivot-law and replicate-cutoff
 # harnesses: block k reads the stream (seed, purpose, k).
 BLOCK = 32
-# Count entries per chunk of the replicate-cutoff harness's count rows (2 MB
-# as float64).  A chunk holds whole replicates, so memory stays bounded at
-# any B * n.  At 2**18 every published and benchmark design (B = 9, n <= 800)
-# draws and scores a block in one call, for about 2.4 MB more peak RSS on
+# Count entries per chunk of the replicate rows of a table2 cell or a
+# replicate-cutoff block (2 MB as float64).  A chunk holds whole replicates,
+# so memory stays bounded at any number of them.  At 2**18 every published
+# and benchmark design (B = 9; table2 at n <= 40, harnesses at n <= 800)
+# draws and scores its rows in one call, for about 2.4 MB more peak RSS on
 # the benchmark's harness round; at 2**13 a block at n = 800 took 32 calls,
 # whose overhead set the time.  Budgets in between, such as 2**16, cost
 # about 3,900 minor page faults (ru_minflt) per n = 800 call of 200
@@ -303,15 +305,16 @@ def _report(purpose: str, config: dict, statistics: Sequence[str], model: Model,
             sizes: Sequence[int], score: Callable[[np.ndarray, np.random.Generator], tuple],
             threads: int, banded: bool = False) -> CoverageReport:
     """Run one unit of work per entry of ``sizes`` (table outer cells or
-    harness blocks) on up to ``threads`` threads and score each statistic.
-    Unit k reads ``substream(seed, purpose, k)``: first the data of its
-    ``sizes[k]`` replicates in one base draw of ``model``, one row of n each,
-    then ``score(data, rng)`` draws their weights and returns one
-    :func:`_score` triple per statistic.  Banded (the tables), the frequency
-    is the share of units whose hits/valid lies within ``tolerance_band`` of
-    ``nominal``; pooled (the harnesses), it is hits over valid replicates,
-    0.0 if none is valid.  Degenerate counts are summed.  The report's kind
-    is ``purpose`` up to its first dot; its config gains ``rng_layout``.
+    harness blocks) on up to ``threads`` threads, at most one per CPU, and
+    score each statistic.  Unit k reads ``substream(seed, purpose, k)``:
+    first the data of its ``sizes[k]`` replicates in one base draw of
+    ``model``, one row of n each, then ``score(data, rng)`` draws their
+    weights and returns one :func:`_score` triple per statistic.  Banded
+    (the tables), the frequency is the share of units whose hits/valid lies
+    within ``tolerance_band`` of ``nominal``; pooled (the harnesses), it is
+    hits over valid replicates, 0.0 if none is valid.  Degenerate counts are
+    summed.  The report's kind is ``purpose`` up to its first dot; its config
+    gains ``rng_layout``.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -321,12 +324,13 @@ def _report(purpose: str, config: dict, statistics: Sequence[str], model: Model,
         rng, size = substream(seed, purpose, k), sizes[k]
         return score(model.transform(model.draw_base(rng, size * n).reshape(size, n)), rng)
 
-    if threads == 1:
+    workers = min(threads, os.cpu_count() or 1)  # one OS thread per worker
+    if workers == 1:
         rows = [unit(k) for k in range(len(sizes))]
     else:
         from concurrent.futures import ThreadPoolExecutor  # serial runs skip this import
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(unit, range(len(sizes))))
     cells = []
     for statistic, column in zip(statistics, zip(*rows)):
@@ -394,7 +398,7 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     the maximum of the B replicate pivots (both with divisor n, which
     cancels; a tie is a hit).  Each outer cell's stream draws the data of all
     its inner replicates, then the g* row of each, then the B replicate rows
-    of each.
+    of each (:func:`_below_cutoff`).
     """
     if cfg.B < 2:  # table 2 only: table 1 reads no B
         raise ValueError("B must be at least 2")
@@ -404,11 +408,9 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     threshold = resolved["threshold"]
 
     def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
-        g_rows = draw_resample_counts(n, m, T, rng)
+        g_rows = draw_multinomial_batch(n, m, T, rng)
         scored = _table_scores(_Block(model, data, g_rows, m), threshold)
-        replicate_rows = draw_resample_counts(n, m, T * B, rng).reshape(T, B, n)
-        every = _Block(model, data[:, None], replicate_rows, m)
-        return (*scored, _score(*_below_cutoff(every, B - 1)))
+        return (*scored, _below_cutoff(model, data, m, B, B - 1, rng))
 
     return _report("table2.cell", resolved, ("emp_G_star", "emp_T", "emp_boot"), model,
                    [T] * resolved["outer_reps"], score, threads, banded=True)
@@ -552,13 +554,25 @@ _PIVOTS: dict[PivotKind, Callable[[_Block], _Values]] = {
 }
 
 
-def _below_cutoff(b: _Block, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each replicate's Studentized mean is at most the order
-    statistic ``index`` (from 0; B - 1 is the maximum) of its t* on its count
-    rows, and the valid mask: all those t* defined."""
-    t_values, _ = _PIVOTS[PivotKind.STUDENT_T](b)  # defined wherever a t* is
-    replicates, ok = _PIVOTS[PivotKind.T_STAR](b)
-    return t_values[:, 0] <= np.partition(replicates, index, axis=1)[:, index], ok.all(axis=1)
+def _below_cutoff(model: Model, data: np.ndarray, m: int, B: int, index: int,
+                  rng: np.random.Generator) -> tuple[int, int, int]:
+    """The :func:`_score` triple of the replicates (rows of ``data``) whose
+    Studentized mean is at most the order statistic ``index`` (from 0; B - 1
+    is the maximum) of their t* on B count rows each, valid where all those
+    t* are defined.  The rows are drawn in replicate order, in chunks of
+    whole replicates within ``_CHUNK`` entries: the same rows as one call."""
+    n = data.shape[1]
+    chunk = max(1, _CHUNK // (B * n))
+    hits, valid = [], []
+    for start in range(0, len(data), chunk):
+        rows = data[start:start + chunk, None]
+        counts = draw_multinomial_batch(n, m, len(rows) * B, rng).reshape(len(rows), B, n)
+        b = _Block(model, rows, counts, m)
+        t_values, _ = _PIVOTS[PivotKind.STUDENT_T](b)  # defined wherever a t* is
+        replicates, ok = _PIVOTS[PivotKind.T_STAR](b)
+        hits.append(t_values[:, 0] <= np.partition(replicates, index, axis=1)[:, index])
+        valid.append(ok.all(axis=1))
+    return _score(np.concatenate(hits), np.concatenate(valid))
 
 
 def _interval(b: _Block, alpha: float, centre: np.ndarray, scale: np.ndarray,
@@ -639,7 +653,7 @@ def run_coverage(interval_recipe: str, model: str | Model, n: int, m: int, alpha
     interval, target = _RECIPES[interval_recipe]
 
     def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int]]:
-        b = _Block(model, data, draw_resample_counts(n, m, len(data), rng), m, x)
+        b = _Block(model, data, draw_multinomial_batch(n, m, len(data), rng), m, x)
         lo, hi, valid = interval(b, alpha)
         covered = target(b)
         return (_score((lo <= covered) & (covered <= hi), valid),)
@@ -661,7 +675,7 @@ def pivot_clt_frequencies(kinds: Sequence[PivotKind], model: str | Model, n: int
         raise ValueError("an evaluation point x is required for distribution pivots")
 
     def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
-        b = _Block(model, data, draw_resample_counts(n, m, len(data), rng), m, x)
+        b = _Block(model, data, draw_multinomial_batch(n, m, len(data), rng), m, x)
         return tuple(_score(values <= threshold, valid)
                      for values, valid in (_PIVOTS[kind](b) for kind in kinds))
 
@@ -675,25 +689,15 @@ def refined_ci_coverage(model: str | Model, n: int, m: int, B: int, alpha: float
     Studentized mean stays below the refined order statistic of B replicate
     pivots (:func:`~pivotboot.multi_bootstrap.refined_contains`).
 
-    Each replicate draws B count rows, after the block's data.  A block's
-    rows come in one call when they fit ``_CHUNK`` entries, as at every
-    published design, and otherwise in chunks of whole replicates (the same
-    rows as one call, in bounded memory).  A replicate whose data have zero
-    variance or one of whose rows is degenerate is counted as degenerate; no
-    row is redrawn.
+    Each replicate draws B count rows, after the block's data
+    (:func:`_below_cutoff`).  A replicate whose data have zero variance or
+    one of whose rows is degenerate is counted as degenerate; no row is
+    redrawn.
     """
     model = resolve_model(model)
 
     def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int]]:
-        index, chunk = _cutoff_index(B, alpha), max(1, _CHUNK // (B * n))
-        hits, valid = [], []
-        for start in range(0, len(data), chunk):
-            rows = data[start:start + chunk, None]
-            counts = draw_resample_counts(n, m, len(rows) * B, rng).reshape(len(rows), B, n)
-            hit, ok = _below_cutoff(_Block(model, rows, counts, m), index)
-            hits.append(hit)
-            valid.append(ok)
-        return (_score(np.concatenate(hits), np.concatenate(valid)),)
+        return (_below_cutoff(model, data, m, B, _cutoff_index(B, alpha), rng),)
 
     return _harness("refined_ci", ("refined_boot",), model, score, threads, n=n, m=m, B=B,
                     alpha=alpha, reps=reps, seed=seed)

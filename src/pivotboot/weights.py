@@ -3,7 +3,10 @@
 A weight vector records how many times each of ``n`` sample indices is
 selected when resampling ``m`` times with replacement (multinomial counts),
 or any ``n`` nonnegative real weights supplied by the caller, such as a
-weights file given to ``pivotboot ci``; ``m`` is their total.  The centered
+weights file given to ``pivotboot ci``; ``m`` is their total.  One function,
+:func:`draw_multinomial_batch`, draws every count row of the package: up to
+m = 8n it counts m uniform resample indices per row, as the bootstrap is
+defined, and past that it calls numpy's multinomial sampler.  The centered
 values ``w_i/m - 1/n`` and their squared/absolute sums drive every pivot
 statistic in this package.  Centered weights keep the weight vector they
 derive from, so the pivots and interval recipes take them alone.
@@ -25,7 +28,6 @@ __all__ = [
     "CenteredWeights",
     "draw_multinomial_weights",
     "draw_multinomial_batch",
-    "draw_resample_counts",
     "nondegenerate",
     "center",
     "dot",
@@ -39,7 +41,7 @@ __all__ = [
 # is degenerate.
 REDRAW_LIMIT = 100
 
-# draw_resample_counts draws its resample indices in blocks of whole rows of
+# draw_multinomial_batch draws its resample indices in blocks of whole rows of
 # at most this many entries (256 KB as int64) where m allows, so memory
 # stays bounded at any row count.  At 2**16 the 512 KB index temporaries
 # cost about 5,900 minor page faults (ru_minflt) per round of the two
@@ -120,24 +122,16 @@ class CenteredWeights:
 
 
 def draw_multinomial_weights(n: int, m: int, stream: np.random.Generator) -> WeightVector:
-    """Draw counts ~ multinomial(m; 1/n, ..., 1/n) from the given stream.
-
-    The generator's multinomial sampler is the sequential conditional
-    binomial method, exact and O(n) regardless of ``m``.
-    """
-    counts = draw_multinomial_batch(n, m, 1, stream)[0]
-    return WeightVector(counts)
+    """Draw counts ~ multinomial(m; 1/n, ..., 1/n) from the given stream:
+    one row of :func:`draw_multinomial_batch`."""
+    return WeightVector(draw_multinomial_batch(n, m, 1, stream)[0])
 
 
-def draw_multinomial_batch(n: int, m: int, size: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw ``size`` independent multinomial(m; 1/n, ...) count rows at once."""
-    _validate_sizes(n, m)
-    return stream.multinomial(m, np.full(n, 1.0 / n), size=size).astype(float)
-
-
-def draw_resample_counts(n: int, m: int, rows: int, stream: np.random.Generator) -> np.ndarray:
+def draw_multinomial_batch(n: int, m: int, rows: int, stream: np.random.Generator) -> np.ndarray:
     """Draw ``rows`` independent multinomial(m; 1/n, ..., 1/n) count rows, as
-    a ``(rows, n)`` float array (as :func:`draw_multinomial_batch`).
+    a ``(rows, n)`` float array.  Every count row of the package comes from
+    here, one row or many: the table cells, the harness blocks, the
+    replicate pivots and the command line's weight draws.
 
     Each row counts m uniform indices in [0, n): the bootstrap's resampling
     with replacement, drawn as it is defined, at O(m) per row.  numpy's
@@ -148,9 +142,9 @@ def draw_resample_counts(n: int, m: int, rows: int, stream: np.random.Generator)
     max(_INDEX_BLOCK, m) entries; a block draws the same indices as one call
     for all rows would, so the counts do not depend on the block size.
     """
-    if m > 8 * n:
-        return draw_multinomial_batch(n, m, rows, stream)
     _validate_sizes(n, m)
+    if m > 8 * n:
+        return stream.multinomial(m, np.full(n, 1.0 / n), size=rows).astype(float)
     counts = np.empty((rows, n))
     step = max(1, _INDEX_BLOCK // m)
     for start in range(0, rows, step):

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, frozen interval values, report determinism."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -200,6 +201,35 @@ class TestTableCommand:
             assert (code, out) == (2, "")
             assert err == "pivotboot: error: threads must be at least 1\n"
 
+    def test_threads_above_the_cpu_count_exit_0(self, capsys, monkeypatch):
+        # --threads 100000 asked for one OS thread per outer cell, and a
+        # failed thread start exited 1 with a traceback.  The workers are now
+        # capped at the CPU count; this pool records them and starts no thread.
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        argv = ["table", "--which", "2", "--model", "poisson1", "--n", "6", "--outer", "40",
+                "--inner", "5", "--B", "3", "--seed", "2", "--timestamp", "T0"]
+        _, serial, _ = run_cli(capsys, *argv)
+        for cpus, workers in ((3, [3]), (None, []), (1, [])):  # None: the count is unknown
+            pools.clear()
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert run_cli(capsys, *argv, "--threads", "100000") == (0, serial, "")
+            assert pools == workers
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def too_large(cfg, threads):
             raise MemoryError
@@ -261,7 +291,7 @@ class TestTableCommand:
     # The exact bytes, column padding included, of one small run of each table.
     @pytest.mark.parametrize("which, expected", [
         ("1", "Distribution  n   emp_G_star           emp_T\n"
-              "poisson1      10  0.14285714285714285  0.42857142857142855\n"),
+              "poisson1      10  0.42857142857142855  0.42857142857142855\n"),
         ("2", "Distribution  n   emp_G_star          emp_T  emp_boot\n"
               "poisson1      10  0.2857142857142857  0.0    0.0\n"),
     ], ids=["1", "2"])
@@ -527,9 +557,10 @@ class TestExitCodeProperty:
         assert code in (0, 2)
         assert "Traceback" not in err
 
-    # Valid table arguments, kept small (a run allocates outer x inner x
-    # (B + 1) x n counts), and values that a flag must reject.  A run breaks
-    # up to two flags, so most runs get past the configuration.
+    # Valid table arguments, kept small (a run draws outer x inner x (B + 1)
+    # count rows of n entries, and a cell holds its replicate rows in chunks
+    # within simulation._CHUNK entries), and values that a flag must reject.
+    # A run breaks up to two flags, so most runs get past the configuration.
     TABLE_ARGS = {
         "--which": st.sampled_from(["1", "2"]),
         "--model": st.sampled_from(["poisson1", "lognormal01", "exponential1", "normal01"]),

@@ -11,9 +11,9 @@ pinned too.
 The same holds for the CLI's own streams (``cli.weights``, ``cli.ci``),
 pinned through the stdout of ``pivotboot weights`` and of ``pivotboot ci``
 with drawn weights, and for the stream layout itself: the first draws of
-``substream`` at zero to four indices, and the first draws of a table2
-outer cell's stream and of a harness block's stream (layout 4): the unit's
-base variates, then its count rows.
+``substream`` at zero to four indices, and the first draws of a table1 and a
+table2 outer cell's stream and of a harness block's stream (layout 5): the
+unit's base variates, then its count rows.
 
 None of these bytes depends on the BLAS kernel or on numpy's CPU dispatch:
 every inner product of the package sums through ``weights.dot`` (numpy's
@@ -49,7 +49,7 @@ from pivotboot.simulation import (
     run_table1,
     run_table2,
 )
-from pivotboot.weights import draw_resample_counts
+from pivotboot.weights import draw_multinomial_batch
 
 RECIPES = ("population", "sample", "finitepop", "superpop", "ecdf", "cdf")
 
@@ -83,53 +83,53 @@ CASES = {
 
 GOLDEN = {
     "coverage/cdf/normal01":
-        "5cb36dc5b89c43afdea4224eefae0a6f95b795ddc9e047c2716f81c3414d4bf5",
+        "376ca6908306cfbb419060abb3f305e87762476b676a65ed97ae6dac8268d783",
     "coverage/cdf/poisson1":
-        "49e649ecf9628bf3a42595cf29bce5cdd7d60b1034f9cbf87b3abfd45c463ce3",
+        "78bd4423fe583699fe3fd89a2d220677c6f962a531f76e7ea19015504cb18fc5",
     "coverage/ecdf/normal01":
-        "11fbdcacc4a851b78982a33300e775cb8fd3404922d8c763da4233c53c40334e",
+        "ba565f7843e79934dcf9f6db93fd351cae106eeaf282abc6679bf10fa450e2a1",
     "coverage/ecdf/poisson1":
-        "79f2a699bc81ae7a876759b916d53587edc8ee86558105fb7d5bcd11d355c774",
+        "c930678b22507ee20e66d51ff746a118036ff5294fb996f005a227221ebf8b67",
     "coverage/finitepop/normal01":
-        "04910706038096ee6c080bbbddeaea82cc660c01b9ee973a1b8dba4af204fd5c",
+        "bd740c7adfeba6e9a0d9cbc9f005f2d05f5c32b073d44fd301213377f7dcb01d",
     "coverage/finitepop/poisson1":
-        "7c6f592010da32dd12bac42ff1f97bfa5f0207768c470f2cf717686e50133d2b",
+        "1d209decd179152535733f431b20fdbf01e0c2d092fea2410a95b68454e08c04",
     "coverage/population/normal01":
-        "27357d354bf8454d90c0d71999d45582069ca241ced26f6e241b15399145e40f",
+        "fac65b0550d05168f61449b568dac9258a53417a8e4cfbc9ada905e8b80ed329",
     "coverage/population/poisson1":
-        "8ea1a4637f79bf86f78baf91623d843f0a3319589218004112909c684c56c3ef",
+        "fde1535425dc7df8364302bef67f6d626e4378e3d8cea4db87889c75294586b2",
     "coverage/sample/normal01":
-        "59e78e0782af47b70cafb589b1113aaefda0ef613274ac6a0b9cfa7c29eb5278",
+        "a2cebc1111774138f157310e13b72184a33edc908577ebb45d9fbeb3b2c33464",
     "coverage/sample/poisson1":
-        "4cb7327aac34116205605affeb41e4df33144a29dfef4c6c6e3f186e1d726231",
+        "c091009cebbacd82f84610639460fb6257c0fa314c03c5aa4fce4a54b7388be5",
     "coverage/superpop/normal01":
-        "034f179a7e61b79a6fb7374ed2054c1cd05f99c30df44347eec4e0406804a39a",
+        "21ac68f5151607b47e02449eeb835d7511fd9233c738ae14e2e98582cad61b8b",
     "coverage/superpop/poisson1":
-        "1229d59967bbafd35e16a1b170338acc096ada08742249404851d557e73a97aa",
+        "3595442cfc82f5e3742278e367e308520e7b1f512032d93573cc99db699749dc",
     "pivot_clt/normal01":
-        "8137cb4c69fcf2bdf8b6f4bd8b5683045761e84b16b44aadb30397733948027d",
+        "c1ee08e711fb63f71abb3f31c527490cdbbf5e16509c0a34627b0735ee681abe",
     "pivot_clt/poisson1":
-        "94e3ebbc1a56efea4fda501f0a77886a37ee46c937260db0fe9511f92a2491db",
+        "a97c8873b4cd047526430cc3cd25336abdf85a2c43b2d634760de7bf2f10e151",
     "refined_ci/lognormal01":
-        "8d216650868cb7c24374cbd7c30d72b76a6c8dbce47addcd22921244eb7dcc90",
+        "8a1893160188fd49a17b297f89031cf8dc1652b4ead6d32ea7984093a9896484",
     "refined_ci/normal01/n2":
-        "014d7ce99f1655c0f5267a23bc02953afa1450d8fb3fbebfa5b44f649204ea11",
+        "408dd32669ec557b525dcb4a37c486951d7860146674a97240b1645d52d57466",
     "table1/exponential1/10":
-        "81baff2e866d34c66bffbf7a0e449738cf975a9fb34dc0020ab43cb3ebc2dd54",
+        "aa3fabdcfaa9e480d1e9f4a48d081fa781a60a4c82978be8b8e2f15fc8436a8c",
     "table1/lognormal01/10":
-        "83f2999f9bc9e10ffc48ac63027a85dbefbb20529df8a502f4d70bfb3a7a1edc",
+        "499452535b4932b004ffc1abc3e935e73ac2c85e8c70b9e3ec174e1479f0ef03",
     "table1/normal01/2":
-        "bdfc857ff093d30497307a934544a3bd20929597fbf62dda9ea448833f794f6c",
+        "d25772a9ad1d9ee44a38d3114db16f1ede5dc38021ff2ee759c3860a2a26c950",
     "table1/poisson1/10":
-        "6f0722ea1cb0a13acc3538b8e2e7514f5f5fd4bab95288c074e47b021fe418ed",
+        "cf41f22a32af8669f9a632c0238b8a65ca7faba4eb38cbd3be3b37e87d0e5d2d",
     "table2/exponential1/10":
-        "9686512e5d18d5b1ac69abf301a7c5372ecbc9fe1baf72aa86506b486e626ab8",
+        "cb76f806d65c226fc0e6d7f37010919088cd7eef294470ace640172e69eaee0d",
     "table2/lognormal01/10":
-        "0d5aad62cd9568c9aea02d4d8f650e507d490b304f3376739be0d5ce93081084",
+        "4087952a1f12b58e33895c173768d839205c9aed650433a112ef901df9914337",
     "table2/normal01/2":
-        "4aa544878ebac248ac8858d4bcdc1c1f1fdba7e20e08b897c069ae2aaf0103c0",
+        "f386212027952caa100d91d940166f51874b69907712d99a87d80e0a0b91d1f7",
     "table2/poisson1/10":
-        "0f98196a8058cf089a80b90c4d7bdd92dd7c52e91db54ffa6a3c5316f822965d",
+        "c339c1a25275540e3d3e0954282517138f9fbee090b76d4795c1cf2dee423fc2",
 }
 
 
@@ -141,14 +141,15 @@ def test_report_bytes_unchanged(case):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_records_stream_layout(case):
-    # every table cell and harness block reads its own PCG64DXSM stream
-    assert CASES[case]().config["rng_layout"] == 4
+    # every table cell and harness block reads its own PCG64DXSM stream and
+    # draws every count row by draw_multinomial_batch
+    assert CASES[case]().config["rng_layout"] == 5
 
 
 CLI_PINNED = ["--seed", "21", "--timestamp", "2000-01-01T00:00:00+00:00"]
 CLI_FILES = {
     "data.txt": "9.5\n10.25\n11.0\n8.75\n10.5\n12.0\n9.0\n",
-    "two.txt": "1\n0\n",  # --m 2 redraws twice at seed 21
+    "two.txt": "1\n0\n",  # --m 2 redraws once at seed 21
 }
 CLI_CASES = {
     "weights/n10m10": ["weights", "--n", "10", "--m", "10"],
@@ -160,16 +161,16 @@ CLI_CASES = {
     "ci/two/redraws": ["ci", "two.txt", "--method", "population", "--m", "2"],
 }
 CLI_GOLDEN = {
-    "weights/n10m10": "832599ec05f65dbd73e48ae0775200ca02338f556e013490da59e39a568feff4",
-    "weights/n7m30": "dfc6f16975d178675c0c8d79ab54b379118cb5fceb9da1135bd4c99a076b6a39",
-    "weights/n1m3": "cb9dec828b76222a60543564317c863b5491d7320ff84ab35aea475041a0b637",
-    "ci/population": "f6b7f4e5f370cbafeb0b4afc4b0eb52b413a5c5fb66cd95b83f76b1aaf89b727",
-    "ci/sample": "2b50561c30ed283c57d8d48a5ff631b62aca13fd21ceae517bae970ccb0ba1f5",
-    "ci/finitepop": "814b9af1893a85f3883d909d5c9339ef5da398ea529b6f0a637bcf29d05860f9",
-    "ci/superpop": "2141477ad08fb90998b5f66456e4a2caa4aba3999743cda01765c6d7f0d7964a",
-    "ci/ecdf": "2dd676c9a65f0660b9f07ce0737895d447c14c63476503a285fff259dd74cc39",
-    "ci/cdf": "faf8cbca1372cd496cfd41adc5470a95a8183fa1785134e1eb258b28d6e372b4",
-    "ci/two/redraws": "e6eb3455ad6995a15eef2943fd85c134206bba418d2237922601535685f83947",
+    "weights/n10m10": "b723722f3f36c16ff4bb619e3d99f1431da8b07d8bc66d381e981d6d2a846b78",
+    "weights/n7m30": "83bc59add20c45db4f5030cdd2f686c585cb4bf50f1f99c1a9182faec271bd55",
+    "weights/n1m3": "5b335aab78976c78cb20d6246a0d85c10cdbccd0497f29a7fcb2ce433039c829",
+    "ci/population": "7615676f8daef67ec87514df14f91a6065e92997b7272fab755c977f069ddcbe",
+    "ci/sample": "0d9f57b08374a5522b446ca68d2e66c6bffec9a4b7c982d13e54a65c53ece9f8",
+    "ci/finitepop": "8d962491ed133c1162e0fe4b4f4268b95fceb3b3a3e465a5d9a5590496689551",
+    "ci/superpop": "e6ae3fc8e21f19735f19d199e3e5f189e4e5e858f7c5cc0e325232e61f2a0fb3",
+    "ci/ecdf": "9df3642fb571ac440b3cfb3ffec6dabb4ef78d2c1561f805a03d5e6eea1266b2",
+    "ci/cdf": "ac4a909ddd577213bd2283323d66eac9a738b37fc68726d3e56e8b8075fc96dd",
+    "ci/two/redraws": "915d61aaa7107c57e6b42dbee67c54f415d1d3656b4bb3c6e999cd9151967f88",
 }
 
 
@@ -204,6 +205,18 @@ def test_stream_layout_unchanged(indices):
     assert [float.hex(v) for v in draws] == STREAM_GOLDEN[indices]
 
 
+def test_table1_cell_layout_unchanged():
+    # A table1 cell of poisson1, n = m = 5, 3 inner replicates, at seed 2024,
+    # outer cell 0: the first base variates, then the cell's one count row
+    # (index counting, m <= 8n, as every other row).
+    rng = substream(2024, "table1.cell", 0)
+    base = resolve_model("poisson1").draw_base(rng, 3 * 5)
+    assert [float.hex(v) for v in base[:4]] == [
+        "0x1.939b3b08d99a8p-2", "0x1.95ffd681b43e4p-1",
+        "0x1.4dd9536b771b8p-3", "0x1.1f13095793698p-3"]
+    assert draw_multinomial_batch(5, 5, 1, rng)[0].tolist() == [1, 0, 1, 1, 2]
+
+
 def test_table_cell_layout_unchanged():
     # A table2 cell of poisson1, n = m = 5, B = 2, 3 inner replicates, at
     # seed 2024, outer cell 0: the first base variates, then the first of
@@ -213,7 +226,7 @@ def test_table_cell_layout_unchanged():
     assert [float.hex(v) for v in base[:4]] == [
         "0x1.72c38201d0fa8p-4", "0x1.32e8b9e62193ep-1",
         "0x1.af15adb606d60p-5", "0x1.bf8aa0fa8cd48p-2"]
-    assert draw_resample_counts(5, 5, 3, rng)[0].tolist() == [0, 3, 1, 1, 0]
+    assert draw_multinomial_batch(5, 5, 3, rng)[0].tolist() == [0, 3, 1, 1, 0]
 
 
 def test_harness_block_layout_unchanged():
@@ -225,7 +238,7 @@ def test_harness_block_layout_unchanged():
     assert [float.hex(v) for v in base[:4]] == [
         "0x1.00b7dbf3145c2p-1", "0x1.1913ee85110bcp-1",
         "0x1.088ed6532a880p-3", "-0x1.24bbe11c6b372p+0"]
-    counts = draw_resample_counts(5, 5, 32 * 3, rng)
+    counts = draw_multinomial_batch(5, 5, 32 * 3, rng)
     assert counts[:2].tolist() == [[1, 1, 2, 0, 1], [2, 1, 0, 1, 1]]
 
 

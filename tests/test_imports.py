@@ -1,7 +1,8 @@
 """Every name a module of the package imports at module level is used in that
 module: read, or listed in its ``__all__``; every private module-level
 definition is read somewhere in the package; no module reaches BLAS or
-LAPACK; and no public callable takes the weights twice."""
+LAPACK; no module but ``weights`` draws count rows; and no public callable
+takes the weights twice."""
 
 import ast
 import importlib
@@ -118,6 +119,25 @@ def blas_uses(tree: ast.Module) -> list[int]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_blas_or_lapack(path):
     assert blas_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+# The generator methods that draw resample indices or count rows.  Only
+# weights.draw_multinomial_batch calls them, so the choice between index
+# counting and numpy's multinomial sampler is made in one place.
+COUNT_SAMPLERS = {"multinomial", "integers"}
+
+
+def sampler_calls(tree: ast.Module) -> list[int]:
+    """Lines that call a method named in ``COUNT_SAMPLERS``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in COUNT_SAMPLERS)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_only_weights_draws_count_rows(path):
+    calls = sampler_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert (calls != []) == (path.name == "weights.py"), calls
 
 
 def public_callables():

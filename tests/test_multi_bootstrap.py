@@ -204,18 +204,18 @@ class TestDrawReplicates:
         assert len(calls) == REDRAW_LIMIT + 1
 
     # The values' float bits, the redraw count and the stream's next draw (so
-    # the rows it consumed).  The second case redraws 11 of its rows.  The
+    # the rows it consumed).  The second case redraws 7 of its rows.  The
     # first case's values are those of weights.dot's summation order.
     PINS = [
         (7, 10, 10, 9,
-         ["-0x1.38649542414d9p-2", "0x1.5b0c50b1dfd5ap-1", "-0x1.8414053432756p+0",
-          "-0x1.96f23bf05a7b5p-1", "-0x1.e9d6e1661540cp-1", "0x1.b089eaef46b6cp-3",
-          "0x1.30c64ba855340p+0", "-0x1.374ad872fb231p-1", "0x1.20b603342234dp-4"],
-         0, "0x1.8820b46419568p-3"),
+         ["0x1.73968446af6bdp-1", "0x1.71ac11a53b53fp+0", "-0x1.364af53fc0966p+0",
+          "-0x1.47be5766878f0p-2", "-0x1.55b14b1929cb9p-1", "-0x1.674337099dfdbp-1",
+          "-0x1.cf5c132504979p+0", "0x1.15f2185207f2dp+0", "-0x1.90db658d44d0fp+0"],
+         0, "0x1.07b9a207dcf66p-2"),
         (0, 2, 2, 12,
          # +-sqrt(2) to within one ulp (the two-point support)
-         [sign + "0x1.6a09e667f3bccp+0" for sign in ("-", "-", "-", "", "", "-", "-", "", "-", "", "", "-")],
-         11, "0x1.93d4cb10d55f4p-3"),
+         [sign + "0x1.6a09e667f3bccp+0" for sign in ("", "", "", "-", "", "-", "", "", "", "-", "-", "")],
+         7, "0x1.ebfbd6e543cf1p-1"),
     ]
 
     @pytest.mark.parametrize("seed, n, m, B, values, redraws, next_draw", PINS,

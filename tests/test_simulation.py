@@ -39,8 +39,7 @@ from pivotboot.simulation import (
     run_table2,
     sample_model,
 )
-from pivotboot.weights import (WeightVector, center, dot, draw_multinomial_batch,
-                               draw_resample_counts)
+from pivotboot.weights import WeightVector, center, dot, draw_multinomial_batch
 
 
 def sequential_poisson1(u: np.ndarray) -> np.ndarray:
@@ -211,6 +210,11 @@ class TestTableSmoke:
 
 
 class TestDeterminism:
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        # up to 8 worker threads, as asked, on a machine with fewer CPUs
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
     def test_thread_count_does_not_change_bytes(self):
         cfg = SimConfig(model="exponential1", n=12, outer_reps=24, inner_reps=20, seed=42)
         single = dumps(run_table1(cfg, threads=1).to_dict())
@@ -253,6 +257,18 @@ class TestDeterminism:
                    for threads in (1, 2, 8)}
         assert len(reports) == 1
 
+    def test_table2_chunks_do_not_change_the_report(self, monkeypatch):
+        # n = 6, B = 3: 18 count entries per replicate; 25 inner replicates
+        def report(entries):
+            monkeypatch.setattr(simulation, "_CHUNK", entries)
+            cfg = SimConfig(model="poisson1", n=6, outer_reps=3, inner_reps=25, B=3, seed=4,
+                            nominal=0.5, tolerance_band=0.5)
+            return dumps(run_table2(cfg).to_dict())
+
+        whole = report(2**40)
+        for entries in (1, 40, 18 * 7):  # 1, 2 and 7 replicates a chunk
+            assert report(entries) == whole, entries
+
     @pytest.mark.usefixtures("frequent_thread_switches")
     def test_refined_ci_thread_invariance(self):
         # at n = 2, m = 2 about half of all count rows are degenerate
@@ -263,6 +279,14 @@ class TestDeterminism:
             assert len(reports) == 1, (n, m)
 
 
+def count_row(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """One count row as the bootstrap defines it, m uniform resample indices
+    in [0, n) counted, and numpy's multinomial sampler past m = 8n."""
+    if m > 8 * n:
+        return rng.multinomial(m, [1.0 / n] * n)
+    return np.bincount(rng.integers(0, n, m), minlength=n)
+
+
 def _within(hits: int, valid: int, nominal: float, band: float) -> bool:
     return valid > 0 and abs(hits / valid - nominal) <= band
 
@@ -271,9 +295,10 @@ class TestWhiteBoxConsistency:
     """Recompute tiny table cells with the scalar library functions on the
     same substreams and require identical reports.
 
-    The scalar paths derive stream layout 4 on their own: one stream per
-    outer cell, read one inner replicate (and, in table2, one count row) at
-    a time, where the kernels draw each cell's blocks in one call: table2's
+    The scalar paths derive stream layout 5 on their own: one stream per
+    outer cell, read one inner replicate and one count row at a time, each
+    row counting m uniform resample indices (numpy's multinomial sampler past
+    m = 8n), where the kernels draw each cell's blocks in one call: table2's
     g* rows, then its replicate rows."""
 
     # The fixed designs of the original white-box cases, plus random designs:
@@ -311,9 +336,7 @@ class TestWhiteBoxConsistency:
             samples = [Sample.from_values(model.transform(model.draw_base(rng, n)))
                        for _ in range(T)]
             while True:
-                counts = draw_multinomial_batch(n, m, 1, rng)[0]
-                w = WeightVector(counts)
-                cw = center(w)
+                cw = center(WeightVector(count_row(n, m, rng)))
                 if cw.sum_squares > 0:
                     break
                 redraws += 1
@@ -351,20 +374,14 @@ class TestWhiteBoxConsistency:
         model = resolve_model(model)
         scale = math.sqrt((n - 1) / n)
 
-        def count_row(rng):
-            # m uniform resample indices, counted; numpy's sampler past m = 8n
-            if m > 8 * n:
-                return rng.multinomial(m, [1.0 / n] * n)
-            return np.bincount(rng.integers(0, n, m), minlength=n)
-
         within = {"emp_G_star": 0, "emp_T": 0, "emp_boot": 0}
         for s in range(S):
             hits = {"emp_G_star": 0, "emp_T": 0, "emp_boot": 0}
             valid = {"emp_G_star": 0, "emp_T": 0, "emp_boot": 0}
             rng = substream(seed, "table2.cell", s)
             samples = [model.transform(model.draw_base(rng, n)) for _ in range(T)]
-            g_rows = [count_row(rng) for _ in range(T)]
-            rows = [[g_row] + [count_row(rng) for _ in range(B)] for g_row in g_rows]
+            g_rows = [count_row(n, m, rng) for _ in range(T)]
+            rows = [[g_row] + [count_row(n, m, rng) for _ in range(B)] for g_row in g_rows]
             for data, counts in zip(samples, rows):
                 sample = Sample.from_values(data)
                 if sample.variance <= 0:
@@ -411,20 +428,20 @@ class TestWhiteBoxConsistency:
         assert report.frequency("emp_T") == 1.0
 
 
-# Stream layout 4 of the harnesses: replicates in blocks of this many.
+# Stream layout 5 of the harnesses: replicates in blocks of this many.
 BLOCK = 32
 
 
 def block_replicates(model, n: int, m: int, rows: int, seed: int, purpose: str, reps: int):
     """Each replicate's data and its ``rows`` weight vectors, in replicate
     order.  Block k's stream ``substream(seed, purpose, k)`` draws the base
-    variates of its R replicates in one call, then their R x rows count rows
-    in one call, replicate-major."""
+    variates of its R replicates in one call, then their R x rows count rows,
+    replicate-major."""
     for k in range(-(-reps // BLOCK)):
         rng = substream(seed, purpose, k)
         size = min(BLOCK, reps - k * BLOCK)
         data = model.transform(model.draw_base(rng, size * n).reshape(size, n))
-        counts = draw_resample_counts(n, m, size * rows, rng).reshape(size, rows, n)
+        counts = [[count_row(n, m, rng) for _ in range(rows)] for _ in range(size)]
         for values, row_counts in zip(data, counts):
             yield Sample.from_values(values), [WeightVector(c) for c in row_counts]
 
@@ -454,7 +471,7 @@ def assert_cell(cell, outcomes):
 
 
 class TestHarnessWhiteBox:
-    """Re-derive each harness report by hand on stream layout 4: redraw each
+    """Re-derive each harness report by hand on stream layout 5: redraw each
     block's data and count rows, then score every replicate with the scalar
     interval, pivot or refined-cutoff functions.  The kernels take the
     scalar functions' operations row by row, so their values are equal to
@@ -495,7 +512,7 @@ class TestHarnessWhiteBox:
                 outcomes.append(None)
                 continue
             outcomes.append(target in interval)
-        assert report.config["rng_layout"] == 4
+        assert report.config["rng_layout"] == 5
         assert_cell(report.cells[0], outcomes)
 
     @settings(max_examples=25, deadline=None)
@@ -717,9 +734,9 @@ class TestRefinedCoverage:
 
         def counted(n, m, count, rng):
             rows.append(count)
-            return draw_resample_counts(n, m, count, rng)
+            return draw_multinomial_batch(n, m, count, rng)
 
-        monkeypatch.setattr(simulation, "draw_resample_counts", counted)
+        monkeypatch.setattr(simulation, "draw_multinomial_batch", counted)
         refined_ci_coverage("lognormal01", n, n, 9, 0.1, reps, seed=18)
         assert len(rows) == calls and sum(rows) == 9 * reps
 

@@ -23,7 +23,6 @@ from pivotboot.weights import (
     center,
     draw_multinomial_batch,
     draw_multinomial_weights,
-    draw_resample_counts,
     expected_sum_squares,
     max_ratio,
     nondegenerate,
@@ -83,20 +82,14 @@ class TestDrawMultinomial:
 
 
 class TestDrawResampleCounts:
-    """Count rows by index counting (m <= 8n) or numpy's sampler (m > 8n)."""
-
-    def test_n2_m2_distribution_matches_enumeration(self):
-        oracle = enumerate_index_draws(2, 2)
-        counts = draw_resample_counts(2, 2, 100_000, substream(3, "rows"))
-        for key, prob in oracle.items():
-            freq = np.mean(np.all(counts == key, axis=1))
-            se = math.sqrt(prob * (1 - prob) / len(counts))
-            assert abs(freq - prob) <= 3 * se
+    """draw_multinomial_batch, the package's one count-row sampler: index
+    counting (m <= 8n) or numpy's sampler (m > 8n).  The n = 2, m = 2
+    enumeration check is TestDrawMultinomial's."""
 
     # Index counting at m <= 8n, the sampler at m > 8n, as in criterion 2.
     @pytest.mark.parametrize("n, m", [(10, 10), (20, 40), (4, 32), (4, 33), (3, 40), (5, 200)])
     def test_moment_identity(self, n, m):
-        counts = draw_resample_counts(n, m, 50_000, substream(9, "rows", n, m))
+        counts = draw_multinomial_batch(n, m, 50_000, substream(9, "rows", n, m))
         centered = counts / m - 1.0 / n
         v2 = np.einsum("ri,ri->r", centered, centered)
         se = v2.std(ddof=1) / math.sqrt(len(v2))
@@ -105,7 +98,7 @@ class TestDrawResampleCounts:
     def test_invalid_sizes(self):
         for n, m in ((0, 5), (5, 0), (5, 2**63)):
             with pytest.raises(ValueError):
-                draw_resample_counts(n, m, 3, substream(0, "rows"))
+                draw_multinomial_batch(n, m, 3, substream(0, "rows"))
 
     # Rows are drawn one after another from the stream: m uniform indices,
     # counted (m <= 8n), or one multinomial row (m > 8n).
@@ -124,13 +117,14 @@ class TestDrawResampleCounts:
     @example(n=4, m=32, rows=7, block=64, seed=1)  # m = 8n: index counting
     @example(n=4, m=33, rows=7, block=64, seed=1)  # m = 8n + 1: the sampler
     @example(n=1, m=5, rows=3, block=1, seed=2)    # n = 1: indices consume no draws
+    @example(n=5, m=5, rows=1, block=64, seed=3)   # one row, as a weight vector draws
     def test_rows_sum_to_m_and_block_size_does_not_change_them(self, n, m, rows, block, seed):
-        counts = draw_resample_counts(n, m, rows, substream(seed, "rows"))
+        counts = draw_multinomial_batch(n, m, rows, substream(seed, "rows"))
         assert counts.shape == (rows, n)
         assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == m)
         again = substream(seed, "rows")
         with mock.patch.object(weights, "_INDEX_BLOCK", block):
-            blocked = draw_resample_counts(n, m, rows, again)
+            blocked = draw_multinomial_batch(n, m, rows, again)
         reference = substream(seed, "rows")
         assert np.array_equal(blocked, counts)
         assert np.array_equal(self._row_by_row(n, m, rows, reference), counts)
@@ -235,6 +229,8 @@ class TestMaxRatio:
 
 
 class TestMomentFormulas:
+    """Exact moments; TestDrawResampleCounts.test_moment_identity checks E[V^2] by Monte Carlo."""
+
     def test_expected_sum_squares_examples(self):
         assert expected_sum_squares(2, 2) == pytest.approx(0.25)
         assert expected_sum_squares(1, 7) == 0.0
@@ -249,13 +245,6 @@ class TestMomentFormulas:
             expected += prob * float(values @ values)
         assert expected == pytest.approx(0.25)
         assert expected_sum_squares(2, 2) == pytest.approx(expected)
-
-    def test_monte_carlo_cross_check(self):
-        counts = draw_multinomial_batch(10, 10, 50_000, substream(9, "w"))
-        centered = counts / 10 - 0.1
-        v2 = np.einsum("ri,ri->r", centered, centered)
-        se = v2.std(ddof=1) / math.sqrt(len(v2))
-        assert abs(v2.mean() - expected_sum_squares(10, 10)) <= 3 * se
 
     def test_sixth_moment_examples(self):
         assert sixth_moment_expression(1, 1) == pytest.approx(41.0)
