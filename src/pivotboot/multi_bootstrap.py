@@ -39,7 +39,8 @@ from .errors import DomainError, NonIntegerRankError
 from .estimators import Sample, sample_std
 from .gaussian import normal_cdf, normal_pdf
 from .pivots import t_star
-from .weights import center, dot, draw_multinomial_weights, frozen_array, nondegenerate
+from .weights import (WeightVector, center, dot, draw_multinomial_batch, draw_multinomial_weights,
+                      frozen_array, nondegenerate)
 
 __all__ = [
     "ReplicateSet",
@@ -167,18 +168,19 @@ def draw_replicates(
 ) -> ReplicateSet:
     """Compute the signed-weight pivot on B independent multinomial draws.
 
-    Each of the B slots draws one weight row from the stream and evaluates
-    :func:`~pivotboot.pivots.t_star` on it.  A row whose centered weights
-    all vanish leaves the pivot undefined; it is replaced by the stream's
-    next row, within the budget of :func:`~pivotboot.weights.nondegenerate`,
-    and counted in ``degenerate_redraws``.
+    Each of the B slots takes the stream's next weight row (one batch call
+    draws the first B) and evaluates :func:`~pivotboot.pivots.t_star` on it.
+    A row whose centered weights all vanish leaves the pivot undefined; the
+    stream's next row replaces it, within the budget of
+    :func:`~pivotboot.weights.nondegenerate`, counted in ``degenerate_redraws``.
     """
     sample_std(s)  # ZeroVarianceError before any draw
     if B < 2:
         raise DomainError("B must be at least 2")
+    batch = map(WeightVector, draw_multinomial_batch(s.n, m, B, stream))
 
-    def draw():
-        cw = center(draw_multinomial_weights(s.n, m, stream))
+    def draw():  # the batch's rows, then one row a call
+        cw = center(next(batch, None) or draw_multinomial_weights(s.n, m, stream))
         return cw, cw.sum_squares
 
     draws = [nondegenerate(draw) for _ in range(B)]

@@ -125,11 +125,21 @@ TABLE2_CELLS: tuple[tuple[str, int], ...] = (
 # 1.0 (tested).  Read-only; the sampler and the CDF both read it.
 _POISSON1_CDF = np.add.accumulate(np.divide.accumulate([math.exp(-1.0), *range(1, 19)]))
 _POISSON1_CDF.setflags(write=False)
+_POISSON1_BUCKETS = np.searchsorted(_POISSON1_CDF, np.arange(4097) / 4096).astype(float)
+_POISSON1_BUCKETS[:-1][_POISSON1_BUCKETS[:-1] != _POISSON1_BUCKETS[1:]] = -1.0
+_POISSON1_BUCKETS.setflags(write=False)  # the sampler's bucket index, read-only
 
 
 def _poisson1_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Poisson(1) by inversion: the least k with u <= P(K <= k), exact."""
-    return np.searchsorted(_POISSON1_CDF, u).astype(float)
+    """Poisson(1) by inversion: the least k with u <= P(K <= k), exact.  The
+    search is monotone in u, so where it returns one k at both edges of u's
+    bucket, [j/4096, (j+1)/4096) or u = 1.0 alone, it returns that k inside,
+    and the index holds it; it holds -1.0, and u is searched, in the 7
+    buckets that hold a CDF entry below 1.0 (tested)."""
+    k = _POISSON1_BUCKETS[(u * 4096).astype(np.intp)]
+    search = k < 0.0
+    k[search] = np.searchsorted(_POISSON1_CDF, u[search])
+    return k
 
 
 def _poisson1_cdf(x: float) -> float:
@@ -324,7 +334,8 @@ def _report(purpose: str, config: dict, statistics: Sequence[str], model: Model,
         rng, size = substream(seed, purpose, k), sizes[k]
         return score(model.transform(model.draw_base(rng, size * n).reshape(size, n)), rng)
 
-    workers = min(threads, os.cpu_count() or 1)  # one OS thread per worker
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, cpus or 1)  # one OS thread per worker, at most one per usable CPU
     if workers == 1:
         rows = [unit(k) for k in range(len(sizes))]
     else:
@@ -408,9 +419,10 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     threshold = resolved["threshold"]
 
     def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
-        g_rows = draw_multinomial_batch(n, m, T, rng)
-        scored = _table_scores(_Block(model, data, g_rows, m), threshold)
-        return (*scored, _below_cutoff(model, data, m, B, B - 1, rng))
+        g = _Block(model, data, draw_multinomial_batch(n, m, T, rng), m)
+        scored, moments = _table_scores(g, threshold), (g.mean, g.std)
+        del g  # its weight arrays need not outlive its scores
+        return (*scored, _below_cutoff(model, data, m, B, B - 1, rng, moments))
 
     return _report("table2.cell", resolved, ("emp_G_star", "emp_T", "emp_boot"), model,
                    [T] * resolved["outer_reps"], score, threads, banded=True)
@@ -434,7 +446,8 @@ class _Block:
     to the bit; a kernel's valid mask marks the replicates on which the
     scalar call raises no :class:`~pivotboot.errors.PivotbootError` (tested).
     The standard deviation has divisor n, as in ``pivots``; the tables take
-    their divisor n - 1 as the factor sqrt((n - 1)/n) on a value.
+    their divisor n - 1 as the factor sqrt((n - 1)/n) on a value.  Given as
+    ``moments``, the mean and standard deviation are not recomputed.
 
     A quantity that more than one kernel reads is a cached property, computed
     once per block on first use: ``abs_weights`` (|c|), ``t_sum``, ``g_sum``,
@@ -442,12 +455,14 @@ class _Block:
     ``resampled_std``."""
 
     def __init__(self, model: Model, data: np.ndarray, counts: np.ndarray, m: int,
-                 x: float | None = None) -> None:
+                 x: float | None = None, moments: tuple | None = None) -> None:
         self.model, self.data, self.m, self.x = model, data, m, x
         self.n = data.shape[-1]
-        self.mean = data.mean(axis=-1)
-        centered = data - self.mean[..., None]
-        self.std = np.sqrt(dot(centered, centered) / self.n)  # divisor n
+        if moments is None:
+            mean = data.mean(axis=-1)
+            centered = data - mean[..., None]
+            moments = mean, np.sqrt(dot(centered, centered) / self.n)  # divisor n
+        self.mean, self.std = moments
         in_place = counts.ndim == 3  # k rows per replicate
         self.counts = None if in_place else counts
         self.weights = np.divide(counts, m, out=counts if in_place else None)
@@ -555,19 +570,22 @@ _PIVOTS: dict[PivotKind, Callable[[_Block], _Values]] = {
 
 
 def _below_cutoff(model: Model, data: np.ndarray, m: int, B: int, index: int,
-                  rng: np.random.Generator) -> tuple[int, int, int]:
+                  rng: np.random.Generator, moments: tuple | None = None) -> tuple[int, int, int]:
     """The :func:`_score` triple of the replicates (rows of ``data``) whose
     Studentized mean is at most the order statistic ``index`` (from 0; B - 1
     is the maximum) of their t* on B count rows each, valid where all those
     t* are defined.  The rows are drawn in replicate order, in chunks of
-    whole replicates within ``_CHUNK`` entries: the same rows as one call."""
+    whole replicates within ``_CHUNK`` entries: the same rows as one call.
+    ``moments``, the rows' mean and standard deviation from a table2 cell's
+    g* block, spare the chunks their own: same reductions, same bits (tested)."""
     n = data.shape[1]
     chunk = max(1, _CHUNK // (B * n))
     hits, valid = [], []
     for start in range(0, len(data), chunk):
-        rows = data[start:start + chunk, None]
-        counts = draw_multinomial_batch(n, m, len(rows) * B, rng).reshape(len(rows), B, n)
-        b = _Block(model, rows, counts, m)
+        part = slice(start, start + chunk)
+        counts = draw_multinomial_batch(n, m, len(data[part]) * B, rng).reshape(-1, B, n)
+        b = _Block(model, data[part, None], counts, m,
+                   moments=None if moments is None else tuple(a[part, None] for a in moments))
         t_values, _ = _PIVOTS[PivotKind.STUDENT_T](b)  # defined wherever a t* is
         replicates, ok = _PIVOTS[PivotKind.T_STAR](b)
         hits.append(t_values[:, 0] <= np.partition(replicates, index, axis=1)[:, index])

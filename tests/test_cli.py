@@ -204,7 +204,8 @@ class TestTableCommand:
     def test_threads_above_the_cpu_count_exit_0(self, capsys, monkeypatch):
         # --threads 100000 asked for one OS thread per outer cell, and a
         # failed thread start exited 1 with a traceback.  The workers are now
-        # capped at the CPU count; this pool records them and starts no thread.
+        # capped at the CPUs the process may use; this pool records them and
+        # starts no thread.
         pools = []
 
         class SerialPool:
@@ -224,8 +225,15 @@ class TestTableCommand:
         argv = ["table", "--which", "2", "--model", "poisson1", "--n", "6", "--outer", "40",
                 "--inner", "5", "--B", "3", "--seed", "2", "--timestamp", "T0"]
         _, serial, _ = run_cli(capsys, *argv)
-        for cpus, workers in ((3, [3]), (None, []), (1, [])):  # None: the count is unknown
+        # The CPUs the process may run on cap the workers: its affinity mask,
+        # else (mask None) the CPU count (None: the count is unknown).
+        for mask, cpus, workers in (({0, 5}, 8, [2]), ({0}, 8, []), (None, 3, [3]),
+                                    (None, None, []), (None, 1, [])):
             pools.clear()
+            if mask is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert run_cli(capsys, *argv, "--threads", "100000") == (0, serial, "")
             assert pools == workers

@@ -197,10 +197,16 @@ class TestDrawReplicates:
             calls.append(n)
             return WeightVector(np.full(n, m / n))
 
+        def always_uniform_batch(n, m, rows, stream):
+            calls.extend([n] * rows)
+            return np.full((rows, n), m / n)
+
         monkeypatch.setattr(multi_bootstrap, "draw_multinomial_weights", always_uniform)
+        monkeypatch.setattr(multi_bootstrap, "draw_multinomial_batch", always_uniform_batch)
         with pytest.raises(DegenerateWeightsError):
             draw_replicates(Sample.from_values([1.0, 0.0]), 3, 2, substream(35, "reps"))
-        # one row per call: the first slot's draw and its REDRAW_LIMIT redraws
+        # one entry per row: the batch's 3 rows, the first slot's draw among
+        # them, then that slot's redraws until its REDRAW_LIMIT are spent
         assert len(calls) == REDRAW_LIMIT + 1
 
     # The values' float bits, the redraw count and the stream's next draw (so

@@ -77,10 +77,16 @@ POISSON1_EDGES = sorted({0.0, 1.0 - 2.0**-53, *(
     for v in (np.nextafter(p, 0.0), p, np.nextafter(p, 2.0)) if v <= 1.0)})
 
 
+# Every edge j/4096 of the sampler's buckets with its two float neighbours,
+# and 1.0, the last bucket's one value and the table's last entry.
+BUCKET_EDGES = sorted({float(v) for j in range(4097) for v in (
+    np.nextafter(j / 4096, -1.0), j / 4096, np.nextafter(j / 4096, 2.0)) if 0.0 <= v <= 1.0})
+
+
 def with_poisson1_edges(test):
     for value in POISSON1_EDGES:
         test = example(u=np.array([value]))(test)
-    return example(u=np.array(POISSON1_EDGES).reshape(-1, 1))(test)
+    return example(u=np.array(sorted({*POISSON1_EDGES, *BUCKET_EDGES})).reshape(-1, 1))(test)
 
 
 class TestModels:
@@ -127,6 +133,21 @@ class TestModels:
         assert table.size == 19 and not table.flags.writeable
         assert table[-2] < 1.0 <= table[-1]
         assert np.all(np.diff(table) > 0)
+
+    def test_poisson1_bucket_index(self):
+        buckets, table = simulation._POISSON1_BUCKETS, simulation._POISSON1_CDF
+        assert buckets.shape == (4097,) and not buckets.flags.writeable
+        # Bucket j < 4096 covers [j/4096, (j+1)/4096) and falls back to the
+        # search (-1.0) exactly when a CDF entry lies inside it; elsewhere it
+        # holds the search's k at both its edges.  Bucket 4096 is u = 1.0 alone.
+        edges = np.arange(4097) / 4096
+        holds_entry = [bool(np.any((lo <= table) & (table < hi)))
+                       for lo, hi in zip(edges[:-1], edges[1:])]
+        assert (buckets[:-1] < 0.0).tolist() == holds_entry and sum(holds_entry) == 7
+        exact = np.flatnonzero(buckets >= 0.0)
+        for edge in (edges[exact], np.append(edges[1:], 1.0)[exact]):
+            assert np.array_equal(buckets[exact], np.searchsorted(table, edge))
+        assert buckets[-1] == 18.0
 
     @settings(max_examples=200, deadline=None)
     @with_poisson1_edges
@@ -214,6 +235,7 @@ class TestDeterminism:
     def eight_cpus(self, monkeypatch):
         # up to 8 worker threads, as asked, on a machine with fewer CPUs
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
 
     def test_thread_count_does_not_change_bytes(self):
         cfg = SimConfig(model="exponential1", n=12, outer_reps=24, inner_reps=20, seed=42)
@@ -587,6 +609,34 @@ def test_pivot_law_block_takes_each_inner_product_once(monkeypatch):
     monkeypatch.setattr(simulation, "dot", counted)
     pivot_clt_frequencies(list(PivotKind), "normal01", 20, 20, 1.6, BLOCK, seed=19, x=0.0)
     assert len(calls) == 9
+
+
+def test_table2_cell_takes_the_data_moments_once(monkeypatch):
+    # the data's variance once, for the g* block, whose mean and standard
+    # deviation the replicate block reuses; then each block's weight norms,
+    # and g_sum and t_sum
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return dot(a, b)
+
+    monkeypatch.setattr(simulation, "dot", counted)
+    run_table2(SimConfig(model="poisson1", n=10, outer_reps=1, inner_reps=20, seed=19))
+    assert len(calls) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(sorted(MODELS)), n=st.integers(2, 60), T=st.integers(1, 600),
+       seed=st.integers(0, 2**32))
+def test_replicate_block_moments_equal_the_g_block_moments(model, n, T, seed):
+    # A table2 cell's replicate blocks take its g* block's mean and standard
+    # deviation; their own reductions of the same rows give the same bits.
+    model = MODELS[model]
+    data = model.sample(substream(seed, "data"), T * n).reshape(T, n)
+    g = simulation._Block(model, data, np.ones((1, n)), n)
+    rows = simulation._Block(model, data[:, None], np.ones((T, 3, n)), n)
+    assert np.array_equal(rows.mean[:, 0], g.mean) and np.array_equal(rows.std[:, 0], g.std)
 
 
 HARNESSES = {
