@@ -148,22 +148,23 @@ def _weights_from_file(path: str, n: int) -> WeightVector:
 
 
 def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[CenteredWeights, int]:
+    """The first count row of the ``cli.ci`` stream whose counts are not all
+    equal, centered, and the number of rows redrawn before it."""
     from .weights import nondegenerate
 
     stream = substream(seed, "cli.ci")
-
-    def draw() -> tuple[CenteredWeights, float]:
-        cw = center(draw_multinomial_weights(n, m, stream))
-        return cw, cw.sum_squares
-
-    return nondegenerate(draw)
+    counts, redraws = nondegenerate(lambda: draw_multinomial_weights(n, m, stream).counts)
+    return center(WeightVector(counts)), redraws
 
 
 def _cmd_ci(args: argparse.Namespace) -> dict:
     data = _read_numbers(args.data, "data")
     if len(data) < 2:
         raise _CliError(f"data file {args.data!r} must contain at least 2 values")
-    # numpy loads from here on, once the data file has passed.
+    method = args.method
+    if method in ("ecdf", "cdf") and args.x is None:
+        raise _CliError(f"method {method!r} requires --x")
+    # numpy loads from here on, once the data file and the method's options have passed.
     from .estimators import Sample
     from .intervals import IntervalTarget
 
@@ -176,27 +177,20 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
         if args.m is not None:
             raise _CliError("give either --m (draw weights) or --weights-file, not both")
         cw = center(_weights_from_file(args.weights_file, n))
+        if cw.sum_squares <= 0.0:
+            raise DegenerateWeightsError(
+                "supplied weights are degenerate (all centered values zero)")
     else:
         m = args.m if args.m is not None else n
         cw, redraws = _draw_nondegenerate(n, m, seed)
-    if cw.sum_squares <= 0.0:
-        raise DegenerateWeightsError("supplied weights are degenerate (all centered values zero)")
 
-    method = args.method
-    if method in ("ecdf", "cdf") and args.x is None:
-        raise _CliError(f"method {method!r} requires --x")
-    if method == "population":
-        interval = ci_population_mean(sample, cw, args.alpha)
-    elif method == "sample":
-        interval = ci_sample_mean(sample, cw, args.alpha)
-    elif method == "finitepop":
-        interval = ci_finite_pop_mean(sample, cw, args.alpha)
-    elif method == "superpop":
-        interval = ci_superpop_mean(sample, cw, args.alpha)
-    elif method == "ecdf":
-        interval = ci_ecdf(sample, cw, args.x, args.alpha, IntervalTarget.ECDF_VALUE)
-    else:
-        interval = ci_ecdf(sample, cw, args.x, args.alpha, IntervalTarget.CDF_VALUE)
+    if method in ("ecdf", "cdf"):
+        target = IntervalTarget.ECDF_VALUE if method == "ecdf" else IntervalTarget.CDF_VALUE
+        interval = ci_ecdf(sample, cw, args.x, args.alpha, target)
+    else:  # built per call, so each call reads this module's current names
+        recipes = {"population": ci_population_mean, "sample": ci_sample_mean,
+                   "finitepop": ci_finite_pop_mean, "superpop": ci_superpop_mean}
+        interval = recipes[method](sample, cw, args.alpha)
 
     config = {
         "data": args.data,

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import RECIPES
-from .errors import DegenerateScaleError, DegenerateWeightsError
+from .errors import DegenerateScaleError
 from .estimators import (
     Sample,
     bootstrap_ecdf,
@@ -140,9 +140,7 @@ def ci_ecdf(s: Sample, cw: CenteredWeights, x: float, alpha: float,
         raise DegenerateScaleError(f"resampled ECDF is degenerate at x={x!r}")
     half = z * math.sqrt(spread) * norm
     if target is IntervalTarget.CDF_VALUE:
-        if cw.sum_abs <= 0.0:
-            raise DegenerateWeightsError("absolute centered weights sum to zero")
-        half /= cw.sum_abs
+        half /= cw.sum_abs  # positive: cw.norm has raised unless some centered value is not zero
     lo, hi = f_star - half, f_star + half
     clamped = lo < 0.0 or hi > 1.0
     recipe = "ci_ecdf" if target is IntervalTarget.ECDF_VALUE else "ci_cdf"

@@ -29,6 +29,7 @@ Order-statistic conventions (both count from the smallest replicate):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -170,21 +171,19 @@ def draw_replicates(
 
     Each of the B slots takes the stream's next weight row (one batch call
     draws the first B) and evaluates :func:`~pivotboot.pivots.t_star` on it.
-    A row whose centered weights all vanish leaves the pivot undefined; the
-    stream's next row replaces it, within the budget of
-    :func:`~pivotboot.weights.nondegenerate`, counted in ``degenerate_redraws``.
+    A row whose counts are all equal (its centered weights all vanish) leaves
+    the pivot undefined; the stream's next row replaces it, within the budget
+    of :func:`~pivotboot.weights.nondegenerate`, counted in
+    ``degenerate_redraws``.  Only the B rows kept are centered.
     """
     sample_std(s)  # ZeroVarianceError before any draw
     if B < 2:
         raise DomainError("B must be at least 2")
-    batch = map(WeightVector, draw_multinomial_batch(s.n, m, B, stream))
-
-    def draw():  # the batch's rows, then one row a call
-        cw = center(next(batch, None) or draw_multinomial_weights(s.n, m, stream))
-        return cw, cw.sum_squares
-
-    draws = [nondegenerate(draw) for _ in range(B)]
-    return ReplicateSet([t_star(s, cw) for cw, _ in draws],
+    rows = itertools.chain(draw_multinomial_batch(s.n, m, B, stream),  # then one row a call
+                           (draw_multinomial_weights(s.n, m, stream).counts
+                            for _ in itertools.count()))
+    draws = [nondegenerate(rows.__next__) for _ in range(B)]
+    return ReplicateSet([t_star(s, center(WeightVector(row))) for row, _ in draws],
                         degenerate_redraws=sum(redraws for _, redraws in draws))
 
 

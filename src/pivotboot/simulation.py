@@ -374,9 +374,9 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     """Score the absolute-weight pivot conditionally on the weights.
 
     Outer loop: one stream per cell, which draws the data of every inner
-    replicate, then one multinomial weight realization (degenerate
-    realizations redrawn within the budget of
-    :func:`~pivotboot.weights.nondegenerate`, and added to the pivot's
+    replicate, then one multinomial count row (a row of equal counts is
+    degenerate: it is redrawn within the budget of
+    :func:`~pivotboot.weights.nondegenerate` and added to the pivot's
     degenerate count).  Inner loop: the same data feed both the conditional
     pivot and the Studentized mean.  A cell scores for a statistic when its
     inner frequency of staying below the threshold is within
@@ -388,11 +388,8 @@ def run_table1(cfg: SimConfig, threads: int = 1) -> CoverageReport:
     threshold = resolved["threshold"]
 
     def score(data: np.ndarray, rng: np.random.Generator) -> tuple[tuple[int, int, int], ...]:
-        def draw_block() -> tuple[_Block, float]:  # the cell's one weight row
-            b = _Block(model, data, draw_multinomial_batch(n, m, 1, rng), m)
-            return b, float(b.norm[0])
-
-        b, redraws = nondegenerate(draw_block)
+        counts, redraws = nondegenerate(lambda: draw_multinomial_batch(n, m, 1, rng))
+        b = _Block(model, data, counts, m)  # from the row kept
         (hits_g, valid_g, degenerate_g), scored_t = _table_scores(b, threshold)
         return (hits_g, valid_g, degenerate_g + redraws), scored_t
 

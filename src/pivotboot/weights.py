@@ -9,14 +9,17 @@ m = 8n it counts m uniform resample indices per row, as the bootstrap is
 defined, and past that it calls numpy's multinomial sampler.  The centered
 values ``w_i/m - 1/n`` and their squared/absolute sums drive every pivot
 statistic in this package.  Centered weights keep the weight vector they
-derive from, so the pivots and interval recipes take them alone.
+derive from, so the pivots and interval recipes take them alone.  A count
+row is degenerate, all its centered values zero, when its counts are all
+equal; :func:`nondegenerate` redraws such rows on the raw counts, so its
+callers build their value types only for the row they keep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
@@ -37,8 +40,8 @@ __all__ = [
 ]
 
 # Redraw budget of nondegenerate(): at most this many redraws of a
-# degenerate weight vector (all centered weights zero).  At n = 1 every draw
-# is degenerate.
+# degenerate count row (all counts equal, so all centered weights zero).  At
+# n = 1 every draw is degenerate.
 REDRAW_LIMIT = 100
 
 # draw_multinomial_batch draws its resample indices in blocks of whole rows of
@@ -156,22 +159,21 @@ def draw_multinomial_batch(n: int, m: int, rows: int, stream: np.random.Generato
     return counts
 
 
-_T = TypeVar("_T")
+def nondegenerate(draw: Callable[[], np.ndarray]) -> tuple[np.ndarray, int]:
+    """Call ``draw()``, which returns one draw's count row (an array of any
+    shape), until its counts are not all equal; return that row and the
+    number of degenerate rows drawn before it.
 
-
-def nondegenerate(draw: Callable[[], tuple[_T, float]]) -> tuple[_T, int]:
-    """Call ``draw()``, which returns a weight draw and its centered norm
-    (or its square), until that norm is positive; return the draw and the
-    number of degenerate draws before it.
-
-    Every weight-redraw loop of the package goes through here, so all share
-    one budget: :class:`DegenerateWeightsError` after ``REDRAW_LIMIT``
-    redraws.
+    Counts summing to m are all equal exactly when each is m/n, and then
+    every centered weight w_i/m - 1/n is zero: the norm the pivots divide by
+    vanishes.  Every weight-redraw loop of the package goes through here, so
+    all share one budget: :class:`DegenerateWeightsError` after
+    ``REDRAW_LIMIT`` redraws.
     """
     for redraws in range(REDRAW_LIMIT + 1):
-        value, squared_norm = draw()
-        if squared_norm > 0.0:
-            return value, redraws
+        counts = draw()
+        if counts.min() != counts.max():
+            return counts, redraws
     raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
 
 

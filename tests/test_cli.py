@@ -155,6 +155,15 @@ class TestCiCommand:
         assert code == 2
         assert "--x" in err
 
+    def test_ecdf_without_x_is_a_usage_error_before_weights(self, capsys, data_file, tmp_path):
+        # degenerate weights would exit 3, but the missing --x is found first
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1\n1\n")
+        code, out, err = run_cli(capsys, "ci", data_file, "--method", "ecdf",
+                                 "--weights-file", str(wfile), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "--x" in err
+
     def test_cdf_method_runs(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1\n2\n3\n4\n")
@@ -748,6 +757,12 @@ class TestRuntimeDependencies:
         path = tmp_path / "nan.txt"
         path.write_text("1.5\n2.5\nnan\n3.5\n")
         code, loaded = self.loaded_by("ci", str(path), "--method", "population", "--seed", "1")
+        assert (code, loaded) == (2, set())
+
+    def test_ecdf_without_x_loads_no_numpy(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("1\n2\n3\n")
+        code, loaded = self.loaded_by("ci", str(path), "--method", "cdf", "--seed", "1")
         assert (code, loaded) == (2, set())
 
     def test_ci_loads_no_harness(self, tmp_path):

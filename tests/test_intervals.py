@@ -156,11 +156,13 @@ class TestEcdfInterval:
         with pytest.raises(DegenerateScaleError):
             ci_ecdf(s, center(w), 0.0, 0.1, IntervalTarget.ECDF_VALUE)
 
-    def test_equal_weights_degenerate(self):
+    @pytest.mark.parametrize("target", [IntervalTarget.ECDF_VALUE, IntervalTarget.CDF_VALUE],
+                             ids=lambda target: target.name)
+    def test_equal_weights_degenerate(self, target):
         s = Sample.from_values([1.0, 2.0, 3.0])
         w = mw([1, 1, 1])
         with pytest.raises(DegenerateWeightsError):
-            ci_ecdf(s, center(w), 2.0, 0.1, IntervalTarget.ECDF_VALUE)
+            ci_ecdf(s, center(w), 2.0, 0.1, target)
 
     def test_cdf_target_scales_by_abs_sum(self):
         s = Sample.from_values([1.0, 2.0, 3.0, 7.0])

@@ -132,20 +132,46 @@ class TestDrawResampleCounts:
 
 
 class TestNondegenerate:
-    def test_returns_first_positive_draw_and_redraw_count(self):
-        draws = iter([("a", 0.0), ("b", 0.0), ("c", 0.5), ("d", 1.0)])
-        assert nondegenerate(lambda: next(draws)) == ("c", 2)
+    def test_returns_first_unequal_row_and_redraw_count(self):
+        rows = iter(np.array([[2.0, 2.0], [2.0, 2.0], [3.0, 1.0], [0.0, 4.0]]))
+        row, redraws = nondegenerate(lambda: next(rows))
+        assert (row.tolist(), redraws) == ([3.0, 1.0], 2)
 
     def test_budget_exhaustion_raises(self):
         calls = []
 
         def draw():
             calls.append(1)
-            return None, 0.0
+            return np.full((1, 3), 2.0)  # a table1 cell's (1, n) row, all counts m/n
 
         with pytest.raises(DegenerateWeightsError, match=f"after {REDRAW_LIMIT} redraws"):
             nondegenerate(draw)
         assert len(calls) == REDRAW_LIMIT + 1
+
+    def test_single_category_always_degenerate(self):
+        stream = substream(6, "w")
+        with pytest.raises(DegenerateWeightsError):
+            nondegenerate(lambda: draw_multinomial_batch(1, 5, 1, stream))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), per=st.integers(1, 5), extra=st.integers(0, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, per=4, extra=0, seed=0)  # n = 1: every row is degenerate
+    @example(n=2, per=1, extra=0, seed=1)  # n = m = 2: half the rows are
+    @example(n=3, per=2, extra=1, seed=2)  # n does not divide m: none is
+    def test_equal_counts_exactly_when_centered_norm_is_zero(self, n, per, extra, seed):
+        m = n * per + extra
+        rows = [*draw_multinomial_batch(n, m, 8, substream(seed, "degenerate")),
+                np.full(n, float(per))]  # all counts m/n, m = n * per
+        for row in rows:
+            positive = center(WeightVector(row)).sum_squares > 0.0
+            assert (row.min() != row.max()) == positive
+            if positive:
+                kept, redraws = nondegenerate(lambda: row)
+                assert kept is row and redraws == 0
+            else:
+                with pytest.raises(DegenerateWeightsError):
+                    nondegenerate(lambda: row)
 
 
 class TestCenter:
