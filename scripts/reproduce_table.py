@@ -11,13 +11,19 @@ whose maximum replicate pivot serves as the bootstrap cutoff; scores the
 three methods side by side.
 
 Runs all nine published design points (500 outer x 500 inner each) and
-prints the scored band frequencies.  Expect a few seconds per cell on
-laptop-class hardware.
+prints, per cell and statistic, the scored band frequency, the published
+value (paper_cells.txt), the standard error of their difference and z, the
+difference in standard errors.  Both are band shares of outer cells, so the
+binomial error applies on each side.  A last line sums z**2 over the cells
+where either side is nonzero; cells that read 0 on both sides add 0.
+Expect a few seconds per cell on laptop-class hardware.
 """
 
 import argparse
+import math
 import sys
 import time
+from pathlib import Path
 
 from pivotboot.jsonio import dumps
 from pivotboot.simulation import TABLE1_CELLS, TABLE2_CELLS, SimConfig, run_table1, run_table2
@@ -25,6 +31,25 @@ from pivotboot.simulation import TABLE1_CELLS, TABLE2_CELLS, SimConfig, run_tabl
 PRETTY = {"poisson1": "Poisson(1)", "lognormal01": "Lognormal(0,1)",
           "exponential1": "Exponential(1)"}
 TABLES = {1: (TABLE1_CELLS, run_table1), 2: (TABLE2_CELLS, run_table2)}
+# The published values, one share of PAPER_OUTER outer cells each.
+PAPER_CELLS = Path(__file__).with_name("paper_cells.txt")
+PAPER_OUTER = 500
+
+
+def paper_cells() -> dict[tuple[int, str, int, str], float]:
+    """(table, model, n, statistic) -> published frequency."""
+    rows = (line.split() for line in PAPER_CELLS.read_text().splitlines()
+            if line.strip() and not line.startswith("#"))
+    return {(int(table), model, int(n), statistic): float(value)
+            for table, model, n, statistic, value in rows}
+
+
+def z_score(freq: float, outer: int, paper: float) -> tuple[float, float]:
+    """(SE, z) of ``freq``, a share of ``outer`` cells, against ``paper``."""
+    se = math.sqrt(freq * (1.0 - freq) / outer + paper * (1.0 - paper) / PAPER_OUTER)
+    if freq == paper:
+        return se, 0.0
+    return se, (freq - paper) / se if se else math.copysign(math.inf, freq - paper)
 
 
 def main() -> int:
@@ -49,12 +74,19 @@ def main() -> int:
         elapsed = time.perf_counter() - start
         print(f"# {model}/{n} done in {elapsed:.0f}s", file=sys.stderr)
 
-    stats = [cell.statistic for cell in reports[0].cells]
-    print(f"{'Distribution':<16}{'n':>4}" + "".join(f"  {s:>10}" for s in stats))
+    paper, zs = paper_cells(), []
+    print(f"{'Distribution':<16}{'n':>4}  {'statistic':<10}  {'freq':>6}  {'paper':>6}"
+          f"  {'SE':>6}  {'z':>6}")
     for report in reports:
-        first = report.cells[0]
-        freqs = "".join(f"  {cell.frequency:>10.3f}" for cell in report.cells)
-        print(f"{PRETTY[first.distribution]:<16}{first.n:>4}{freqs}")
+        for cell in report.cells:
+            published = paper[(args.which, cell.distribution, cell.n, cell.statistic)]
+            se, z = z_score(cell.frequency, args.outer, published)
+            if cell.frequency or published:  # a cell at 0 on both sides adds 0
+                zs.append(z)
+            print(f"{PRETTY[cell.distribution]:<16}{cell.n:>4}  {cell.statistic:<10}"
+                  f"  {cell.frequency:>6.3f}  {published:>6.3f}  {se:>6.3f}  {z:>6.2f}")
+    print(f"# max |z| {max(map(abs, zs), default=0.0):.2f}, sum z**2 {sum(z * z for z in zs):.1f}"
+          f" over {len(zs)} cells where either side is nonzero")
 
     if args.json_path:
         with open(args.json_path, "w") as fh:

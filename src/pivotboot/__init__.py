@@ -12,7 +12,7 @@ name below is imported from its submodule on first access.
 
 from importlib import import_module as _import_module
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # Names of the six interval recipes, in the order of the table in
 # `intervals`: the ``ci`` methods of the command line and the recipes of the

@@ -202,6 +202,10 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
     }
     if args.x is not None:
         config["x"] = args.x
+    if args.weights_file is None:  # drawn weights: the manifest names the stream layout
+        from .rng import RNG_LAYOUT
+
+        config["rng_layout"] = RNG_LAYOUT
     return {
         "manifest": _manifest("ci", config, seed, args.timestamp),
         "interval": {
@@ -313,9 +317,11 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
 
 
 def _cmd_weights(args: argparse.Namespace) -> dict:
+    from .rng import RNG_LAYOUT
+
     seed = _resolve_seed(args.seed)
     w = draw_multinomial_weights(args.n, args.m, substream(seed, "cli.weights"))
-    config = {"n": args.n, "m": args.m}
+    config = {"n": args.n, "m": args.m, "rng_layout": RNG_LAYOUT}
     return {
         "manifest": _manifest("weights", config, seed, args.timestamp),
         "counts": [int(c) for c in w.counts],

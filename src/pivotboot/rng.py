@@ -22,8 +22,8 @@ notes recommend ``SeedSequence``-seeded PCG64DXSM for many parallel streams.
 
 The unit of work that owns a stream is the caller's choice.  The simulation
 harnesses address one stream per table outer cell and one per block of
-harness replicates (stream layout 5), and draw all of that unit's variates
-from it in order.
+harness replicates, and draw all of that unit's variates from it in order.
+How a report reads its streams is its stream layout, ``RNG_LAYOUT``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,13 @@ import struct
 
 import numpy as np
 
-__all__ = ["check_seed", "substream"]
+__all__ = ["RNG_LAYOUT", "check_seed", "substream"]
+
+# The stream layout, recorded as rng_layout by every report that reads a
+# stream: layouts 1 to 3 drew from Philox, layout 4 drew table1's weight row
+# with numpy's multinomial sampler, and layout 5 drew 64-bit resample
+# indices where layout 6 draws 16-bit ones in fixed pieces (weights).
+RNG_LAYOUT = 6
 
 # Indices per address, each one 32-bit word of the spawn key.
 _MAX_INDICES = 4

@@ -15,13 +15,14 @@ Every random draw comes from a seeded substream (:mod:`pivotboot.rng`)
 addressed by the seed and the unit of work, so reports are byte-identical for
 any worker-thread count and any execution order.  The unit is an outer cell
 of a table or a block of ``BLOCK`` replicates of the coverage, pivot-law and
-replicate-cutoff harnesses: stream layout 5, recorded as ``rng_layout`` in
+replicate-cutoff harnesses: stream layout 6, recorded as ``rng_layout`` in
 every report; the report's kind names the unit.  A unit draws the base
-variates of all its replicates in one call, then their count rows, every
-one by :func:`~pivotboot.weights.draw_multinomial_batch`: a table1 cell its
-one weight row, a table2 cell one row per inner replicate for g* and then B
-per replicate for the replicate pivots, and every other unit B rows per
-replicate-cutoff replicate, else one.  One set of array kernels scores every
+variates of all its replicates in one call, then their count rows from
+:mod:`~pivotboot.weights`, one call per kind, as the layout fixes the calls:
+a table1 cell its one weight row (a call per redraw), a table2 cell one row
+per inner replicate for g* and then B per replicate for the replicate
+pivots, and every other unit B rows per replicate-cutoff replicate, else
+one.  One set of array kernels scores every
 unit, to the bit as the scalar functions of ``pivots`` and ``intervals`` do,
 ties included (tested).  Each unit counts, per statistic, its hit, valid and
 degenerate replicates; one function band-scores the units (the tables) or
@@ -43,8 +44,8 @@ from .gaussian import normal_cdf, normal_quantile
 from .intervals import RECIPES
 from .multi_bootstrap import GENZ_LEVEL_B9, _cutoff_index
 from .pivots import EMPIRICAL_KINDS, PivotKind
-from .rng import check_seed, substream
-from .weights import dot, draw_multinomial_batch, nondegenerate
+from .rng import RNG_LAYOUT, check_seed, substream
+from .weights import dot, draw_multinomial_batch, draw_multinomial_chunks, nondegenerate
 
 # The harnesses call none of these; they stay bound here only because
 # perfbench/layers.instrument patches them by these names in this module
@@ -81,24 +82,20 @@ TABLE1_NOMINAL = 0.95
 TABLE2_THRESHOLD = 1.281648
 TABLE2_NOMINAL = GENZ_LEVEL_B9
 
-# The stream layout of every table cell and harness block, recorded as
-# rng_layout (see the module docstring); layouts 1 to 3 drew from Philox, and
-# layout 4 drew table1's weight row with numpy's multinomial sampler.
-RNG_LAYOUT = 5
 # The divisor n - STUDENTIZE_DDOF of the tables' Studentizing variance.
 STUDENTIZE_DDOF = 1
 # Replicates per block of the coverage, pivot-law and replicate-cutoff
 # harnesses: block k reads the stream (seed, purpose, k).
 BLOCK = 32
 # Count entries per chunk of the replicate rows of a table2 cell or a
-# replicate-cutoff block (2 MB as float64).  A chunk holds whole replicates,
-# so memory stays bounded at any number of them.  At 2**18 every published
-# and benchmark design (B = 9; table2 at n <= 40, harnesses at n <= 800)
-# draws and scores its rows in one call, for about 2.4 MB more peak RSS on
-# the benchmark's harness round; at 2**13 a block at n = 800 took 32 calls,
-# whose overhead set the time.  Budgets in between, such as 2**16, cost
-# about 3,900 minor page faults (ru_minflt) per n = 800 call of 200
-# replicates (6,600 with 2**16-entry index blocks), against none at 2**18.
+# replicate-cutoff block (2 MB as float64), which one call draws.  A chunk
+# holds whole replicates: it bounds memory at any number of them and moves
+# no bytes.  At 2**18 every published and benchmark design (B = 9; table2
+# at n <= 40, harnesses at n <= 800) reads and scores its rows in one chunk,
+# for about 2.4 MB more peak RSS on the benchmark's harness round; at 2**13
+# a block at n = 800 took 32 chunks, whose overhead set the time.  Budgets
+# in between, such as 2**16, cost about 3,900 minor page faults (ru_minflt)
+# per n = 800 block of 200 replicates, against none at 2**18.
 _CHUNK = 2**18
 
 # (model, n) design points of the two printed comparison grids.  The
@@ -571,17 +568,17 @@ def _below_cutoff(model: Model, data: np.ndarray, m: int, B: int, index: int,
     """The :func:`_score` triple of the replicates (rows of ``data``) whose
     Studentized mean is at most the order statistic ``index`` (from 0; B - 1
     is the maximum) of their t* on B count rows each, valid where all those
-    t* are defined.  The rows are drawn in replicate order, in chunks of
-    whole replicates within ``_CHUNK`` entries: the same rows as one call.
+    t* are defined.  One call draws the rows in replicate order, read in
+    chunks of whole replicates within ``_CHUNK`` entries, which move no bytes.
     ``moments``, the rows' mean and standard deviation from a table2 cell's
     g* block, spare the chunks their own: same reductions, same bits (tested)."""
     n = data.shape[1]
     chunk = max(1, _CHUNK // (B * n))
+    rows = draw_multinomial_chunks(n, m, len(data) * B, chunk * B, rng)
     hits, valid = [], []
-    for start in range(0, len(data), chunk):
+    for start, counts in zip(range(0, len(data), chunk), rows):
         part = slice(start, start + chunk)
-        counts = draw_multinomial_batch(n, m, len(data[part]) * B, rng).reshape(-1, B, n)
-        b = _Block(model, data[part, None], counts, m,
+        b = _Block(model, data[part, None], counts.reshape(-1, B, n), m,
                    moments=None if moments is None else tuple(a[part, None] for a in moments))
         t_values, _ = _PIVOTS[PivotKind.STUDENT_T](b)  # defined wherever a t* is
         replicates, ok = _PIVOTS[PivotKind.T_STAR](b)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "CenteredWeights",
     "draw_multinomial_weights",
     "draw_multinomial_batch",
+    "draw_multinomial_chunks",
     "nondegenerate",
     "center",
     "dot",
@@ -44,14 +45,17 @@ __all__ = [
 # n = 1 every draw is degenerate.
 REDRAW_LIMIT = 100
 
-# draw_multinomial_batch draws its resample indices in blocks of whole rows of
-# at most this many entries (256 KB as int64) where m allows, so memory
-# stays bounded at any row count.  At 2**16 the 512 KB index temporaries
-# cost about 5,900 minor page faults (ru_minflt) per round of the two
-# published tables at 8 x 500, and about 0.5 MB more peak RSS in one
-# process; at 2**15 they cost 2 a round, and table2's count rows (m <= 40)
-# still come 819 or more a block.
-_INDEX_BLOCK = 2**15
+# Stream layout 6 draws each call's resample indices in pieces of whole rows
+# of at most max(_PIECE, m) entries (512 KB as uint16), counted from the
+# call's first row.  The pieces are part of the layout, as simulation.BLOCK
+# is: numpy drops a 32-bit word's unused half at the end of each 16-bit draw.
+_PIECE = 2**18
+# draw_multinomial_batch counts a piece in blocks of whole rows, block *
+# max(n, m) <= _INDEX_BLOCK where n and m allow, so the row offsets fit the
+# uint16 indices and bincount's int64 copy of a block stays within 128 KB.
+# It bounds memory only: the counts do not depend on it (tested).  At 2**15
+# the harness round's peak RSS read 0.3 MB more, for no measured speed.
+_INDEX_BLOCK = 2**14
 
 
 def frozen_array(values, name: str) -> np.ndarray:
@@ -141,22 +145,40 @@ def draw_multinomial_batch(n: int, m: int, rows: int, stream: np.random.Generato
     multinomial sampler costs O(n) per row and grows only slowly with m;
     counting is faster up to m of about 10n to 16n (measured at n = 20 and
     n = 100), so rows with m > 8n come from the sampler, in one call.
-    Otherwise the indices are drawn in blocks of whole rows of at most
-    max(_INDEX_BLOCK, m) entries; a block draws the same indices as one call
-    for all rows would, so the counts do not depend on the block size.
+    Otherwise the indices come in pieces of whole rows of at most
+    max(_PIECE, m) entries, from the call's first row on, as 16-bit draws
+    where n <= 2**16 (two from each 32-bit word; Lemire, ACM TOMACS 2019),
+    else 64-bit ones.  The end of a 16-bit draw drops its last word's unused
+    half, so rows drawn in two calls differ from the same rows in one.
     """
+    return next(draw_multinomial_chunks(n, m, rows, max(rows, 1), stream), np.empty((0, n)))
+
+
+def draw_multinomial_chunks(n: int, m: int, rows: int, chunk: int,
+                            stream: np.random.Generator) -> Iterator[np.ndarray]:
+    """The rows of ``draw_multinomial_batch(n, m, rows, stream)`` in order,
+    ``chunk`` rows at a time (the last chunk may hold fewer), drawn as they
+    are read: the same rows and draws for any ``chunk``, which bounds memory."""
     _validate_sizes(n, m)
-    if m > 8 * n:
-        return stream.multinomial(m, np.full(n, 1.0 / n), size=rows).astype(float)
-    counts = np.empty((rows, n))
-    step = max(1, _INDEX_BLOCK // m)
-    for start in range(0, rows, step):
-        block = min(step, rows - start)
-        indices = stream.integers(0, n, (block, m))
-        indices += np.arange(0, block * n, n)[:, None]  # row j counts into [j*n, (j+1)*n)
-        counts[start:start + block] = np.bincount(
-            indices.ravel(), minlength=block * n).reshape(block, n)
-    return counts
+    dtype = np.uint16 if n <= 2**16 else np.int64
+    per_piece, step = max(1, _PIECE // m), max(1, _INDEX_BLOCK // max(n, m))
+    first = last = 0  # the call's rows [first, last) are in ``indices``
+    for start in range(0, rows, chunk):
+        end = min(start + chunk, rows)
+        if m > 8 * n:
+            yield stream.multinomial(m, np.full(n, 1.0 / n), size=end - start).astype(float)
+            continue
+        counts, row = np.empty((end - start, n)), start
+        while row < end:
+            if row == last:
+                indices = stream.integers(0, n, (min(per_piece, rows - row), m), dtype=dtype)
+                first, last = row, row + len(indices)
+            block = indices[row - first:min(row + step, end, last) - first]
+            block += np.arange(0, len(block) * n, n, dtype=dtype)[:, None]  # row j: [j*n, (j+1)*n)
+            counts[row - start:row - start + len(block)] = np.bincount(
+                block.ravel(), minlength=len(block) * n).reshape(-1, n)
+            row += len(block)
+        yield counts
 
 
 def nondegenerate(draw: Callable[[], np.ndarray]) -> tuple[np.ndarray, int]:

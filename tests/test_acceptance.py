@@ -5,10 +5,12 @@ The two table reproductions run the full published design (500 outer x 500
 inner cells) and take a few minutes each; everything else is seconds.
 """
 
+import importlib.util
 import itertools
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,28 +49,13 @@ ACCEPTANCE_SEED = 20260809
 # extra threads only slow the GIL-bound harnesses down.
 THREADS = 1
 
-PAPER_TABLE1 = {
-    ("poisson1", 20): (0.552, 0.322),
-    ("poisson1", 30): (0.554, 0.376),
-    ("poisson1", 40): (0.560, 0.364),
-    ("lognormal01", 20): (0.142, 0.000),
-    ("lognormal01", 30): (0.168, 0.000),
-    ("lognormal01", 40): (0.196, 0.000),
-    ("exponential1", 20): (0.308, 0.016),
-    ("exponential1", 30): (0.338, 0.020),
-    ("exponential1", 50): (0.470, 0.094),
-}
-PAPER_TABLE2 = {
-    ("poisson1", 20): (0.48, 0.302, 0.248),
-    ("poisson1", 30): (0.494, 0.300, 0.33),
-    ("poisson1", 40): (0.496, 0.350, 0.316),
-    ("lognormal01", 20): (0.028, 0.000, 0.000),
-    ("lognormal01", 30): (0.048, 0.000, 0.004),
-    ("lognormal01", 40): (0.058, 0.000, 0.002),
-    ("exponential1", 20): (0.280, 0.026, 0.058),
-    ("exponential1", 30): (0.276, 0.026, 0.084),
-    ("exponential1", 40): (0.332, 0.048, 0.108),
-}
+# The published values (scripts/paper_cells.txt) and their z against a
+# reproduced frequency, as scripts/reproduce_table.py prints them.
+_SPEC = importlib.util.spec_from_file_location(
+    "reproduce_table", Path(__file__).resolve().parent.parent / "scripts" / "reproduce_table.py")
+REPRODUCE_TABLE = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(REPRODUCE_TABLE)
+PAPER = REPRODUCE_TABLE.paper_cells()
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -201,6 +188,32 @@ def test_criterion_4_table2_reproduction(table2_reports):
     )
     report("criterion 4 (joint table reproduction)",
            anchor_ok and largest >= 8 and degenerate_ok, detail)
+
+
+def test_criterion_10_paper_scorecard(table1_reports, table2_reports):
+    # Every published cell against the paper, both band shares of 500 outer
+    # cells.  Bounds fixed before any run: no |z| above 3.5 (Bonferroni, about
+    # 0.02 over 45 cells), and the sum of z**2 below the 0.999 quantile of
+    # chi-square, with one degree of freedom per cell where either side is
+    # nonzero; a cell at 0 on both sides adds 0.
+    from scipy.stats import chi2
+
+    zs = {}
+    for table, reports in ((1, table1_reports), (2, table2_reports)):
+        for (model, n), rep in reports.items():
+            for cell in rep.cells:
+                key = (table, model, n, cell.statistic)
+                if cell.frequency or PAPER[key]:
+                    zs[key] = REPRODUCE_TABLE.z_score(cell.frequency, 500, PAPER[key])[1]
+    cells = sum(len(rep.cells) for rep in (*table1_reports.values(), *table2_reports.values()))
+    worst = max(zs, key=lambda key: abs(zs[key]))
+    total, bound = sum(z * z for z in zs.values()), chi2.ppf(0.999, len(zs))
+    report(
+        "criterion 10 (paper scorecard)",
+        cells == len(PAPER) == 45 and abs(zs[worst]) <= 3.5 and total < bound,
+        f"max |z|={abs(zs[worst]):.2f} at {'/'.join(map(str, worst))}; sum z**2={total:.1f} "
+        f"< {bound:.1f} (chi-square 0.999, df={len(zs)}) over {cells} of {len(PAPER)} cells",
+    )
 
 
 def test_criterion_5_clt_sanity():

@@ -307,10 +307,10 @@ class TestTableCommand:
 
     # The exact bytes, column padding included, of one small run of each table.
     @pytest.mark.parametrize("which, expected", [
-        ("1", "Distribution  n   emp_G_star           emp_T\n"
-              "poisson1      10  0.42857142857142855  0.42857142857142855\n"),
-        ("2", "Distribution  n   emp_G_star          emp_T  emp_boot\n"
-              "poisson1      10  0.2857142857142857  0.0    0.0\n"),
+        ("1", "Distribution  n   emp_G_star          emp_T\n"
+              "poisson1      10  0.2857142857142857  0.42857142857142855\n"),
+        ("2", "Distribution  n   emp_G_star           emp_T  emp_boot\n"
+              "poisson1      10  0.14285714285714285  0.0    0.14285714285714285\n"),
     ], ids=["1", "2"])
     def test_text_bytes_pinned(self, capsys, which, expected):
         code, out, _ = run_cli(capsys, "table", "--which", which, "--model", "poisson1",
@@ -485,6 +485,21 @@ class TestManifestAndSerialization:
                                "--m", "2", "--timestamp", "T0")
         assert code == 0
         assert isinstance(json.loads(out)["manifest"]["seed"], int)
+
+    def test_stream_layout_in_every_manifest_that_reads_a_stream(self, capsys, data_file,
+                                                                 tmp_path):
+        from pivotboot.rng import RNG_LAYOUT
+
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("2\n0\n")
+        runs = {("weights", "--n", "5", "--m", "5"): RNG_LAYOUT,
+                ("ci", data_file, "--method", "sample", "--m", "2"): RNG_LAYOUT,
+                ("ci", data_file, "--method", "sample", "--weights-file", str(wfile)): None}
+        for argv, layout in runs.items():
+            code, out, _ = run_cli(capsys, *argv, "--seed", "1", "--timestamp", "T0")
+            assert code == 0
+            assert json.loads(out)["manifest"]["config"].get("rng_layout") == layout, argv
+        assert RNG_LAYOUT == 6
 
     def test_json_roundtrip_is_byte_identical(self, capsys):
         code, out, _ = run_cli(capsys, "ydist", "--B", "5", "--alpha", "0.2",

@@ -12,7 +12,7 @@ The same holds for the CLI's own streams (``cli.weights``, ``cli.ci``),
 pinned through the stdout of ``pivotboot weights`` and of ``pivotboot ci``
 with drawn weights, and for the stream layout itself: the first draws of
 ``substream`` at zero to four indices, and the first draws of a table1 and a
-table2 outer cell's stream and of a harness block's stream (layout 5): the
+table2 outer cell's stream and of a harness block's stream (layout 6): the
 unit's base variates, then its count rows.
 
 None of these bytes depends on the BLAS kernel or on numpy's CPU dispatch:
@@ -83,53 +83,53 @@ CASES = {
 
 GOLDEN = {
     "coverage/cdf/normal01":
-        "376ca6908306cfbb419060abb3f305e87762476b676a65ed97ae6dac8268d783",
+        "2aacd6b14c64707cfdcf387ec6f90a2836bf02365f516ff93297ea6853d760f2",
     "coverage/cdf/poisson1":
-        "78bd4423fe583699fe3fd89a2d220677c6f962a531f76e7ea19015504cb18fc5",
+        "1a40dee9e48a032b22310e03892eef24c3f787a51dd076bde1e8d8e6dcb6ac75",
     "coverage/ecdf/normal01":
-        "ba565f7843e79934dcf9f6db93fd351cae106eeaf282abc6679bf10fa450e2a1",
+        "1e3ef837982f71ce46f24def9f6a4aa998b40798838c1f7184267bc1e72d420b",
     "coverage/ecdf/poisson1":
-        "c930678b22507ee20e66d51ff746a118036ff5294fb996f005a227221ebf8b67",
+        "a8b9143079071d404bfbe0257dc8f09df94499d86a5542ff60d7afd766ae59ab",
     "coverage/finitepop/normal01":
-        "bd740c7adfeba6e9a0d9cbc9f005f2d05f5c32b073d44fd301213377f7dcb01d",
+        "a6b9575a87e1a11eb2e746924f4c1f584041a40d8bf0cb6dc400b81b6545b127",
     "coverage/finitepop/poisson1":
-        "1d209decd179152535733f431b20fdbf01e0c2d092fea2410a95b68454e08c04",
+        "2cb846591a80c39ca6d8645d61afb0f0f273908e16a476e9bac3a9c1b63fcfac",
     "coverage/population/normal01":
-        "fac65b0550d05168f61449b568dac9258a53417a8e4cfbc9ada905e8b80ed329",
+        "0d409a28d11cc5358fca57b6c10237a1d2de46ec7190933bd1d47f9c06d0e7e9",
     "coverage/population/poisson1":
-        "fde1535425dc7df8364302bef67f6d626e4378e3d8cea4db87889c75294586b2",
+        "8be0b6be90943f539ede215e7cccbd4c261bc7299900a341c48a591d047d10c6",
     "coverage/sample/normal01":
-        "a2cebc1111774138f157310e13b72184a33edc908577ebb45d9fbeb3b2c33464",
+        "7391aded4d4f145acd0c96fcf845216f912a6f02093e8fbb8cc10c8ab75c0983",
     "coverage/sample/poisson1":
-        "c091009cebbacd82f84610639460fb6257c0fa314c03c5aa4fce4a54b7388be5",
+        "07db7d1251ee3b13bcd61f990c05d13ff9f2ad3a2f6b7bee383d24d477c2592f",
     "coverage/superpop/normal01":
-        "21ac68f5151607b47e02449eeb835d7511fd9233c738ae14e2e98582cad61b8b",
+        "65dc661bc7161eda4ff154d2301ff93143b3282ce59f42612776681e98f5c541",
     "coverage/superpop/poisson1":
-        "3595442cfc82f5e3742278e367e308520e7b1f512032d93573cc99db699749dc",
+        "911558f9b5562c81bbbe5e137c985558425f7d3533068adfd3f3dfb783067921",
     "pivot_clt/normal01":
-        "c1ee08e711fb63f71abb3f31c527490cdbbf5e16509c0a34627b0735ee681abe",
+        "6a50ff0251dbdd4a58d888439a293839df2169e89b847ac1c6a5b3aaede3ac44",
     "pivot_clt/poisson1":
-        "a97c8873b4cd047526430cc3cd25336abdf85a2c43b2d634760de7bf2f10e151",
+        "73a7e0bc4fd904eb8bb45972c2533454e976556c97d708bdc7782305f55a8a4c",
     "refined_ci/lognormal01":
-        "8a1893160188fd49a17b297f89031cf8dc1652b4ead6d32ea7984093a9896484",
+        "8c9c73aeb40f499e80e8de6903f2975b164cf23e7481b0f3116265e5692248f4",
     "refined_ci/normal01/n2":
-        "408dd32669ec557b525dcb4a37c486951d7860146674a97240b1645d52d57466",
+        "f6c9a094a49628bb78b497373a2ece18e35e086d664ca0ba31152c2a1b589402",
     "table1/exponential1/10":
-        "aa3fabdcfaa9e480d1e9f4a48d081fa781a60a4c82978be8b8e2f15fc8436a8c",
+        "35c867e2068c2ff7417692fae9253c96c4072d0d5d4d528a766d7ea2831b9d97",
     "table1/lognormal01/10":
-        "499452535b4932b004ffc1abc3e935e73ac2c85e8c70b9e3ec174e1479f0ef03",
+        "212774c95db203642e0b191c3797f131c86ae1ae9a40139b6fd23d9942e23037",
     "table1/normal01/2":
-        "d25772a9ad1d9ee44a38d3114db16f1ede5dc38021ff2ee759c3860a2a26c950",
+        "a35e8abdddbc2c8e43b7c4ee4c6229d1e6441ee9f9074dd421d0f77586b7ecd0",
     "table1/poisson1/10":
-        "cf41f22a32af8669f9a632c0238b8a65ca7faba4eb38cbd3be3b37e87d0e5d2d",
+        "7694cabf735c0a778851f8bfbb837ff22c740416809e3f24057301a101491355",
     "table2/exponential1/10":
-        "cb76f806d65c226fc0e6d7f37010919088cd7eef294470ace640172e69eaee0d",
+        "0593bf65accdce31fc13c277a7beaf7e60ed2216e2feb61cacac39e1b06308c1",
     "table2/lognormal01/10":
-        "4087952a1f12b58e33895c173768d839205c9aed650433a112ef901df9914337",
+        "be17da3f2fe76993ce051f8c7012c1a8a7313c056e7e09e140336289a71bdba7",
     "table2/normal01/2":
-        "f386212027952caa100d91d940166f51874b69907712d99a87d80e0a0b91d1f7",
+        "214237fb6901a52510b4867ebfd0562f0b1464ce309c758f9f1f4281e74c08fe",
     "table2/poisson1/10":
-        "c339c1a25275540e3d3e0954282517138f9fbee090b76d4795c1cf2dee423fc2",
+        "61e665216d75da8870f91c888107cbf9a0dec7061930e6f2fcf7e06480db5863",
 }
 
 
@@ -143,7 +143,7 @@ def test_report_bytes_unchanged(case):
 def test_report_records_stream_layout(case):
     # every table cell and harness block reads its own PCG64DXSM stream and
     # draws every count row by draw_multinomial_batch
-    assert CASES[case]().config["rng_layout"] == 5
+    assert CASES[case]().config["rng_layout"] == 6
 
 
 CLI_PINNED = ["--seed", "21", "--timestamp", "2000-01-01T00:00:00+00:00"]
@@ -161,16 +161,16 @@ CLI_CASES = {
     "ci/two/redraws": ["ci", "two.txt", "--method", "population", "--m", "2"],
 }
 CLI_GOLDEN = {
-    "weights/n10m10": "b723722f3f36c16ff4bb619e3d99f1431da8b07d8bc66d381e981d6d2a846b78",
-    "weights/n7m30": "83bc59add20c45db4f5030cdd2f686c585cb4bf50f1f99c1a9182faec271bd55",
-    "weights/n1m3": "5b335aab78976c78cb20d6246a0d85c10cdbccd0497f29a7fcb2ce433039c829",
-    "ci/population": "7615676f8daef67ec87514df14f91a6065e92997b7272fab755c977f069ddcbe",
-    "ci/sample": "0d9f57b08374a5522b446ca68d2e66c6bffec9a4b7c982d13e54a65c53ece9f8",
-    "ci/finitepop": "8d962491ed133c1162e0fe4b4f4268b95fceb3b3a3e465a5d9a5590496689551",
-    "ci/superpop": "e6ae3fc8e21f19735f19d199e3e5f189e4e5e858f7c5cc0e325232e61f2a0fb3",
-    "ci/ecdf": "9df3642fb571ac440b3cfb3ffec6dabb4ef78d2c1561f805a03d5e6eea1266b2",
-    "ci/cdf": "ac4a909ddd577213bd2283323d66eac9a738b37fc68726d3e56e8b8075fc96dd",
-    "ci/two/redraws": "915d61aaa7107c57e6b42dbee67c54f415d1d3656b4bb3c6e999cd9151967f88",
+    "weights/n10m10": "32442deaa0fbc8fa44dbe1b6086e938dfeb0c577fded3477572346b4fb66a762",
+    "weights/n7m30": "2e262910ac3acc45bf951ac8d85c4df6aab4a6c58ed512b1477b09f80786de19",
+    "weights/n1m3": "3d0ba35a47c60612013d2b8620a666e873462678dbd8b39bdebf664c902a861c",
+    "ci/population": "8180da9d687b1752e1a71af090f8f123a696fe0b3d43d81d8e8af7d6ac17b8f2",
+    "ci/sample": "8ba1b2319e9cb786fe3f6f5788218d71031a6e7a78188739a84b0ff5ffdf4344",
+    "ci/finitepop": "82141f78ab2d120cdcb9190cbe8f38944967a7bcbfcb7152b1bf74829ee43d9c",
+    "ci/superpop": "dc79f85a132e6fb6272aa2eb473154b9868d268418e02efb768a02a88f942cba",
+    "ci/ecdf": "43eca1bd134d4d47625887c400803979104680031f79b11fcbd9a253c84360a6",
+    "ci/cdf": "65e39417dbf8cd95b4b1894c2bbfaa602844f2caa53505859b1833751f7a47ac",
+    "ci/two/redraws": "dbce71164e4fa9e4877d4426f735aab16f433bee34d1ba9ed31e222e763a4838",
 }
 
 
@@ -208,13 +208,16 @@ def test_stream_layout_unchanged(indices):
 def test_table1_cell_layout_unchanged():
     # A table1 cell of poisson1, n = m = 5, 3 inner replicates, at seed 2024,
     # outer cell 0: the first base variates, then the cell's one count row
-    # (index counting, m <= 8n, as every other row).
+    # (index counting, m <= 8n, as every other row), then the stream's next
+    # draw, which pins the draws the row consumed: the counts alone read the
+    # same at layout 5.
     rng = substream(2024, "table1.cell", 0)
     base = resolve_model("poisson1").draw_base(rng, 3 * 5)
     assert [float.hex(v) for v in base[:4]] == [
         "0x1.939b3b08d99a8p-2", "0x1.95ffd681b43e4p-1",
         "0x1.4dd9536b771b8p-3", "0x1.1f13095793698p-3"]
     assert draw_multinomial_batch(5, 5, 1, rng)[0].tolist() == [1, 0, 1, 1, 2]
+    assert rng.random().hex() == "0x1.b747ab2fe8ab8p-3"
 
 
 def test_table_cell_layout_unchanged():
@@ -226,7 +229,7 @@ def test_table_cell_layout_unchanged():
     assert [float.hex(v) for v in base[:4]] == [
         "0x1.72c38201d0fa8p-4", "0x1.32e8b9e62193ep-1",
         "0x1.af15adb606d60p-5", "0x1.bf8aa0fa8cd48p-2"]
-    assert draw_multinomial_batch(5, 5, 3, rng)[0].tolist() == [0, 3, 1, 1, 0]
+    assert draw_multinomial_batch(5, 5, 3, rng)[0].tolist() == [2, 2, 0, 1, 0]
 
 
 def test_harness_block_layout_unchanged():
@@ -239,7 +242,7 @@ def test_harness_block_layout_unchanged():
         "0x1.00b7dbf3145c2p-1", "0x1.1913ee85110bcp-1",
         "0x1.088ed6532a880p-3", "-0x1.24bbe11c6b372p+0"]
     counts = draw_multinomial_batch(5, 5, 32 * 3, rng)
-    assert counts[:2].tolist() == [[1, 1, 2, 0, 1], [2, 1, 0, 1, 1]]
+    assert counts[:2].tolist() == [[2, 2, 1, 0, 0], [2, 0, 2, 0, 1]]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -214,14 +214,14 @@ class TestDrawReplicates:
     # first case's values are those of weights.dot's summation order.
     PINS = [
         (7, 10, 10, 9,
-         ["0x1.73968446af6bdp-1", "0x1.71ac11a53b53fp+0", "-0x1.364af53fc0966p+0",
-          "-0x1.47be5766878f0p-2", "-0x1.55b14b1929cb9p-1", "-0x1.674337099dfdbp-1",
-          "-0x1.cf5c132504979p+0", "0x1.15f2185207f2dp+0", "-0x1.90db658d44d0fp+0"],
-         0, "0x1.07b9a207dcf66p-2"),
+         ["0x1.b41c0261e1922p-1", "-0x1.1216239e6f140p-1", "0x1.b2b9a82afd702p+0",
+          "0x1.8224369327f13p-3", "-0x1.b3a5595fa5375p-1", "-0x1.db895acf4ceb9p-1",
+          "-0x1.c94410b3b0ad5p-2", "-0x1.5b8cad4b74f90p-3", "0x1.c539bea4a3194p-4"],
+         0, "0x1.dbe4144203dcep-2"),
         (0, 2, 2, 12,
          # +-sqrt(2) to within one ulp (the two-point support)
-         [sign + "0x1.6a09e667f3bccp+0" for sign in ("", "", "", "-", "", "-", "", "", "", "-", "-", "")],
-         7, "0x1.ebfbd6e543cf1p-1"),
+         [sign + "0x1.6a09e667f3bccp+0" for sign in ("", "", "", "", "", "", "-", "", "", "-", "", "")],
+         7, "0x1.a92db3afdc49bp-1"),
     ]
 
     @pytest.mark.parametrize("seed, n, m, B, values, redraws, next_draw", PINS,

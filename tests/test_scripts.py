@@ -23,10 +23,11 @@ def run_script(*argv):
 def test_reproduce_table(which, stats):
     proc = run_script("reproduce_table.py", "--which", which, "--outer", "1", "--inner", "5")
     assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["Distribution", "n", *stats]
-    assert len(rows) == 9
-    assert all(len(row.split()) == 2 + len(stats) for row in rows)
+    header, *rows, summary = proc.stdout.splitlines()
+    assert header.split() == ["Distribution", "n", "statistic", "freq", "paper", "SE", "z"]
+    assert [row.split()[2] for row in rows] == stats * 9  # one row per published cell
+    assert all(len(row.split()) == 7 for row in rows)
+    assert summary.startswith("# max |z| ")
 
 
 def test_coverage_experiment():

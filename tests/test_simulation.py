@@ -39,7 +39,8 @@ from pivotboot.simulation import (
     run_table2,
     sample_model,
 )
-from pivotboot.weights import WeightVector, center, dot, draw_multinomial_batch
+from pivotboot.weights import (WeightVector, center, dot, draw_multinomial_batch,
+                               draw_multinomial_chunks)
 
 
 def sequential_poisson1(u: np.ndarray) -> np.ndarray:
@@ -301,12 +302,17 @@ class TestDeterminism:
             assert len(reports) == 1, (n, m)
 
 
-def count_row(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """One count row as the bootstrap defines it, m uniform resample indices
-    in [0, n) counted, and numpy's multinomial sampler past m = 8n."""
+def count_rows(n: int, m: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """One call's count rows as the bootstrap defines them, m uniform
+    resample indices in [0, n) counted, and numpy's multinomial sampler past
+    m = 8n.  Stream layout 6 draws a call's indices in pieces of whole rows
+    of at most max(2**18, m) indices from its first row, 16-bit up to n =
+    2**16; every design here fits one piece."""
     if m > 8 * n:
-        return rng.multinomial(m, [1.0 / n] * n)
-    return np.bincount(rng.integers(0, n, m), minlength=n)
+        return rng.multinomial(m, [1.0 / n] * n, size=rows)
+    assert rows * m <= 2**18 and n <= 2**16
+    return np.array([np.bincount(row, minlength=n)
+                     for row in rng.integers(0, n, (rows, m), dtype=np.uint16)]).reshape(rows, n)
 
 
 def _within(hits: int, valid: int, nominal: float, band: float) -> bool:
@@ -317,11 +323,11 @@ class TestWhiteBoxConsistency:
     """Recompute tiny table cells with the scalar library functions on the
     same substreams and require identical reports.
 
-    The scalar paths derive stream layout 5 on their own: one stream per
-    outer cell, read one inner replicate and one count row at a time, each
-    row counting m uniform resample indices (numpy's multinomial sampler past
-    m = 8n), where the kernels draw each cell's blocks in one call: table2's
-    g* rows, then its replicate rows."""
+    The scalar paths derive stream layout 6 on their own: one stream per
+    outer cell, read one inner replicate at a time, then each call's count
+    rows as :func:`count_rows` draws them: table1's weight row (one call per
+    redraw), table2's T g* rows in one call, then its T·B replicate rows in
+    one call."""
 
     # The fixed designs of the original white-box cases, plus random designs:
     # any law, n in 2..8.  The scalar pivots use divisor n; sqrt((n - 1)/n)
@@ -358,7 +364,7 @@ class TestWhiteBoxConsistency:
             samples = [Sample.from_values(model.transform(model.draw_base(rng, n)))
                        for _ in range(T)]
             while True:
-                cw = center(WeightVector(count_row(n, m, rng)))
+                cw = center(WeightVector(count_rows(n, m, 1, rng)[0]))
                 if cw.sum_squares > 0:
                     break
                 redraws += 1
@@ -402,8 +408,9 @@ class TestWhiteBoxConsistency:
             valid = {"emp_G_star": 0, "emp_T": 0, "emp_boot": 0}
             rng = substream(seed, "table2.cell", s)
             samples = [model.transform(model.draw_base(rng, n)) for _ in range(T)]
-            g_rows = [count_row(n, m, rng) for _ in range(T)]
-            rows = [[g_row] + [count_row(n, m, rng) for _ in range(B)] for g_row in g_rows]
+            g_rows = count_rows(n, m, T, rng)
+            rows = [[g_row, *replicate_rows] for g_row, replicate_rows
+                    in zip(g_rows, count_rows(n, m, T * B, rng).reshape(T, B, n))]
             for data, counts in zip(samples, rows):
                 sample = Sample.from_values(data)
                 if sample.variance <= 0:
@@ -450,7 +457,7 @@ class TestWhiteBoxConsistency:
         assert report.frequency("emp_T") == 1.0
 
 
-# Stream layout 5 of the harnesses: replicates in blocks of this many.
+# Stream layout 6 of the harnesses: replicates in blocks of this many.
 BLOCK = 32
 
 
@@ -458,12 +465,12 @@ def block_replicates(model, n: int, m: int, rows: int, seed: int, purpose: str, 
     """Each replicate's data and its ``rows`` weight vectors, in replicate
     order.  Block k's stream ``substream(seed, purpose, k)`` draws the base
     variates of its R replicates in one call, then their R x rows count rows,
-    replicate-major."""
+    replicate-major, in one call."""
     for k in range(-(-reps // BLOCK)):
         rng = substream(seed, purpose, k)
         size = min(BLOCK, reps - k * BLOCK)
         data = model.transform(model.draw_base(rng, size * n).reshape(size, n))
-        counts = [[count_row(n, m, rng) for _ in range(rows)] for _ in range(size)]
+        counts = count_rows(n, m, size * rows, rng).reshape(size, rows, n)
         for values, row_counts in zip(data, counts):
             yield Sample.from_values(values), [WeightVector(c) for c in row_counts]
 
@@ -493,7 +500,7 @@ def assert_cell(cell, outcomes):
 
 
 class TestHarnessWhiteBox:
-    """Re-derive each harness report by hand on stream layout 5: redraw each
+    """Re-derive each harness report by hand on stream layout 6: redraw each
     block's data and count rows, then score every replicate with the scalar
     interval, pivot or refined-cutoff functions.  The kernels take the
     scalar functions' operations row by row, so their values are equal to
@@ -534,7 +541,7 @@ class TestHarnessWhiteBox:
                 outcomes.append(None)
                 continue
             outcomes.append(target in interval)
-        assert report.config["rng_layout"] == 5
+        assert report.config["rng_layout"] == 6
         assert_cell(report.cells[0], outcomes)
 
     @settings(max_examples=25, deadline=None)
@@ -780,13 +787,14 @@ class TestRefinedCoverage:
         (simulation._CHUNK // 8, 3, 3),        # 9n > _CHUNK: one per replicate
     ])
     def test_count_draws_per_block(self, monkeypatch, n, reps, calls):
-        rows = []
+        rows = []  # the rows of each chunk read
 
-        def counted(n, m, count, rng):
-            rows.append(count)
-            return draw_multinomial_batch(n, m, count, rng)
+        def counted(n, m, count, chunk, rng):
+            for counts in draw_multinomial_chunks(n, m, count, chunk, rng):
+                rows.append(len(counts))
+                yield counts
 
-        monkeypatch.setattr(simulation, "draw_multinomial_batch", counted)
+        monkeypatch.setattr(simulation, "draw_multinomial_chunks", counted)
         refined_ci_coverage("lognormal01", n, n, 9, 0.1, reps, seed=18)
         assert len(rows) == calls and sum(rows) == 9 * reps
 

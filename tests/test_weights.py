@@ -100,16 +100,22 @@ class TestDrawResampleCounts:
             with pytest.raises(ValueError):
                 draw_multinomial_batch(n, m, 3, substream(0, "rows"))
 
-    # Rows are drawn one after another from the stream: m uniform indices,
-    # counted (m <= 8n), or one multinomial row (m > 8n).
+    # Stream layout 6, re-derived: past m = 8n, one multinomial row after
+    # another; else each row counts m uniform indices, drawn in pieces of
+    # whole rows of at most max(2**18, m) indices from the call's first row,
+    # as 16-bit draws up to n = 2**16 and 64-bit ones past it.  Every piece
+    # is counted with its rows offset into disjoint bins, in int64.
     @staticmethod
-    def _row_by_row(n, m, rows, stream):
-        def row():
-            if m > 8 * n:
-                return stream.multinomial(m, [1.0 / n] * n)
-            return np.bincount(stream.integers(0, n, m), minlength=n)
-
-        return np.array([row() for _ in range(rows)], dtype=np.int64).reshape(rows, n)
+    def _pieces(n, m, rows, stream):
+        if m > 8 * n:
+            return stream.multinomial(m, [1.0 / n] * n, size=rows)
+        per_piece, dtype = max(1, 2**18 // m), np.uint16 if n <= 2**16 else np.int64
+        counts = [np.empty((0, n), np.int64)]
+        for start in range(0, rows, per_piece):
+            piece = stream.integers(0, n, (min(per_piece, rows - start), m), dtype=dtype)
+            bins = piece.astype(np.int64) + n * np.arange(len(piece))[:, None]
+            counts.append(np.bincount(bins.ravel(), minlength=piece.size // m * n).reshape(-1, n))
+        return np.concatenate(counts)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 12), m=st.integers(1, 120), rows=st.integers(0, 40),
@@ -127,8 +133,55 @@ class TestDrawResampleCounts:
             blocked = draw_multinomial_batch(n, m, rows, again)
         reference = substream(seed, "rows")
         assert np.array_equal(blocked, counts)
-        assert np.array_equal(self._row_by_row(n, m, rows, reference), counts)
+        assert np.array_equal(self._pieces(n, m, rows, reference), counts)
         assert again.random() == reference.random()  # the same draws consumed
+
+    @staticmethod
+    @st.composite
+    def _calls(draw):
+        """(n, m, rows): every n of the layout's cases, m odd and even up to
+        8n and past it, and rows that reach into a second or third piece
+        where their counts fit in memory."""
+        n = draw(st.sampled_from((1, 2, 7, 2**16, 2**16 + 1)))
+        ms = (n - 1, n, 8 * n, 8 * n + 1, 3) if n > 7 else range(1, 8 * n + 4)
+        m = draw(st.sampled_from(ms))
+        per_piece = max(1, 2**18 // m) if m <= 8 * n else 1
+        rows = draw(st.integers(0, 2)) * per_piece + draw(st.integers(0, 3))
+        return n, m, min(rows, 2**22 // n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(call=_calls(), block=st.sampled_from((1, 7, 1000)),
+           chunk=st.sampled_from((1, 3, 257, None)), seed=st.integers(0, 2**32 - 1))
+    @example(call=(2**16, 2**16, 9), block=7, chunk=3, seed=1)  # 4 rows a piece, 3 a chunk
+    @example(call=(2**16 + 1, 2**16 + 1, 4), block=1, chunk=None, seed=2)  # 64-bit indices
+    @example(call=(7, 56, 2 * 4681 + 1), block=1000, chunk=257, seed=3)  # m = 8n, 3 pieces
+    @example(call=(2, 17, 5), block=7, chunk=3, seed=4)  # m = 8n + 1: the sampler
+    def test_layout_6_rows(self, call, block, chunk, seed):
+        n, m, rows = call
+        sizes = []
+
+        class Recording:  # the stream, recording how many indices each draw holds
+            def __init__(self, stream):
+                self.stream = stream
+
+            def integers(self, low, high, size, dtype):
+                sizes.append(math.prod(size))
+                return self.stream.integers(low, high, size, dtype=dtype)
+
+            def multinomial(self, *args, **kwargs):
+                return self.stream.multinomial(*args, **kwargs)
+
+        reference, stream = substream(seed, "layout6"), substream(seed, "layout6")
+        expected = self._pieces(n, m, rows, reference)
+        chunk = chunk or max(rows, 1)
+        with mock.patch.object(weights, "_INDEX_BLOCK", block):
+            chunks = list(weights.draw_multinomial_chunks(n, m, rows, chunk, Recording(stream)))
+        assert len(chunks) == -(-rows // chunk) and all(len(c) == chunk for c in chunks[:-1])
+        counts = np.concatenate([np.empty((0, n)), *chunks])
+        assert np.array_equal(counts, expected)
+        assert np.all(counts.sum(axis=1) == m)
+        assert max(sizes, default=0) <= max(2**18, m)  # no draw holds more than one piece
+        assert stream.random() == reference.random()  # left at the same point
 
 
 class TestNondegenerate:
