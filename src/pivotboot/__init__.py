@@ -22,6 +22,9 @@ RECIPES = ("population", "sample", "finitepop", "superpop", "ecdf", "cdf")
 _EXPORTS = {
     "bounds": ("BoundParams", "RateKind", "berry_esseen_bound", "convergence_rate", "delta_n",
                "sixth_moment_expression"),
+    "calibration": ("GENZ_LEVEL_B9", "YDistribution", "classical_cutoff_rank",
+                    "orthant_probability", "orthant_probability_closed_form", "y_distribution",
+                    "y_quantile"),
     "errors": ("DegenerateScaleError", "DegenerateWeightsError", "DimensionMismatchError",
                "DomainError", "InadmissibleParamsError", "MuArityError", "NonIntegerRankError",
                "PivotbootError", "ZeroBootstrapVarianceError", "ZeroVarianceError"),
@@ -30,10 +33,7 @@ _EXPORTS = {
     "gaussian": ("normal_cdf", "normal_pdf", "normal_quantile"),
     "intervals": ("Interval", "IntervalTarget", "ci_ecdf", "ci_finite_pop_mean",
                   "ci_population_mean", "ci_sample_mean", "ci_superpop_mean"),
-    "multi_bootstrap": ("GENZ_LEVEL_B9", "ReplicateSet", "YDistribution",
-                        "classical_cutoff_rank", "draw_replicates", "orthant_probability",
-                        "orthant_probability_closed_form", "refined_contains", "y_distribution",
-                        "y_quantile"),
+    "multi_bootstrap": ("ReplicateSet", "draw_replicates", "refined_contains"),
     "pivots": ("PivotKind", "empirical_pivot", "g_star", "starred_variant", "student_t",
                "t_star"),
     "rng": ("substream",),

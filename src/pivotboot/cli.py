@@ -19,29 +19,20 @@ large for memory); 3 degenerate weights exhausted the redraw budget.
 
 Each subcommand imports only the modules it runs: the library names that
 the commands call are bound here to stubs that import their module on first
-call, and the parser needs no numpy.  So ``bound`` and a ``ci`` whose data
-file is rejected never load numpy, only ``table`` loads the simulation
-module, and only ``ydist`` loads ``multi_bootstrap``.
+call, and the parser needs no numpy.  So ``bound``, ``ydist`` and a ``ci``
+whose data file is rejected never load numpy, only ``table`` loads the
+simulation module, and only ``bound`` loads ``bounds``.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
 import math
 import os
 import sys
 from importlib import import_module
 
 from . import RECIPES, __version__
-from .bounds import (
-    DEFAULT_UNIVERSAL_CONSTANT,
-    BoundParams,
-    RateKind,
-    bound_terms,
-    convergence_rate,
-    delta_n,
-)
 from .errors import DegenerateWeightsError, PivotbootError
 from .jsonio import dumps
 
@@ -66,7 +57,7 @@ ci_sample_mean = _lazy("intervals", "ci_sample_mean")
 ci_finite_pop_mean = _lazy("intervals", "ci_finite_pop_mean")
 ci_superpop_mean = _lazy("intervals", "ci_superpop_mean")
 ci_ecdf = _lazy("intervals", "ci_ecdf")
-y_distribution = _lazy("multi_bootstrap", "y_distribution")
+y_distribution = _lazy("calibration", "y_distribution")
 run_table1 = _lazy("simulation", "run_table1")
 run_table2 = _lazy("simulation", "run_table2")
 
@@ -105,7 +96,9 @@ def _resolve_seed(value: int | None) -> int:
 
 def _manifest(command: str, config: dict, seed: int, timestamp: str | None) -> dict:
     if timestamp is None:
-        timestamp = _dt.datetime.now(_dt.timezone.utc).isoformat()
+        import datetime
+
+        timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return {
         "command": command,
         "config": config,
@@ -257,16 +250,16 @@ def _cmd_table(args: argparse.Namespace) -> dict | str:
 
 
 def _cmd_ydist(args: argparse.Namespace) -> dict:
-    from .multi_bootstrap import GENZ_LEVEL_B9, orthant_probability_closed_form, y_quantile
+    from .calibration import GENZ_LEVEL_B9, orthant_probability_closed_form, y_quantile
 
     dist = y_distribution(args.B)
     config = {"B": args.B}
     result = {
         "B": args.B,
-        "pmf_quadrature": [float(p) for p in dist.pmf],
+        "pmf_quadrature": list(dist.pmf),
         "pmf_closed_form": [math.comb(args.B, l) * orthant_probability_closed_form(args.B, l)
                             for l in range(args.B + 1)],
-        "cumulative": [float(c) for c in dist.cumulative()],
+        "cumulative": list(dist.cumulative()),
         "uniform_value": 1.0 / (args.B + 1),
     }
     if args.alpha is not None:
@@ -282,6 +275,9 @@ def _cmd_ydist(args: argparse.Namespace) -> dict:
 
 
 def _cmd_bound(args: argparse.Namespace) -> dict:
+    from .bounds import (DEFAULT_UNIVERSAL_CONSTANT, BoundParams, bound_terms, convergence_rate,
+                         delta_n)
+
     seed = _resolve_seed(args.seed)
     if args.kind is not None:
         kind = _parse_rate_kind(args.kind)
@@ -295,7 +291,8 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
     config = {
         "n": args.n, "m": args.m, "delta": args.delta, "eps": args.eps,
         "eps1": args.eps1, "eps2": args.eps2, "ratio": args.ratio,
-        "p_var_dev": args.p_var_dev, "C": args.C,
+        "p_var_dev": args.p_var_dev,
+        "C": DEFAULT_UNIVERSAL_CONSTANT if args.C is None else args.C,
     }
     missing = [k for k, v in config.items() if v is None]  # the last two have defaults
     if missing:
@@ -304,7 +301,7 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
         n=args.n, m=args.m, delta=args.delta, eps=args.eps,
         eps1=args.eps1, eps2=args.eps2,
         third_abs_moment_ratio=args.ratio,
-        p_var_dev=args.p_var_dev, C=args.C,
+        p_var_dev=args.p_var_dev, C=config["C"],
     )
     first, second = bound_terms(params)
     return {
@@ -331,6 +328,8 @@ def _cmd_weights(args: argparse.Namespace) -> dict:
 
 
 def _parse_rate_kind(text: str) -> RateKind:
+    from .bounds import RateKind
+
     squashed = text.lower().replace("-", "").replace("_", "")
     squashed = squashed.removesuffix("rate")
     mapping = {k.value.replace("_", "").removesuffix("rate"): k for k in RateKind}
@@ -398,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--ratio", type=float, default=None,
                          help="third absolute moment ratio E|X-mu|^3 / sigma^(3/2)")
     p_bound.add_argument("--p-var-dev", type=float, default=0.0)
-    p_bound.add_argument("--C", type=float, default=DEFAULT_UNIVERSAL_CONSTANT)
+    p_bound.add_argument("--C", type=float, default=None)
     add_common(p_bound)
     p_bound.set_defaults(func=_cmd_bound)
 

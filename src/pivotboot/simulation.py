@@ -39,10 +39,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .calibration import GENZ_LEVEL_B9, _cutoff_index
 from .estimators import Sample
 from .gaussian import normal_cdf, normal_quantile
 from .intervals import RECIPES
-from .multi_bootstrap import GENZ_LEVEL_B9, _cutoff_index
 from .pivots import EMPIRICAL_KINDS, PivotKind
 from .rng import RNG_LAYOUT, check_seed, substream
 from .weights import dot, draw_multinomial_batch, draw_multinomial_chunks, nondegenerate

@@ -61,7 +61,7 @@ _INDEX_BLOCK = 2**14
 def frozen_array(values, name: str) -> np.ndarray:
     """A read-only float64 copy of ``values``, a non-empty 1-D sequence of
     finite numbers; :class:`ValueError` naming ``name`` otherwise.  Each
-    value type of the package keeps its array this way and derives its other
+    array-backed value type keeps its array this way and derives its other
     fields from the copy, so no later edit of the caller's array reaches them."""
     array = np.array(values, dtype=float)
     if array.ndim != 1 or array.size < 1:

@@ -744,14 +744,14 @@ class TestRuntimeDependencies:
                                 text=True, timeout=120, check=True)
         return result.stdout
 
-    def loaded_by(self, *argv: str) -> tuple[int, set]:
+    def loaded_by(self, *argv: str, watched: tuple = WATCHED) -> tuple[int, set]:
         """Exit code of ``main(argv)`` and the watched modules it loaded."""
         probe = ("import contextlib, io, json, sys\n"
                  "from pivotboot.cli import main\n"
                  "with contextlib.redirect_stdout(io.StringIO()), "
                  "contextlib.redirect_stderr(io.StringIO()):\n"
                  "    code = main(sys.argv[1:])\n"
-                 f"print(json.dumps([code, [m for m in {self.WATCHED!r} if m in sys.modules]]))")
+                 f"print(json.dumps([code, [m for m in {watched!r} if m in sys.modules]]))")
         code, loaded = json.loads(self.fresh_python("-c", probe, *argv))
         return code, set(loaded)
 
@@ -789,6 +789,26 @@ class TestRuntimeDependencies:
         assert code == 0
         assert loaded == {"numpy"}
 
+    def test_ydist_loads_no_numpy(self):
+        code, loaded = self.loaded_by("ydist", "--B", "9", "--alpha", "0.1", "--seed", "1")
+        assert (code, loaded) == (0, set())
+
+    def test_only_bound_loads_bounds(self, tmp_path):
+        data = tmp_path / "data.txt"
+        data.write_text("9.5\n10.25\n11.0\n8.75\n10.5\n")
+        commands = {
+            "ci": ["ci", str(data), "--method", "population"],
+            "table": ["table", "--which", "2", "--model", "poisson1", "--n", "5", "--outer", "1",
+                      "--inner", "2"],
+            "ydist": ["ydist", "--B", "9"],
+            "bound": ["bound", "--kind", "GStarRate", "--n", "50", "--m", "50"],
+            "weights": ["weights", "--n", "5", "--m", "5"],
+        }
+        loaded = {name: self.loaded_by(*argv, "--seed", "1", watched=("pivotboot.bounds",))
+                  for name, argv in commands.items()}
+        assert loaded == {name: (0, {"pivotboot.bounds"} if name == "bound" else set())
+                          for name in commands}
+
     def test_package_names_resolve_lazily(self):
         probe = """
 import importlib, sys
@@ -796,8 +816,8 @@ import pivotboot
 assert "numpy" not in sys.modules
 assert set(pivotboot.__all__) <= set(dir(pivotboot))
 modules = [importlib.import_module(f"pivotboot.{name}") for name in (
-    "bounds", "errors", "estimators", "gaussian", "intervals", "multi_bootstrap", "pivots",
-    "rng", "simulation", "weights")]
+    "bounds", "calibration", "errors", "estimators", "gaussian", "intervals", "multi_bootstrap",
+    "pivots", "rng", "simulation", "weights")]
 for name in pivotboot.__all__:
     value = getattr(pivotboot, name)
     assert any(name in vars(m) and vars(m)[name] is value for m in modules), name

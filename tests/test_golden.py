@@ -13,16 +13,20 @@ pinned through the stdout of ``pivotboot weights`` and of ``pivotboot ci``
 with drawn weights, and for the stream layout itself: the first draws of
 ``substream`` at zero to four indices, and the first draws of a table1 and a
 table2 outer cell's stream and of a harness block's stream (layout 6): the
-unit's base variates, then its count rows.
+unit's base variates, then its count rows.  The stdout of ``pivotboot
+ydist`` pins the quadrature of the cutoff calibration.
 
-None of these bytes depends on the BLAS kernel or on numpy's CPU dispatch:
-every inner product of the package sums through ``weights.dot`` (numpy's
-einsum) and no module calls BLAS or LAPACK (``tests/test_imports.py``).
-Fresh interpreters, each under another OpenBLAS kernel or with numpy's
-AVX-512 loops off, print the digests of the golden reports, of ``ci`` with
-every method on 40 values, of ``ydist`` and of a table2 poisson1 cell with
-exact ties, and they must equal this process's; the variables act only on
-the child.  Run as a script, this file prints those digests as JSON.
+None of these bytes depends on the BLAS kernel or on the CPU dispatch of
+numpy or of glibc's libm: every inner product of the package sums through
+``weights.dot`` (numpy's einsum), except the calibration's quadrature,
+which sums with the correctly rounded ``math.fsum``, and no module calls
+BLAS or LAPACK (``tests/test_imports.py``).  Fresh interpreters, each under
+another OpenBLAS kernel, with numpy's AVX-512 loops off or with glibc's FMA
+and AVX2 variants masked, print the digests of the golden reports, of
+``ci`` with every method on 40 values, of ``ydist`` and of a table2
+poisson1 cell with exact ties, and they must equal this process's; the
+variables act only on the child.  Run as a script, this file prints those
+digests as JSON.
 """
 
 import contextlib
@@ -159,6 +163,8 @@ CLI_CASES = {
                         *(["--x", "10.0"] if recipe in ("ecdf", "cdf") else [])]
        for recipe in RECIPES},
     "ci/two/redraws": ["ci", "two.txt", "--method", "population", "--m", "2"],
+    "ydist/B9/alpha0.1": ["ydist", "--B", "9", "--alpha", "0.1"],
+    "ydist/B100": ["ydist", "--B", "100"],
 }
 CLI_GOLDEN = {
     "weights/n10m10": "32442deaa0fbc8fa44dbe1b6086e938dfeb0c577fded3477572346b4fb66a762",
@@ -171,6 +177,8 @@ CLI_GOLDEN = {
     "ci/ecdf": "43eca1bd134d4d47625887c400803979104680031f79b11fcbd9a253c84360a6",
     "ci/cdf": "65e39417dbf8cd95b4b1894c2bbfaa602844f2caa53505859b1833751f7a47ac",
     "ci/two/redraws": "dbce71164e4fa9e4877d4426f735aab16f433bee34d1ba9ed31e222e763a4838",
+    "ydist/B9/alpha0.1": "e1145919cb1986cbded90bf3243d19f126e2da8704f4d7928a1b17c1aca128ac",
+    "ydist/B100": "71927c48536d6e091b00eda185731a77349a940809e066d2495f62ad768af6cc",
 }
 
 
@@ -250,6 +258,7 @@ CHILD_ENVIRONMENTS = (
     {"OPENBLAS_CORETYPE": "Prescott"},
     {"OPENBLAS_CORETYPE": "Haswell"},
     {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+    {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA,-AVX2"},
 )
 # At this seed the population and superpop intervals on the 40 values moved
 # under the Prescott kernel while the package still called BLAS.

@@ -1,11 +1,23 @@
 """Replicate-cutoff tests: orthant integrals, count distribution, conventions."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pivotboot import multi_bootstrap
+from pivotboot import calibration, multi_bootstrap
+from pivotboot.calibration import (
+    GENZ_LEVEL_B9,
+    YDistribution,
+    classical_cutoff_rank,
+    orthant_probability,
+    orthant_probability_closed_form,
+    y_distribution,
+    y_quantile,
+)
 from pivotboot.errors import (
     DegenerateWeightsError,
     DomainError,
@@ -13,18 +25,7 @@ from pivotboot.errors import (
     ZeroVarianceError,
 )
 from pivotboot.estimators import Sample
-from pivotboot.multi_bootstrap import (
-    GENZ_LEVEL_B9,
-    ReplicateSet,
-    YDistribution,
-    classical_cutoff_rank,
-    draw_replicates,
-    orthant_probability,
-    orthant_probability_closed_form,
-    refined_contains,
-    y_distribution,
-    y_quantile,
-)
+from pivotboot.multi_bootstrap import ReplicateSet, draw_replicates, refined_contains
 from pivotboot.rng import substream
 from pivotboot.weights import REDRAW_LIMIT, WeightVector
 
@@ -63,6 +64,28 @@ class TestOrthantProbability:
             )
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(1, 1000))
+    @example(1)  # the fewest nodes
+    @example(1000)  # the most
+    def test_rule_grid_is_numpys_linspace(self, B):
+        # With phi -> 1 and Phi(-z) -> z the rule returns its step and its nodes.
+        nodes = 100 + 50 * math.isqrt(B)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(calibration, "normal_pdf", lambda z: 1.0)
+            patch.setattr(calibration, "normal_cdf", operator.neg)
+            steps, grid = calibration._orthant_rule.__wrapped__(nodes)
+        z, h = np.linspace(-12.0, 12.0, nodes, retstep=True)
+        assert [v.hex() for v in grid] == [v.hex() for v in z.tolist()]
+        assert {v.hex() for v in steps} == {float(h).hex()}
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(2, 1000).flatmap(lambda B: st.tuples(st.just(B), st.integers(0, B))))
+    def test_quadrature_within_3e_14_relative(self, case):
+        B, l = case
+        exact = orthant_probability_closed_form(B, l)
+        assert abs(orthant_probability(B, l) - exact) <= 3e-14 * exact
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             orthant_probability(3, -1)
@@ -75,10 +98,10 @@ class TestOrthantProbability:
 class TestYDistribution:
     def test_uniform_small_B(self):
         for B in (2, 5, 9, 31, 100, 199, 400, 1000):
-            dist = y_distribution(B)
-            assert np.allclose(dist.pmf, 1 / (B + 1), rtol=0.0, atol=1e-12)
-            assert np.abs(dist.pmf * (B + 1) - 1.0).max() <= 1e-13
-            assert dist.pmf.sum() == pytest.approx(1.0, abs=1e-10)
+            pmf = np.asarray(y_distribution(B).pmf)
+            assert np.allclose(pmf, 1 / (B + 1), rtol=0.0, atol=1e-12)
+            assert np.abs(pmf * (B + 1) - 1.0).max() <= 1e-13
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_containers_copy_the_callers_array(self):
         pmf, values = np.full(3, 1 / 3), np.array([0.5, -1.0])
