@@ -19,9 +19,11 @@ large for memory); 3 degenerate weights exhausted the redraw budget.
 
 Each subcommand imports only the modules it runs: the library names that
 the commands call are bound here to stubs that import their module on first
-call, and the parser needs no numpy.  So ``bound``, ``ydist`` and a ``ci``
-whose data file is rejected never load numpy, only ``table`` loads the
-simulation module, and only ``bound`` loads ``bounds``.
+call, and the parser needs no numpy.  The interval recipes and the weight
+value types compute on Python floats, and only a weight draw loads numpy.
+So ``bound``, ``ydist``, ``ci --weights-file`` and a ``ci`` whose data file
+is rejected never load numpy, only ``table`` loads the simulation module,
+and only ``bound`` loads ``bounds``.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def _weights_from_file(path: str, n: int) -> WeightVector:
 
 def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[CenteredWeights, int]:
     """The first count row of the ``cli.ci`` stream whose counts are not all
-    equal, centered, and the number of rows redrawn before it."""
+    equal, centered, and the number of rows redrawn before it.  The stream
+    loads numpy."""
     from .weights import nondegenerate
 
     stream = substream(seed, "cli.ci")
@@ -157,7 +160,6 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
     method = args.method
     if method in ("ecdf", "cdf") and args.x is None:
         raise _CliError(f"method {method!r} requires --x")
-    # numpy loads from here on, once the data file and the method's options have passed.
     from .estimators import Sample
     from .intervals import IntervalTarget
 

@@ -2,6 +2,8 @@
 
 Sample variance uses divisor ``n`` and the resampled variance divisor ``m``;
 every downstream pivot and interval formula assumes these conventions.
+Values are tuples of floats, reduced with ``weights.dot`` and
+``weights.total`` in numpy's order, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -9,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (DegenerateWeightsError, DimensionMismatchError, ZeroBootstrapVarianceError,
                      ZeroVarianceError)
-from .weights import CenteredWeights, WeightVector, dot, frozen_array
+from .weights import CenteredWeights, WeightVector, dot, float_tuple, total
 
 __all__ = [
     "Sample",
@@ -32,17 +32,16 @@ class Sample:
     """Immutable observation vector with its finite mean and variance
     (divisor n), computed once from a private copy of the values."""
 
-    values: np.ndarray
+    values: tuple[float, ...]
     mean: float = field(init=False)
     variance: float = field(init=False)
 
     def __post_init__(self) -> None:
-        values = frozen_array(self.values, "sample values")
+        values = float_tuple(self.values, "sample values")
         # An overflow (or the inf - inf it can leave) is the ValueError below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(values.mean())
-            centered = values - mean
-            variance = float(dot(centered, centered) / values.size)
+        mean = total(values) / len(values)
+        centered = [v - mean for v in values]
+        variance = dot(centered, centered) / len(values)
         for name, value in (("mean", mean), ("variance", variance)):
             if not math.isfinite(value):
                 raise ValueError(f"sample {name} overflows")
@@ -56,11 +55,11 @@ class Sample:
 
     @property
     def n(self) -> int:
-        return self.values.size
+        return len(self.values)
 
     @property
     def std(self) -> float:
-        return float(np.sqrt(self.variance))
+        return math.sqrt(self.variance)
 
 
 def _check_lengths(s: Sample, n: int) -> None:
@@ -71,21 +70,21 @@ def _check_lengths(s: Sample, n: int) -> None:
 def bootstrap_mean(s: Sample, w: WeightVector) -> float:
     """Resampled mean: sum_i w_i x_i / m."""
     _check_lengths(s, w.n)
-    return float(dot(w.counts, s.values) / w.m)
+    return dot(w.counts, s.values) / w.m
 
 
 def bootstrap_variance(s: Sample, w: WeightVector) -> float:
     """Resampled variance about the resampled mean, divisor m; exactly 0.0
     when every resampled value is the same one."""
     resampled_mean = bootstrap_mean(s, w)
-    deviations = s.values - resampled_mean
-    variance = float(dot(w.counts, deviations * deviations) / w.m)
+    deviations = [v - resampled_mean for v in s.values]
+    variance = dot(w.counts, [d * d for d in deviations]) / w.m
     # The resampled mean of one repeated value x can round away from x and
     # leave a variance of about (1e-16 x)^2; only that small a variance
     # needs the exact test.
     if variance <= 1e-28 * resampled_mean * resampled_mean:
-        drawn = s.values[w.counts > 0]
-        if drawn.min() == drawn.max():
+        drawn = [v for v, c in zip(s.values, w.counts) if c > 0]
+        if min(drawn) == max(drawn):
             return 0.0
     return variance
 
@@ -103,23 +102,28 @@ def bootstrap_std(s: Sample, w: WeightVector) -> float:
     variance = bootstrap_variance(s, w)
     if variance <= 0.0:
         raise ZeroBootstrapVarianceError("resampled variance is zero")
-    return float(np.sqrt(variance))
+    return math.sqrt(variance)
 
 
 def weighted_mean_estimator(s: Sample, cw: CenteredWeights) -> float:
     """Absolute-centered-weight average: sum |c_i| x_i / sum |c_i|."""
-    _check_lengths(s, cw.values.size)
+    _check_lengths(s, len(cw.values))
     if cw.sum_abs <= 0.0:
         raise DegenerateWeightsError("absolute centered weights sum to zero")
-    return float(dot(np.abs(cw.values), s.values) / cw.sum_abs)
+    return dot(list(map(abs, cw.values)), s.values) / cw.sum_abs
 
 
 def ecdf(s: Sample, x: float) -> float:
     """Empirical distribution function #{x_i <= x}/n (ties use <=)."""
-    return float(np.count_nonzero(s.values <= x)) / s.n
+    return sum(v <= x for v in s.values) / s.n
 
 
 def bootstrap_ecdf(s: Sample, w: WeightVector, x: float) -> float:
     """Resampled empirical distribution function: sum_i (w_i/m) 1(x_i <= x)."""
     _check_lengths(s, w.n)
-    return float(dot(w.counts, (s.values <= x).astype(float)) / w.m)
+    return dot(w.counts, _indicators(s, x)) / w.m
+
+
+def _indicators(s: Sample, x: float) -> list[float]:
+    """The indicator data 1(x_i <= x), as floats."""
+    return [1.0 if v <= x else 0.0 for v in s.values]

@@ -22,7 +22,7 @@ from .errors import DomainError
 from .estimators import Sample, sample_std
 from .pivots import t_star
 from .weights import (WeightVector, center, draw_multinomial_batch, draw_multinomial_weights,
-                      frozen_array, nondegenerate)
+                      float_tuple, nondegenerate)
 
 __all__ = ["ReplicateSet", "draw_replicates", "refined_contains"]
 
@@ -36,7 +36,8 @@ class ReplicateSet:
     B: int = field(init=False)
 
     def __post_init__(self) -> None:
-        values = frozen_array(self.values, "replicate values")
+        values = np.array(float_tuple(self.values, "replicate values"))
+        values.setflags(write=False)
         if values.size < 2:
             raise ValueError("a replicate set needs B >= 2 values")
         object.__setattr__(self, "values", values)

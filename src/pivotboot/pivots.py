@@ -30,10 +30,9 @@ from __future__ import annotations
 import enum
 import math
 
-import numpy as np
-
 from .errors import DegenerateScaleError, MuArityError
-from .estimators import Sample, _check_lengths, bootstrap_ecdf, bootstrap_std, ecdf, sample_std
+from .estimators import (Sample, _check_lengths, _indicators, bootstrap_ecdf, bootstrap_std, ecdf,
+                         sample_std)
 from .weights import CenteredWeights, dot
 
 __all__ = [
@@ -85,15 +84,20 @@ def t_star(s: Sample, cw: CenteredWeights) -> float:
     Identically equals (resampled mean - sample mean) / (S_n sqrt(V^2)).
     """
     scale = sample_std(s)
-    _check_lengths(s, cw.values.size)
-    return float(dot(cw.values, s.values)) / (scale * cw.norm)
+    _check_lengths(s, len(cw.values))
+    return dot(cw.values, s.values) / (scale * cw.norm)
 
 
 def g_star(s: Sample, cw: CenteredWeights, mu: float) -> float:
     """Absolute-weight pivot for the population mean ``mu``."""
     scale = sample_std(s)
-    _check_lengths(s, cw.values.size)
-    return float(dot(np.abs(cw.values), s.values - mu)) / (scale * cw.norm)
+    _check_lengths(s, len(cw.values))
+    return _g_sum(s, cw, mu) / (scale * cw.norm)
+
+
+def _g_sum(s: Sample, cw: CenteredWeights, mu: float) -> float:
+    """sum |c_i| (x_i - mu)."""
+    return dot(list(map(abs, cw.values)), [v - mu for v in s.values])
 
 
 def starred_variant(kind: PivotKind, s: Sample, cw: CenteredWeights,
@@ -112,10 +116,7 @@ def starred_variant(kind: PivotKind, s: Sample, cw: CenteredWeights,
     if not g_form and mu is not None:
         raise MuArityError(f"{kind.value} does not take mu")
     resampled_std = bootstrap_std(s, cw.weights)
-    if g_form:
-        numerator = float(dot(np.abs(cw.values), s.values - mu))
-    else:
-        numerator = float(dot(cw.values, s.values))
+    numerator = _g_sum(s, cw, mu) if g_form else dot(cw.values, s.values)
     if kind in (PivotKind.T_DOUBLE_STAR, PivotKind.G_DOUBLE_STAR):
         return numerator / (resampled_std * cw.norm)
     return numerator / (resampled_std / math.sqrt(cw.weights.m))
@@ -152,11 +153,11 @@ def empirical_pivot(kind: PivotKind, s: Sample, cw: CenteredWeights, x: float,
     spread = f_scale * (1.0 - f_scale)
     if spread <= 0.0:
         raise DegenerateScaleError(f"distribution scale vanishes at x={x!r}")
-    _check_lengths(s, cw.values.size)
+    _check_lengths(s, len(cw.values))
 
-    indicators = (s.values <= x).astype(float)
+    indicators = _indicators(s, x)
     if absolute:
-        numerator = float(dot(np.abs(cw.values), indicators - f_true))
+        numerator = dot(list(map(abs, cw.values)), [i - f_true for i in indicators])
     else:
-        numerator = float(dot(cw.values, indicators))
+        numerator = dot(cw.values, indicators)
     return numerator / (math.sqrt(spread) * weight_norm)

@@ -45,7 +45,7 @@ from .gaussian import normal_cdf, normal_quantile
 from .intervals import RECIPES
 from .pivots import EMPIRICAL_KINDS, PivotKind
 from .rng import RNG_LAYOUT, check_seed, substream
-from .weights import dot, draw_multinomial_batch, draw_multinomial_chunks, nondegenerate
+from .weights import draw_multinomial_batch, draw_multinomial_chunks, nondegenerate
 
 # The harnesses call none of these; they stay bound here only because
 # perfbench/layers.instrument patches them by these names in this module
@@ -426,6 +426,11 @@ def run_table2(cfg: SimConfig, threads: int = 1) -> CoverageReport:
 # The block engine
 # ---------------------------------------------------------------------------
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over the last axis, in numpy's own order, no BLAS."""
+    return np.einsum("...i,...i->...", a, b)
+
+
 class _Block:
     """A unit of work's replicates as arrays, one data row each, and what the
     kernels share.  Everything reduces over the last axis, so the count rows
@@ -435,10 +440,15 @@ class _Block:
     replicate cutoff).  Such a block feeds only student_t, g_star and t_star,
     which read only the centred weights, so it centres its counts in place.
     Every expression takes, row by row, the operations of the scalar
-    functions in ``estimators``, ``weights``, ``pivots`` and ``intervals``,
-    and both reduce through ``weights.dot``, so a value equals the scalar one
-    to the bit; a kernel's valid mask marks the replicates on which the
-    scalar call raises no :class:`~pivotboot.errors.PivotbootError` (tested).
+    functions in ``estimators``, ``weights``, ``pivots`` and ``intervals``.
+    The kernels reduce with numpy's einsum (:func:`_dot`) and ``sum``, whose
+    orders the scalar ``weights.dot`` and ``weights.total`` reproduce, so a
+    value equals the scalar one to the bit, for rows of up to 8,192 entries:
+    past numpy's 8,192-entry buffer a batched einsum row may differ from the
+    1-D call on the same row (at 8,193 entries, 9 of 60 random rows did,
+    numpy 2.4 on x86-64).  A kernel's valid mask marks the replicates on
+    which the scalar call raises no :class:`~pivotboot.errors.PivotbootError`
+    (tested).
     The standard deviation has divisor n, as in ``pivots``; the tables take
     their divisor n - 1 as the factor sqrt((n - 1)/n) on a value.  Given as
     ``moments``, the mean and standard deviation are not recomputed.
@@ -455,21 +465,21 @@ class _Block:
         if moments is None:
             mean = data.mean(axis=-1)
             centered = data - mean[..., None]
-            moments = mean, np.sqrt(dot(centered, centered) / self.n)  # divisor n
+            moments = mean, np.sqrt(_dot(centered, centered) / self.n)  # divisor n
         self.mean, self.std = moments
         in_place = counts.ndim == 3  # k rows per replicate
         self.counts = None if in_place else counts
         self.weights = np.divide(counts, m, out=counts if in_place else None)
         self.weights -= 1.0 / self.n  # centered
-        self.norm = np.sqrt(dot(self.weights, self.weights))  # 0 where degenerate
+        self.norm = np.sqrt(_dot(self.weights, self.weights))  # 0 where degenerate
         if x is not None:
             self.indicators = (data <= x).astype(float)
             self.ecdf = self.indicators.sum(axis=-1) / self.n
-            self.resampled_ecdf = dot(counts, self.indicators) / m
+            self.resampled_ecdf = _dot(counts, self.indicators) / m
 
     @cached_property
     def t_sum(self) -> np.ndarray:  # sum c_i x_i
-        return dot(self.weights, self.data)
+        return _dot(self.weights, self.data)
 
     @cached_property
     def abs_weights(self) -> np.ndarray:  # |c|
@@ -483,28 +493,28 @@ class _Block:
     @cached_property
     def g_sum(self) -> np.ndarray:
         """sum |c_i| (x_i - mu)."""
-        return dot(self.abs_weights, self.data - self.model.mean)
+        return _dot(self.abs_weights, self.data - self.model.mean)
 
     @cached_property
     def alpha1_sum(self) -> np.ndarray:
         """sum c_i 1(x_i <= x)."""
-        return dot(self.weights, self.indicators)
+        return _dot(self.weights, self.indicators)
 
     @cached_property
     def alpha2_sum(self) -> np.ndarray:
         """sum |c_i| (1(x_i <= x) - F(x)), F the model CDF."""
-        return dot(self.abs_weights, self.indicators - self.model.cdf(self.x))
+        return _dot(self.abs_weights, self.indicators - self.model.cdf(self.x))
 
     @cached_property
     def resampled_mean(self) -> np.ndarray:
-        return dot(self.counts, self.data) / self.m
+        return _dot(self.counts, self.data) / self.m
 
     @cached_property
     def resampled_std(self) -> np.ndarray:
         """The root of bootstrap_variance, 0 where every resampled value is one."""
         mean = self.resampled_mean
         deviations = self.data - mean[:, None]
-        variance = dot(self.counts, deviations * deviations) / self.m
+        variance = _dot(self.counts, deviations * deviations) / self.m
         # As in bootstrap_variance, only a tiny variance needs the exact test.
         tiny = variance <= 1e-28 * mean * mean
         if tiny.any():
@@ -598,7 +608,7 @@ def _interval(b: _Block, alpha: float, centre: np.ndarray, scale: np.ndarray,
 
 def _weighted_mean(b: _Block) -> np.ndarray:
     """weighted_mean_estimator: sum |c_i| x_i / sum |c|."""
-    return dot(b.abs_weights, b.data) / b.sum_abs
+    return _dot(b.abs_weights, b.data) / b.sum_abs
 
 
 # The interval recipes: the kernel that gives a block's intervals as the

@@ -13,15 +13,19 @@ derive from, so the pivots and interval recipes take them alone.  A count
 row is degenerate, all its centered values zero, when its counts are all
 equal; :func:`nondegenerate` redraws such rows on the raw counts, so its
 callers build their value types only for the row they keep.
+
+The value types hold tuples of floats and reduce them with :func:`dot` and
+:func:`total`, which add in numpy's own order, so this half of the module
+and the scalar layer built on it (``estimators``, ``pivots``,
+``intervals``) import only the standard library.  Only the samplers load
+numpy, when first called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import Any, Callable, Iterator
 
 from .errors import DegenerateWeightsError
 
@@ -35,9 +39,10 @@ __all__ = [
     "nondegenerate",
     "center",
     "dot",
+    "total",
     "max_ratio",
     "expected_sum_squares",
-    "frozen_array",
+    "float_tuple",
 ]
 
 # Redraw budget of nondegenerate(): at most this many redraws of a
@@ -56,22 +61,88 @@ _PIECE = 2**18
 # It bounds memory only: the counts do not depend on it (tested).  At 2**15
 # the harness round's peak RSS read 0.3 MB more, for no measured speed.
 _INDEX_BLOCK = 2**14
+# numpy's einsum reduces in buffers of this many entries (dot).
+_EINSUM_BUFFER = 8192
 
 
-def frozen_array(values, name: str) -> np.ndarray:
-    """A read-only float64 copy of ``values``, a non-empty 1-D sequence of
-    finite numbers; :class:`ValueError` naming ``name`` otherwise.  Each
-    array-backed value type keeps its array this way and derives its other
-    fields from the copy, so no later edit of the caller's array reaches them."""
-    array = np.array(values, dtype=float)
-    if array.ndim != 1 or array.size < 1:
+def float_tuple(values, name: str) -> tuple[float, ...]:
+    """``values``, a non-empty 1-D sequence (or numpy array) of finite
+    numbers, as a tuple of floats; :class:`ValueError` naming ``name``
+    otherwise.  Each value type keeps its values this way and derives its
+    other fields from the tuple, which no later edit of the caller's
+    sequence reaches."""
+    try:
+        values = tuple(map(float, values.tolist() if hasattr(values, "tolist") else values))
+    except TypeError as exc:  # a scalar, or rows of a 2-D sequence
+        raise ValueError(f"{name} must be a non-empty 1-D sequence") from exc
+    if not values:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
-    # ndarray methods, not the np.any / np.all wrappers, which cost a third of
-    # a weight vector's construction (tests/test_weights.py checks both agree).
-    if not np.isfinite(array).all():
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
-    array.setflags(write=False)
-    return array
+    return values
+
+
+def dot(a, b) -> float:
+    """Sum of a_i b_i over two equal-length float sequences, rounded as
+    numpy's ``np.einsum("...i,...i->...", a, b)`` rounds it on x86-64, no
+    BLAS: per buffer of ``_EINSUM_BUFFER`` entries two lanes, each full step
+    of 8 adding products 6, 4, 2, 0 to the first and 7, 5, 3, 1 to the
+    second, the rest alternating from the first, then the lanes' sum added
+    to the total, which starts at +0.0.  Each product is rounded before it
+    is added: numpy's x86-64 builds compile einsum at the X86_V2 baseline,
+    which has no fused multiply-add."""
+    result = 0.0
+    for start in range(0, len(a), _EINSUM_BUFFER):
+        stop = min(start + _EINSUM_BUFFER, len(a))
+        tail = stop - (stop - start) % 8
+        lo = hi = 0.0
+        for i in range(start, tail, 8):
+            lo = (a[i] * b[i]
+                  + (a[i + 2] * b[i + 2] + (a[i + 4] * b[i + 4] + (a[i + 6] * b[i + 6] + lo))))
+            hi = (a[i + 1] * b[i + 1]
+                  + (a[i + 3] * b[i + 3] + (a[i + 5] * b[i + 5] + (a[i + 7] * b[i + 7] + hi))))
+        for i in range(tail, stop, 2):
+            lo += a[i] * b[i]
+            if i + 1 < stop:
+                hi += a[i + 1] * b[i + 1]
+        result += lo + hi
+    return result
+
+
+def total(x) -> float:
+    """Sum of a float sequence, rounded as numpy's ``np.add.reduce`` rounds
+    it: +0.0 plus numpy's pairwise sum of all the entries.  Not the builtin
+    ``sum``, which compensates float sums from Python 3.12 on."""
+    return 0.0 + _pairwise(x, 0, len(x))
+
+
+def _pairwise(x, start: int, n: int) -> float:
+    """numpy's pairwise sum of x[start:start + n]: fewer than 8 entries in
+    order, up to 128 in 8 accumulators, longer runs split in halves at a
+    multiple of 8."""
+    if n < 8:
+        result = 0.0
+        for i in range(start, start + n):
+            result += x[i]
+        return result
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = x[start:start + 8]
+        tail = start + n - n % 8
+        for i in range(start + 8, tail, 8):
+            r0 += x[i]
+            r1 += x[i + 1]
+            r2 += x[i + 2]
+            r3 += x[i + 3]
+            r4 += x[i + 4]
+            r5 += x[i + 5]
+            r6 += x[i + 6]
+            r7 += x[i + 7]
+        result = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(tail, start + n):
+            result += x[i]
+        return result
+    half = n // 2 - n // 2 % 8
+    return _pairwise(x, start, half) + _pairwise(x, start + half, n - half)
 
 
 @dataclass(frozen=True)
@@ -79,22 +150,21 @@ class WeightVector:
     """Nonnegative resampling weights, multinomial counts or any real
     weights; their total is the resample size ``m``."""
 
-    counts: np.ndarray
+    counts: tuple[float, ...]
     m: float = field(init=False)
 
     def __post_init__(self) -> None:
-        counts = frozen_array(self.counts, "counts")
-        if (counts < 0).any():
+        counts = float_tuple(self.counts, "counts")
+        if min(counts) < 0:
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
-        with np.errstate(over="ignore"):  # an overflow is the ValueError below
-            object.__setattr__(self, "m", float(counts.sum()))
+        object.__setattr__(self, "m", total(counts))  # an overflow is the ValueError below
         if not 0.0 < self.m < math.inf:
             raise ValueError("resample size m must be positive and finite")
 
     @property
     def n(self) -> int:
-        return self.counts.size
+        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -108,17 +178,17 @@ class CenteredWeights:
     """
 
     weights: WeightVector
-    values: np.ndarray = field(init=False)
+    values: tuple[float, ...] = field(init=False)
     sum_squares: float = field(init=False)
     sum_abs: float = field(init=False)
 
     def __post_init__(self) -> None:
         w = self.weights
-        values = w.counts / w.m - 1.0 / w.n
-        values.setflags(write=False)
+        m, base = w.m, 1.0 / w.n
+        values = tuple([c / m - base for c in w.counts])
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sum_squares", float(dot(values, values)))
-        object.__setattr__(self, "sum_abs", float(np.abs(values).sum()))
+        object.__setattr__(self, "sum_squares", dot(values, values))
+        object.__setattr__(self, "sum_abs", total(list(map(abs, values))))
 
     @property
     def norm(self) -> float:
@@ -128,15 +198,15 @@ class CenteredWeights:
         return math.sqrt(self.sum_squares)
 
 
-def draw_multinomial_weights(n: int, m: int, stream: np.random.Generator) -> WeightVector:
+def draw_multinomial_weights(n: int, m: int, stream) -> WeightVector:
     """Draw counts ~ multinomial(m; 1/n, ..., 1/n) from the given stream:
     one row of :func:`draw_multinomial_batch`."""
     return WeightVector(draw_multinomial_batch(n, m, 1, stream)[0])
 
 
-def draw_multinomial_batch(n: int, m: int, rows: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw ``rows`` independent multinomial(m; 1/n, ..., 1/n) count rows, as
-    a ``(rows, n)`` float array.  Every count row of the package comes from
+def draw_multinomial_batch(n: int, m: int, rows: int, stream):
+    """Draw ``rows`` independent multinomial(m; 1/n, ..., 1/n) count rows
+    from a numpy Generator, as a ``(rows, n)`` float array.  Every count row of the package comes from
     here, one row or many: the table cells, the harness blocks, the
     replicate pivots and the command line's weight draws.
 
@@ -151,14 +221,17 @@ def draw_multinomial_batch(n: int, m: int, rows: int, stream: np.random.Generato
     else 64-bit ones.  The end of a 16-bit draw drops its last word's unused
     half, so rows drawn in two calls differ from the same rows in one.
     """
+    import numpy as np
+
     return next(draw_multinomial_chunks(n, m, rows, max(rows, 1), stream), np.empty((0, n)))
 
 
-def draw_multinomial_chunks(n: int, m: int, rows: int, chunk: int,
-                            stream: np.random.Generator) -> Iterator[np.ndarray]:
+def draw_multinomial_chunks(n: int, m: int, rows: int, chunk: int, stream) -> Iterator:
     """The rows of ``draw_multinomial_batch(n, m, rows, stream)`` in order,
     ``chunk`` rows at a time (the last chunk may hold fewer), drawn as they
     are read: the same rows and draws for any ``chunk``, which bounds memory."""
+    import numpy as np
+
     _validate_sizes(n, m)
     dtype = np.uint16 if n <= 2**16 else np.int64
     per_piece, step = max(1, _PIECE // m), max(1, _INDEX_BLOCK // max(n, m))
@@ -181,10 +254,11 @@ def draw_multinomial_chunks(n: int, m: int, rows: int, chunk: int,
         yield counts
 
 
-def nondegenerate(draw: Callable[[], np.ndarray]) -> tuple[np.ndarray, int]:
-    """Call ``draw()``, which returns one draw's count row (an array of any
-    shape), until its counts are not all equal; return that row and the
-    number of degenerate rows drawn before it.
+def nondegenerate(draw: Callable[[], Any]) -> tuple[Any, int]:
+    """Call ``draw()``, which returns one draw's count row (a sampler's
+    array of any shape, or a weight vector's tuple), until its counts are
+    not all equal; return that row and the number of degenerate rows drawn
+    before it.
 
     Counts summing to m are all equal exactly when each is m/n, and then
     every centered weight w_i/m - 1/n is zero: the norm the pivots divide by
@@ -194,14 +268,10 @@ def nondegenerate(draw: Callable[[], np.ndarray]) -> tuple[np.ndarray, int]:
     """
     for redraws in range(REDRAW_LIMIT + 1):
         counts = draw()
-        if counts.min() != counts.max():
+        flat = counts.ravel().tolist() if hasattr(counts, "ravel") else counts
+        if min(flat) != max(flat):
             return counts, redraws
     raise DegenerateWeightsError(f"weights stayed degenerate after {REDRAW_LIMIT} redraws")
-
-
-def dot(a, b) -> np.ndarray:
-    """Sum of a * b over the last axis, in numpy's own order, no BLAS."""
-    return np.einsum("...i,...i->...", a, b)
 
 
 def center(w: WeightVector) -> CenteredWeights:
@@ -214,8 +284,7 @@ def max_ratio(cw: CenteredWeights) -> float:
     negligibility diagnostic for the weight pattern.  Lies in (0, 1]."""
     if cw.sum_squares <= 0.0:
         raise DegenerateWeightsError("all centered weights are zero")
-    squares = cw.values * cw.values
-    return float(squares.max() / cw.sum_squares)
+    return max(v * v for v in cw.values) / cw.sum_squares
 
 
 def expected_sum_squares(n: int, m: int) -> float:

@@ -787,7 +787,14 @@ class TestRuntimeDependencies:
         code, loaded = self.loaded_by("ci", str(data), "--method", "cdf", "--x", "10",
                                       "--weights-file", str(weights), "--seed", "1")
         assert code == 0
-        assert loaded == {"numpy"}
+        assert loaded == set()
+
+    def test_overflowing_data_file_loads_no_numpy(self, tmp_path):
+        # finite values whose variance overflows: Sample rejects them in plain floats
+        path = tmp_path / "huge.txt"
+        path.write_text("1e308\n-1e308\n1e308\n-1e308\n")
+        code, loaded = self.loaded_by("ci", str(path), "--method", "sample", "--seed", "1")
+        assert (code, loaded) == (2, set())
 
     def test_ydist_loads_no_numpy(self):
         code, loaded = self.loaded_by("ydist", "--B", "9", "--alpha", "0.1", "--seed", "1")

@@ -68,9 +68,10 @@ class TestSample:
         values = np.array([1.0, 2.0, 6.0])
         s = Sample.from_values(values)
         values[0] = 5.0
-        assert s.values.tolist() == [1.0, 2.0, 6.0]
+        assert s.values == (1.0, 2.0, 6.0)
         assert s.mean == 3.0
-        assert not s.values.flags.writeable
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            s.values[0] = 5.0
 
 
 class TestBootstrapMean:

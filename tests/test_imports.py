@@ -89,7 +89,8 @@ def test_every_private_definition_is_read():
 
 # numpy's products and modules that call BLAS or LAPACK, whose summation order
 # depends on the CPU kernel the library picks when it loads.  Every inner
-# product goes through weights.dot (np.einsum) instead, so no report does.
+# product goes through np.einsum or weights.dot (its order in Python floats)
+# instead, so no report does.
 BLAS_NAMES = {"vecdot", "dot", "matmul", "inner", "linalg", "polynomial"}
 BLAS_MODULES = ("numpy.linalg", "numpy.polynomial")
 

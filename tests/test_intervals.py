@@ -306,7 +306,7 @@ class TestIntervalGeometry:
         shift = 2.75
         for r in range(50):
             s, cw = random_instance(r)
-            shifted = Sample.from_values(s.values + shift)
+            shifted = Sample.from_values(np.array(s.values) + shift)
             a = ci_population_mean(s, cw, 0.1)
             b = ci_population_mean(shifted, cw, 0.1)
             assert b.lo == pytest.approx(a.lo + shift, rel=1e-12, abs=1e-12)

@@ -70,7 +70,7 @@ class TestTStar:
         s = Sample.from_values(rng.standard_normal(15))
         w, cw = nondegenerate_draw(10, 15, 15)
         lhs = t_star(s, cw)
-        rhs = (float(w.counts @ s.values / w.m) - s.mean) / (
+        rhs = (float(np.array(w.counts) @ np.array(s.values) / w.m) - s.mean) / (
             s.std * math.sqrt(cw.sum_squares)
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)

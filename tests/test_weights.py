@@ -44,16 +44,16 @@ class TestDrawMultinomial:
     def test_single_category_always_m(self):
         for r in range(20):
             w = draw_multinomial_weights(1, 5, substream(1, "w", r))
-            assert w.counts.tolist() == [5.0]
+            assert w.counts == (5.0,)
             assert w.m == 5
 
     def test_one_draw_lands_on_one_coordinate(self):
         hits = np.zeros(3)
         reps = 30_000
         for r in range(reps):
-            w = draw_multinomial_weights(3, 1, substream(2, "w", r))
-            assert w.counts.sum() == 1
-            hits += w.counts
+            counts = np.asarray(draw_multinomial_weights(3, 1, substream(2, "w", r)).counts)
+            assert counts.sum() == 1
+            hits += counts
         freq = hits / reps
         se = math.sqrt((1 / 3) * (2 / 3) / reps)
         assert np.all(np.abs(freq - 1 / 3) <= 3 * se)
@@ -69,10 +69,10 @@ class TestDrawMultinomial:
 
     def test_counts_are_integers_summing_to_m(self):
         for r in range(50):
-            w = draw_multinomial_weights(7, 13, substream(4, "w", r))
-            assert np.array_equal(w.counts, np.round(w.counts))
-            assert w.counts.sum() == 13
-            assert np.all(w.counts >= 0)
+            counts = np.asarray(draw_multinomial_weights(7, 13, substream(4, "w", r)).counts)
+            assert np.array_equal(counts, np.round(counts))
+            assert counts.sum() == 13
+            assert np.all(counts >= 0)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -227,18 +227,71 @@ class TestNondegenerate:
                     nondegenerate(lambda: row)
 
 
+def _forced_sizes(test):
+    """Run ``test`` also at the sizes where numpy's orders change step: the
+    8-entry unroll, the 128-entry pairwise block and einsum's 8,192-entry
+    buffer."""
+    for n in (1, 7, 8, 9, 127, 128, 129, 8192, 8193, 16385):
+        test = example(n=n, counts=n % 2 == 0, seed=n)(test)
+    return test
+
+
+def _signed_magnitudes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n values of random sign, log-uniform in magnitude from 1e-8 to 1e8."""
+    return rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+
+
+class TestNumpyOrder:
+    """``weights.dot`` and ``weights.total`` round as numpy's einsum and
+    add.reduce do, to the bit: the scalar layer on Python floats gives the
+    numbers that the array kernels of ``simulation`` give.
+
+    The order is that of numpy's x86-64 builds, whose einsum is compiled at
+    the X86_V2 baseline: two float64 lanes, each product rounded before it
+    is added, no fused multiply-add.  On a numpy whose einsum fuses
+    multiply-add (aarch64 NEON), ``test_dot_is_einsum`` fails first, and
+    that is the cause.  Weights are integer counts (as drawn) or values like
+    the data."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20_000), counts=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @_forced_sizes
+    def test_dot_is_einsum(self, n, counts, seed):
+        rng = np.random.default_rng(seed)
+        a = _signed_magnitudes(rng, n)
+        b = rng.integers(0, 6, n).astype(float) if counts else _signed_magnitudes(rng, n)
+        want = float(np.einsum("...i,...i->...", a, b))
+        assert weights.dot(tuple(a.tolist()), tuple(b.tolist())).hex() == want.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20_000), counts=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @_forced_sizes
+    def test_total_is_add_reduce(self, n, counts, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 6, n).astype(float) if counts else _signed_magnitudes(rng, n)
+        assert weights.total(tuple(x.tolist())).hex() == float(np.add.reduce(x)).hex()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 129])
+    def test_signed_zeros(self, n):
+        # add.reduce starts from +0.0, so a sum of -0.0 entries is +0.0
+        zeros = np.full(n, -0.0)
+        assert weights.total(tuple(zeros.tolist())).hex() == float(np.add.reduce(zeros)).hex()
+        assert (weights.dot(tuple(zeros.tolist()), (1.0,) * n).hex()
+                == float(np.einsum("...i,...i->...", zeros, np.ones(n))).hex())
+
+
 class TestCenter:
     def test_hand_example_two_zero(self):
         w = WeightVector(np.array([2.0, 0.0]))
         cw = center(w)
-        assert cw.values.tolist() == [0.5, -0.5]
+        assert cw.values == (0.5, -0.5)
         assert cw.sum_squares == 0.5
         assert cw.sum_abs == 1.0
 
     def test_hand_example_equal(self):
         w = WeightVector(np.array([1.0, 1.0]))
         cw = center(w)
-        assert cw.values.tolist() == [0.0, 0.0]
+        assert cw.values == (0.0, 0.0)
         assert cw.sum_squares == 0.0
 
     def test_hand_example_three_one_zero(self):
@@ -258,7 +311,7 @@ class TestCenter:
                 call()
         cw = center(w)
         assert cw.weights is w
-        assert cw.values.tobytes() == (w.counts / w.m - 1.0 / 3).tobytes()
+        assert np.array(cw.values).tobytes() == (np.array(w.counts) / w.m - 1.0 / 3).tobytes()
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=25))
     def test_centered_values_sum_to_zero(self, counts):
@@ -266,7 +319,7 @@ class TestCenter:
             counts[0] = 1
         w = WeightVector(np.array(counts, dtype=float))
         cw = center(w)
-        assert abs(cw.values.sum()) <= 1e-12
+        assert abs(np.sum(cw.values)) <= 1e-12
 
     @given(
         st.lists(st.integers(min_value=0, max_value=30), min_size=2, max_size=15),
@@ -355,7 +408,7 @@ class TestWeightVectorValidation:
     def test_real_weights_accepted(self):
         # as a CLI weights file may hold them
         w = WeightVector([3.0, 0.5])
-        assert w.m == 3.5 and w.counts.tolist() == [3.0, 0.5]
+        assert w.m == 3.5 and w.counts == (3.0, 0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_counts_rejected(self, bad):
@@ -403,11 +456,12 @@ def _reference_rejection(counts: np.ndarray) -> str | None:
 
 class TestValueTypesKeepAReadOnlyCopy:
     def test_arrays_are_read_only(self):
+        # the values are tuples: immutable, so an assignment raises TypeError
         w = WeightVector(np.array([2.0, 0.0]))
         cw = center(w)
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="does not support item assignment"):
             w.counts[0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="does not support item assignment"):
             cw.values[:] = [0.25, -0.25]
         assert (w.m, cw.sum_squares, cw.sum_abs) == (2.0, 0.5, 1.0)
 
@@ -416,13 +470,15 @@ class TestValueTypesKeepAReadOnlyCopy:
         w = WeightVector(counts)
         cw = center(w)
         counts[0] = 5.0
-        assert w.counts.tolist() == [2.0, 0.0] and w.m == 2.0
-        assert cw.values.tolist() == [0.5, -0.5] and cw.sum_squares == 0.5
+        assert w.counts == (2.0, 0.0) and w.m == 2.0
+        assert cw.values == (0.5, -0.5) and cw.sum_squares == 0.5
 
     def test_drawn_and_centred_arrays_are_read_only(self):
         w = draw_multinomial_weights(4, 4, substream(3, "w"))
-        assert not w.counts.flags.writeable
-        assert not center(w).values.flags.writeable
+        for values in (w.counts, center(w).values):
+            assert type(values) is tuple and all(type(v) is float for v in values)
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                values[0] = 1.0
 
     @pytest.mark.parametrize("values, message", [
         ([[0.5, -0.5]], "^sample values must be a non-empty 1-D sequence$"),
