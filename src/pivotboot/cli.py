@@ -20,10 +20,11 @@ large for memory); 3 degenerate weights exhausted the redraw budget.
 Each subcommand imports only the modules it runs: the library names that
 the commands call are bound here to stubs that import their module on first
 call, and the parser needs no numpy.  The interval recipes and the weight
-value types compute on Python floats, and only a weight draw loads numpy.
-So ``bound``, ``ydist``, ``ci --weights-file`` and a ``ci`` whose data file
-is rejected never load numpy, only ``table`` loads the simulation module,
-and only ``bound`` loads ``bounds``.
+value types compute on Python floats, and the weight draws of ``ci`` and
+``weights`` read the standard-library copy of their stream (``rng.Stream``),
+which hands over to numpy only past m = 8n, n = 2**16 or 2**16 indices.  So
+every command but ``table`` runs without numpy below those sizes, only
+``table`` loads the simulation module, and only ``bound`` loads ``bounds``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def _lazy(module: str, name: str):
     return call
 
 
-substream = _lazy("rng", "substream")
+# The CLI draws one row per call, from the standard-library copy of its stream.
+substream = _lazy("rng", "Stream")
 WeightVector = _lazy("weights", "WeightVector")
 center = _lazy("weights", "center")
 draw_multinomial_weights = _lazy("weights", "draw_multinomial_weights")
@@ -144,8 +146,9 @@ def _weights_from_file(path: str, n: int) -> WeightVector:
 
 def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[CenteredWeights, int]:
     """The first count row of the ``cli.ci`` stream whose counts are not all
-    equal, centered, and the number of rows redrawn before it.  The stream
-    loads numpy."""
+    equal, centered, and the number of rows redrawn before it.  The rows
+    load numpy only where the stream hands over to it
+    (``weights.draw_multinomial_weights``)."""
     from .weights import nondegenerate
 
     stream = substream(seed, "cli.ci")
@@ -160,6 +163,8 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
     method = args.method
     if method in ("ecdf", "cdf") and args.x is None:
         raise _CliError(f"method {method!r} requires --x")
+    if args.x is not None and not math.isfinite(args.x):
+        raise _CliError(f"--x must be finite, got {args.x!r}")
     from .estimators import Sample
     from .intervals import IntervalTarget
 

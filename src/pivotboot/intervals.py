@@ -132,6 +132,8 @@ def ci_ecdf(s: Sample, cw: CenteredWeights, x: float, alpha: float,
     underlying CDF (target CDF_VALUE), clamped to [0, 1]."""
     if target not in (IntervalTarget.ECDF_VALUE, IntervalTarget.CDF_VALUE):
         raise ValueError("target must be ECDF_VALUE or CDF_VALUE")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     z = _two_sided_cutoff(alpha)
     norm = cw.norm
     f_star = bootstrap_ecdf(s, cw.weights, x)

@@ -4,9 +4,10 @@ A weight vector records how many times each of ``n`` sample indices is
 selected when resampling ``m`` times with replacement (multinomial counts),
 or any ``n`` nonnegative real weights supplied by the caller, such as a
 weights file given to ``pivotboot ci``; ``m`` is their total.  One function,
-:func:`draw_multinomial_batch`, draws every count row of the package: up to
-m = 8n it counts m uniform resample indices per row, as the bootstrap is
-defined, and past that it calls numpy's multinomial sampler.  The centered
+:func:`draw_multinomial_batch`, draws every count row of the package from
+numpy's generator: up to m = 8n it counts m uniform resample indices per
+row, as the bootstrap is defined, and past that it calls numpy's
+multinomial sampler.  The centered
 values ``w_i/m - 1/n`` and their squared/absolute sums drive every pivot
 statistic in this package.  Centered weights keep the weight vector they
 derive from, so the pivots and interval recipes take them alone.  A count
@@ -18,7 +19,9 @@ The value types hold tuples of floats and reduce them with :func:`dot` and
 :func:`total`, which add in numpy's own order, so this half of the module
 and the scalar layer built on it (``estimators``, ``pivots``,
 ``intervals``) import only the standard library.  Only the samplers load
-numpy, when first called.
+numpy, when first called, except that :func:`draw_multinomial_weights`
+counts a small row of 16-bit indices from the standard-library copy of a
+stream (``rng.Stream``) in Python.
 """
 
 from __future__ import annotations
@@ -61,6 +64,11 @@ _PIECE = 2**18
 # It bounds memory only: the counts do not depend on it (tested).  At 2**15
 # the harness round's peak RSS read 0.3 MB more, for no measured speed.
 _INDEX_BLOCK = 2**14
+# draw_multinomial_weights counts the indices of an rng.Stream row in Python
+# up to this many.  Drawing costs about 0.35 us an index and numpy's import
+# 75 ms or more: a fresh drawn-weights ci at n = m = 2**16 took 223 ms where
+# numpy took 341, and the two met near 2**18 indices.
+_PYTHON_INDICES = 2**16
 # numpy's einsum reduces in buffers of this many entries (dot).
 _EINSUM_BUFFER = 8192
 
@@ -200,7 +208,25 @@ class CenteredWeights:
 
 def draw_multinomial_weights(n: int, m: int, stream) -> WeightVector:
     """Draw counts ~ multinomial(m; 1/n, ..., 1/n) from the given stream:
-    one row of :func:`draw_multinomial_batch`."""
+    one row of :func:`draw_multinomial_batch`.
+
+    ``stream`` is numpy's generator or its standard-library copy
+    ``rng.Stream``, which draws the same row.  The copy draws only 16-bit
+    indices, so its row is counted in Python where the layout draws those
+    (m <= 8n, n <= 2**16) and m <= ``_PYTHON_INDICES``; anywhere else the
+    copy hands over to numpy's generator at its address before drawing, and
+    its later rows come from that generator too.
+    """
+    hand_over = getattr(stream, "hand_over", None)
+    if hand_over is not None:
+        _validate_sizes(n, m)
+        if m > min(8 * n, _PYTHON_INDICES) or n > 2**16:
+            stream = hand_over()
+        else:
+            counts = [0] * n
+            for index in stream.integers16(n, m):
+                counts[index] += 1
+            return WeightVector(counts)
     return WeightVector(draw_multinomial_batch(n, m, 1, stream)[0])
 
 
@@ -208,7 +234,8 @@ def draw_multinomial_batch(n: int, m: int, rows: int, stream):
     """Draw ``rows`` independent multinomial(m; 1/n, ..., 1/n) count rows
     from a numpy Generator, as a ``(rows, n)`` float array.  Every count row of the package comes from
     here, one row or many: the table cells, the harness blocks, the
-    replicate pivots and the command line's weight draws.
+    replicate pivots and the command line's weight draws past the hand-over
+    of :func:`draw_multinomial_weights`, which counts the others the same way.
 
     Each row counts m uniform indices in [0, n): the bootstrap's resampling
     with replacement, drawn as it is defined, at O(m) per row.  numpy's

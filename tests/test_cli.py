@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -163,6 +164,16 @@ class TestCiCommand:
                                  "--weights-file", str(wfile), "--seed", "1")
         assert (code, out) == (2, "")
         assert "--x" in err
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_non_finite_x_is_a_usage_error_before_weights(self, capsys, data_file, tmp_path, x):
+        # degenerate weights would exit 3, but the non-finite --x is found first
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1\n1\n")
+        code, out, err = run_cli(capsys, "ci", data_file, "--method", "ecdf", f"--x={x}",
+                                 "--weights-file", str(wfile), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == f"pivotboot: error: --x must be finite, got {float(x)!r}\n"
 
     def test_cdf_method_runs(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
@@ -799,6 +810,27 @@ class TestRuntimeDependencies:
     def test_ydist_loads_no_numpy(self):
         code, loaded = self.loaded_by("ydist", "--B", "9", "--alpha", "0.1", "--seed", "1")
         assert (code, loaded) == (0, set())
+
+    def test_drawn_weights_load_no_numpy(self, tmp_path):
+        # rows of at most 8n 16-bit indices come from the standard-library stream
+        data = tmp_path / "data.txt"
+        data.write_text("9.5\n10.25\n11.0\n8.75\n10.5\n")
+        assert self.loaded_by("weights", "--n", "5", "--m", "5", "--seed", "1") == (0, set())
+        code, loaded = self.loaded_by("ci", str(data), "--method", "population", "--seed", "1")
+        assert (code, loaded) == (0, set())
+
+    def test_weights_past_8n_hand_over_to_numpy(self):
+        # m > 8n: numpy's multinomial sampler draws the row, as before
+        assert self.loaded_by("weights", "--n", "5", "--m", "41", "--seed", "1") == (0, {"numpy"})
+        out = self.fresh_python("-m", "pivotboot.cli", "weights", "--n", "5", "--m", "41",
+                                "--seed", "1", "--timestamp", "T0")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "639d62ec7e3bbc06411c1cc6d683fd385aa10c33fa5ab8186761b313aac0bf1a")
+
+    def test_table_loads_numpy(self):
+        code, loaded = self.loaded_by("table", "--which", "1", "--model", "poisson1", "--n", "5",
+                                      "--outer", "1", "--inner", "2", "--seed", "1")
+        assert (code, "numpy" in loaded) == (0, True)
 
     def test_only_bound_loads_bounds(self, tmp_path):
         data = tmp_path / "data.txt"

@@ -17,10 +17,11 @@ unit's base variates, then its count rows.  The stdout of ``pivotboot
 ydist`` pins the quadrature of the cutoff calibration.
 
 None of these bytes depends on the BLAS kernel or on the CPU dispatch of
-numpy or of glibc's libm: every inner product of the package sums through
-``weights.dot`` (numpy's einsum), except the calibration's quadrature,
-which sums with the correctly rounded ``math.fsum``, and no module calls
-BLAS or LAPACK (``tests/test_imports.py``).  Fresh interpreters, each under
+numpy or of glibc's libm: the array kernels take every inner product
+through ``simulation._dot`` (numpy's einsum) and the scalar layer through
+``weights.dot``, which adds in einsum's order on Python floats; the
+calibration's quadrature sums with the correctly rounded ``math.fsum``, and
+no module calls BLAS or LAPACK (``tests/test_imports.py``).  Fresh interpreters, each under
 another OpenBLAS kernel, with numpy's AVX-512 loops off or with glibc's FMA
 and AVX2 variants masked, print the digests of the golden reports, of
 ``ci`` with every method on 40 values, of ``ydist`` and of a table2

@@ -156,6 +156,14 @@ class TestEcdfInterval:
         with pytest.raises(DegenerateScaleError):
             ci_ecdf(s, center(w), 0.0, 0.1, IntervalTarget.ECDF_VALUE)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_rejected(self, x):
+        # not read as a degenerate ECDF, which F*(x) = nan, 1 or 0 would give
+        s = Sample.from_values([1.0, 2.0, 3.0])
+        w = mw([2, 0, 1])
+        with pytest.raises(ValueError, match="x must be finite"):
+            ci_ecdf(s, center(w), x, 0.1, IntervalTarget.CDF_VALUE)
+
     @pytest.mark.parametrize("target", [IntervalTarget.ECDF_VALUE, IntervalTarget.CDF_VALUE],
                              ids=lambda target: target.name)
     def test_equal_weights_degenerate(self, target):
