@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .errors import InadmissibleParamsError
+from .errors import Frozen, InadmissibleParamsError
 
 __all__ = [
     "BoundParams",
@@ -32,8 +31,7 @@ __all__ = [
 DEFAULT_UNIVERSAL_CONSTANT = 0.56
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(Frozen):
     """Inputs of the error bound.
 
     ``third_abs_moment_ratio`` is E|X-mu|^3 / sigma^(3/2) for the data law
@@ -43,20 +41,14 @@ class BoundParams:
     Admissibility requires 0 < eps < 1 and delta > (eps1/eps)^2 + p_var_dev + eps2.
     """
 
-    n: int
-    m: int
-    delta: float
-    eps: float
-    eps1: float
-    eps2: float
-    third_abs_moment_ratio: float
-    p_var_dev: float = 0.0
-    C: float = DEFAULT_UNIVERSAL_CONSTANT
+    __slots__ = "n", "m", "delta", "eps", "eps1", "eps2", "third_abs_moment_ratio", "p_var_dev", "C"
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, m: int, delta: float, eps: float, eps1: float, eps2: float,
+                 third_abs_moment_ratio: float, p_var_dev: float = 0.0,
+                 C: float = DEFAULT_UNIVERSAL_CONSTANT) -> None:
         # plain ints so the large n**3 * m products never overflow
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
+        self.__setstate__((int(n), int(m), delta, eps, eps1, eps2, third_abs_moment_ratio,
+                           p_var_dev, C))
         if self.n < 1 or self.m < 1:
             raise InadmissibleParamsError("n and m must be at least 1")
         if not (self.delta > 0 and 0 < self.eps < 1):  # the first term has (1 - eps)^-3

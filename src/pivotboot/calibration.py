@@ -29,10 +29,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, NonIntegerRankError
+from .errors import DomainError, Frozen, NonIntegerRankError
 from .gaussian import normal_cdf, normal_pdf
 
 __all__ = ["YDistribution", "GENZ_LEVEL_B9", "orthant_probability",
@@ -44,16 +43,14 @@ __all__ = ["YDistribution", "GENZ_LEVEL_B9", "orthant_probability",
 GENZ_LEVEL_B9 = 0.9000169
 
 
-@dataclass(frozen=True)
-class YDistribution:
+class YDistribution(Frozen):
     """Probability mass function of the negative-component count Y on {0..B}."""
 
-    pmf: tuple[float, ...]
-    B: int = field(init=False)
+    __slots__ = ("pmf", "B")
 
-    def __post_init__(self) -> None:
+    def __init__(self, pmf: tuple[float, ...]) -> None:
         try:
-            pmf = tuple(map(float, self.pmf))
+            pmf = tuple(map(float, pmf))
         except TypeError as exc:
             raise ValueError("pmf must be a non-empty 1-D sequence") from exc
         if not all(map(math.isfinite, pmf)):
@@ -62,8 +59,7 @@ class YDistribution:
             raise ValueError("pmf must have B + 1 entries with B >= 2")
         if min(pmf) < 0 or abs(math.fsum(pmf) - 1.0) > 1e-10:
             raise ValueError("pmf entries must be nonnegative and sum to 1")
-        object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "B", len(pmf) - 1)
+        self.__setstate__((pmf, len(pmf) - 1))
 
     def cumulative(self) -> tuple[float, ...]:
         return tuple(itertools.accumulate(self.pmf))

@@ -9,10 +9,9 @@ Values are tuples of floats, reduced with ``weights.dot`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .errors import (DegenerateWeightsError, DimensionMismatchError, ZeroBootstrapVarianceError,
-                     ZeroVarianceError)
+from .errors import (DegenerateWeightsError, DimensionMismatchError, Frozen,
+                     ZeroBootstrapVarianceError, ZeroVarianceError)
 from .weights import CenteredWeights, WeightVector, dot, float_tuple, total
 
 __all__ = [
@@ -27,17 +26,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(Frozen):
     """Immutable observation vector with its finite mean and variance
     (divisor n), computed once from a private copy of the values."""
 
-    values: tuple[float, ...]
-    mean: float = field(init=False)
-    variance: float = field(init=False)
+    __slots__ = ("values", "mean", "variance")
 
-    def __post_init__(self) -> None:
-        values = float_tuple(self.values, "sample values")
+    def __init__(self, values: tuple[float, ...]) -> None:
+        values = float_tuple(values, "sample values")
         # An overflow (or the inf - inf it can leave) is the ValueError below.
         mean = total(values) / len(values)
         centered = [v - mean for v in values]
@@ -45,9 +41,7 @@ class Sample:
         for name, value in (("mean", mean), ("variance", variance)):
             if not math.isfinite(value):
                 raise ValueError(f"sample {name} overflows")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", variance)
+        self.__setstate__((values, mean, variance))
 
     @classmethod
     def from_values(cls, values) -> "Sample":

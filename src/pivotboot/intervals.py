@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from . import RECIPES
-from .errors import DegenerateScaleError
+from .errors import DegenerateScaleError, Frozen
 from .estimators import (
     Sample,
     bootstrap_ecdf,
@@ -56,22 +55,18 @@ class IntervalTarget(enum.Enum):
     CDF_VALUE = "cdf_value"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Closed interval with its nominal level and producing recipe."""
 
-    lo: float
-    hi: float
-    level: float
-    target: IntervalTarget
-    recipe: str
-    clamped: bool = False
+    __slots__ = ("lo", "hi", "level", "target", "recipe", "clamped")
 
-    def __post_init__(self) -> None:
-        if not self.lo <= self.hi:  # NaN ends fail too
+    def __init__(self, lo: float, hi: float, level: float, target: IntervalTarget, recipe: str,
+                 clamped: bool = False) -> None:
+        if not lo <= hi:  # NaN ends fail too
             raise ValueError("interval bounds out of order")
-        if not 0.0 < self.level < 1.0:
+        if not 0.0 < level < 1.0:
             raise ValueError("confidence level must lie in (0, 1)")
+        self.__setstate__((lo, hi, level, target, recipe, clamped))
 
     def __contains__(self, value: float) -> bool:
         return self.lo <= value <= self.hi

@@ -27,10 +27,9 @@ stream (``rng.Stream``) in Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from .errors import DegenerateWeightsError
+from .errors import DegenerateWeightsError, Frozen
 
 __all__ = [
     "REDRAW_LIMIT",
@@ -153,30 +152,27 @@ def _pairwise(x, start: int, n: int) -> float:
     return _pairwise(x, start, half) + _pairwise(x, start + half, n - half)
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """Nonnegative resampling weights, multinomial counts or any real
     weights; their total is the resample size ``m``."""
 
-    counts: tuple[float, ...]
-    m: float = field(init=False)
+    __slots__ = ("counts", "m")
 
-    def __post_init__(self) -> None:
-        counts = float_tuple(self.counts, "counts")
+    def __init__(self, counts: tuple[float, ...]) -> None:
+        counts = float_tuple(counts, "counts")
         if min(counts) < 0:
             raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "m", total(counts))  # an overflow is the ValueError below
-        if not 0.0 < self.m < math.inf:
+        m = total(counts)  # an overflow is the ValueError below
+        if not 0.0 < m < math.inf:
             raise ValueError("resample size m must be positive and finite")
+        self.__setstate__((counts, m))
 
     @property
     def n(self) -> int:
         return len(self.counts)
 
 
-@dataclass(frozen=True)
-class CenteredWeights:
+class CenteredWeights(Frozen):
     """The centered values ``w_i/m - 1/n`` of a weight vector with their
     norms, computed once from the weights, which they keep.
 
@@ -185,18 +181,12 @@ class CenteredWeights:
     interval formulas, and the pivots and recipes read the weights here.
     """
 
-    weights: WeightVector
-    values: tuple[float, ...] = field(init=False)
-    sum_squares: float = field(init=False)
-    sum_abs: float = field(init=False)
+    __slots__ = ("weights", "values", "sum_squares", "sum_abs")
 
-    def __post_init__(self) -> None:
-        w = self.weights
-        m, base = w.m, 1.0 / w.n
-        values = tuple([c / m - base for c in w.counts])
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sum_squares", dot(values, values))
-        object.__setattr__(self, "sum_abs", total(list(map(abs, values))))
+    def __init__(self, weights: WeightVector) -> None:
+        m, base = weights.m, 1.0 / weights.n
+        values = tuple([c / m - base for c in weights.counts])
+        self.__setstate__((weights, values, dot(values, values), total(list(map(abs, values)))))
 
     @property
     def norm(self) -> float:
