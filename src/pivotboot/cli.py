@@ -11,7 +11,9 @@ the manifest: rerunning with the same seed and configuration reproduces the
 bytes exactly, for any ``--threads`` value.  ``--threads`` and the output
 mode are execution knobs and deliberately excluded from the manifest;
 ``--timestamp`` pins the one field that would otherwise change between
-reruns.
+reruns.  Every manifest records the seed, but ``ydist``, ``bound`` and
+``ci --weights-file`` read no stream, so for them it changes the manifest
+alone.
 
 Exit codes: 0 success, also when the reader closes stdout early; 2 usage
 or configuration error (non-finite input data or result, or a design too
@@ -21,10 +23,13 @@ Each subcommand imports only the modules it runs: the library names that
 the commands call are bound here to stubs that import their module on first
 call, and the parser needs no numpy.  The interval recipes and the weight
 value types compute on Python floats, and the weight draws of ``ci`` and
-``weights`` read the standard-library copy of their stream (``rng.Stream``),
+``weights`` read the standard-library copy of their stream (``stream.Stream``),
 which hands over to numpy only past m = 8n, n = 2**16 or 2**16 indices.  So
 every command but ``table`` runs without numpy below those sizes, only
 ``table`` loads the simulation module, and only ``bound`` loads ``bounds``.
+The value types derive from ``errors.Frozen``, not from dataclasses, so
+only ``table``, whose simulation module keeps its dataclasses, imports
+``dataclasses``; ``inspect`` loads only with it or with numpy.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ def _lazy(module: str, name: str):
 
 
 # The CLI draws one row per call, from the standard-library copy of its stream.
-substream = _lazy("rng", "Stream")
+substream = _lazy("stream", "Stream")
 WeightVector = _lazy("weights", "WeightVector")
 center = _lazy("weights", "center")
 draw_multinomial_weights = _lazy("weights", "draw_multinomial_weights")
@@ -163,6 +168,8 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
     method = args.method
     if method in ("ecdf", "cdf") and args.x is None:
         raise _CliError(f"method {method!r} requires --x")
+    if method not in ("ecdf", "cdf") and args.x is not None:
+        raise _CliError(f"method {method!r} takes no --x")
     if args.x is not None and not math.isfinite(args.x):
         raise _CliError(f"--x must be finite, got {args.x!r}")
     from .estimators import Sample
@@ -355,7 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None,
-                       help=f"master seed (default: ${SEED_ENV_VAR} or a fresh random seed)")
+                       help=f"master seed (default: ${SEED_ENV_VAR} or a fresh random seed); "
+                       "every manifest records it, but ydist, bound and ci --weights-file "
+                       "read no stream")
         p.add_argument("--timestamp", default=None,
                        help="manifest timestamp override, for byte-identical reruns")
 
@@ -365,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--alpha", type=float, default=0.1)
     p_ci.add_argument("--m", type=int, default=None, help="resample size for a drawn weight vector")
     p_ci.add_argument("--weights-file", default=None, help="read weights instead of drawing them")
-    p_ci.add_argument("--x", type=float, default=None, help="evaluation point for ecdf/cdf methods")
+    p_ci.add_argument("--x", type=float, default=None,
+                      help="evaluation point of the ecdf and cdf methods (the others reject it)")
     add_common(p_ci)
     p_ci.set_defaults(func=_cmd_ci)
 

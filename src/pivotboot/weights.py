@@ -21,7 +21,7 @@ and the scalar layer built on it (``estimators``, ``pivots``,
 ``intervals``) import only the standard library.  Only the samplers load
 numpy, when first called, except that :func:`draw_multinomial_weights`
 counts a small row of 16-bit indices from the standard-library copy of a
-stream (``rng.Stream``) in Python.
+stream (``stream.Stream``) in Python.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ _PIECE = 2**18
 # It bounds memory only: the counts do not depend on it (tested).  At 2**15
 # the harness round's peak RSS read 0.3 MB more, for no measured speed.
 _INDEX_BLOCK = 2**14
-# draw_multinomial_weights counts the indices of an rng.Stream row in Python
+# draw_multinomial_weights counts the indices of a stream.Stream row in Python
 # up to this many.  Drawing costs about 0.35 us an index and numpy's import
 # 75 ms or more: a fresh drawn-weights ci at n = m = 2**16 took 223 ms where
 # numpy took 341, and the two met near 2**18 indices.
@@ -201,7 +201,7 @@ def draw_multinomial_weights(n: int, m: int, stream) -> WeightVector:
     one row of :func:`draw_multinomial_batch`.
 
     ``stream`` is numpy's generator or its standard-library copy
-    ``rng.Stream``, which draws the same row.  The copy draws only 16-bit
+    ``stream.Stream``, which draws the same row.  The copy draws only 16-bit
     indices, so its row is counted in Python where the layout draws those
     (m <= 8n, n <= 2**16) and m <= ``_PYTHON_INDICES``; anywhere else the
     copy hands over to numpy's generator at its address before drawing, and

@@ -165,6 +165,25 @@ class TestCiCommand:
         assert (code, out) == (2, "")
         assert "--x" in err
 
+    @pytest.mark.parametrize("method", ["population", "sample", "finitepop", "superpop"])
+    def test_mean_method_rejects_x(self, capsys, tmp_path, method):
+        path = tmp_path / "d.txt"
+        path.write_text("1\n2\n3\n")
+        code, out, err = run_cli(capsys, "ci", str(path), "--method", method, "--x", "1",
+                                 "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == f"pivotboot: error: method {method!r} takes no --x\n"
+
+    def test_x_with_a_mean_method_is_a_usage_error_before_weights(self, capsys, data_file,
+                                                                  tmp_path):
+        # degenerate weights would exit 3, but the needless --x is found first
+        wfile = tmp_path / "w.txt"
+        wfile.write_text("1\n1\n")
+        code, out, err = run_cli(capsys, "ci", data_file, "--method", "population", "--x", "1",
+                                 "--weights-file", str(wfile), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "--x" in err
+
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_non_finite_x_is_a_usage_error_before_weights(self, capsys, data_file, tmp_path, x):
         # degenerate weights would exit 3, but the non-finite --x is found first
@@ -826,6 +845,32 @@ class TestRuntimeDependencies:
                                 "--seed", "1", "--timestamp", "T0")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "639d62ec7e3bbc06411c1cc6d683fd385aa10c33fa5ab8186761b313aac0bf1a")
+
+    def test_value_types_load_no_dataclasses(self, tmp_path):
+        # the six value types derive from errors.Frozen, so only table imports dataclasses
+        data, weights, huge = tmp_path / "data.txt", tmp_path / "w.txt", tmp_path / "huge.txt"
+        data.write_text("9.5\n10.25\n11.0\n8.75\n10.5\n")
+        weights.write_text("1\n0\n2\n1\n1\n")
+        huge.write_text("1e308\n-1e308\n1e308\n-1e308\n")
+        commands = {
+            "ci --weights-file": (["ci", str(data), "--method", "cdf", "--x", "10",
+                                   "--weights-file", str(weights)], 0),
+            "ci drawn": (["ci", str(data), "--method", "superpop"], 0),
+            "ci 1e308": (["ci", str(huge), "--method", "sample"], 2),
+            "ydist": (["ydist", "--B", "9", "--alpha", "0.1"], 0),
+            "bound": (["bound", "--n", "50", "--m", "50", "--delta", "0.5", "--eps", "0.5",
+                       "--eps1", "0.1", "--eps2", "0.1", "--ratio", "1"], 0),
+            "bound --kind": (["bound", "--kind", "GStarRate", "--n", "50", "--m", "50"], 0),
+            "weights": (["weights", "--n", "5", "--m", "5"], 0),
+        }
+        loaded = {name: self.loaded_by(*argv, "--seed", "1", watched=("dataclasses", "inspect"))
+                  for name, (argv, _) in commands.items()}
+        assert loaded == {name: (code, set()) for name, (_, code) in commands.items()}
+
+    def test_simulation_loads_no_stream_copy(self):
+        probe = ("import sys, pivotboot.simulation, pivotboot.multi_bootstrap; "
+                 "print('pivotboot.stream' in sys.modules)")
+        assert self.fresh_python("-c", probe).strip() == "False"
 
     def test_table_loads_numpy(self):
         code, loaded = self.loaded_by("table", "--which", "1", "--model", "poisson1", "--n", "5",

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pivotboot import weights
-from pivotboot.rng import Stream, _seed_state, substream
+from pivotboot.stream import Stream, _seed_state, substream
 
 
 class TestSubstream:
