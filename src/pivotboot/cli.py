@@ -166,9 +166,10 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
     if len(data) < 2:
         raise _CliError(f"data file {args.data!r} must contain at least 2 values")
     method = args.method
-    if method in ("ecdf", "cdf") and args.x is None:
+    pointwise = method in ("ecdf", "cdf")  # the methods evaluated at --x
+    if pointwise and args.x is None:
         raise _CliError(f"method {method!r} requires --x")
-    if method not in ("ecdf", "cdf") and args.x is not None:
+    if not pointwise and args.x is not None:
         raise _CliError(f"method {method!r} takes no --x")
     if args.x is not None and not math.isfinite(args.x):
         raise _CliError(f"--x must be finite, got {args.x!r}")
@@ -191,7 +192,7 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
         m = args.m if args.m is not None else n
         cw, redraws = _draw_nondegenerate(n, m, seed)
 
-    if method in ("ecdf", "cdf"):
+    if pointwise:
         target = IntervalTarget.ECDF_VALUE if method == "ecdf" else IntervalTarget.CDF_VALUE
         interval = ci_ecdf(sample, cw, args.x, args.alpha, target)
     else:  # built per call, so each call reads this module's current names

@@ -166,23 +166,15 @@ class TestCiCommand:
         assert "--x" in err
 
     @pytest.mark.parametrize("method", ["population", "sample", "finitepop", "superpop"])
-    def test_mean_method_rejects_x(self, capsys, tmp_path, method):
-        path = tmp_path / "d.txt"
-        path.write_text("1\n2\n3\n")
-        code, out, err = run_cli(capsys, "ci", str(path), "--method", method, "--x", "1",
-                                 "--seed", "1")
-        assert (code, out) == (2, "")
-        assert err == f"pivotboot: error: method {method!r} takes no --x\n"
-
-    def test_x_with_a_mean_method_is_a_usage_error_before_weights(self, capsys, data_file,
-                                                                  tmp_path):
+    def test_mean_method_rejects_x_before_weights(self, capsys, data_file, tmp_path, method):
         # degenerate weights would exit 3, but the needless --x is found first
         wfile = tmp_path / "w.txt"
         wfile.write_text("1\n1\n")
-        code, out, err = run_cli(capsys, "ci", data_file, "--method", "population", "--x", "1",
-                                 "--weights-file", str(wfile), "--seed", "1")
-        assert (code, out) == (2, "")
-        assert "--x" in err
+        for weights in ([], ["--weights-file", str(wfile)]):
+            code, out, err = run_cli(capsys, "ci", data_file, "--method", method, "--x", "1",
+                                     *weights, "--seed", "1")
+            assert (code, out) == (2, "")
+            assert err == f"pivotboot: error: method {method!r} takes no --x\n"
 
     @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
     def test_non_finite_x_is_a_usage_error_before_weights(self, capsys, data_file, tmp_path, x):
