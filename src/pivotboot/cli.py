@@ -294,21 +294,23 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
                          delta_n)
 
     seed = _resolve_seed(args.seed)
+    given = {"delta": args.delta, "eps": args.eps, "eps1": args.eps1, "eps2": args.eps2,
+             "ratio": args.ratio, "p_var_dev": args.p_var_dev, "C": args.C}
     if args.kind is not None:
         kind = _parse_rate_kind(args.kind)
         if args.n is None or args.m is None:
             raise _CliError("rate evaluation requires --n and --m")
+        unread = [f"--{k.replace('_', '-')}" for k, v in given.items() if v is not None]
+        if unread:
+            raise _CliError(f"rate evaluation takes no {', '.join(unread)}")
         config = {"kind": kind.value, "n": args.n, "m": args.m}
         return {
             "manifest": _manifest("bound", config, seed, args.timestamp),
             "rate": convergence_rate(kind, args.n, args.m),
         }
-    config = {
-        "n": args.n, "m": args.m, "delta": args.delta, "eps": args.eps,
-        "eps1": args.eps1, "eps2": args.eps2, "ratio": args.ratio,
-        "p_var_dev": args.p_var_dev,
-        "C": DEFAULT_UNIVERSAL_CONSTANT if args.C is None else args.C,
-    }
+    config = {"n": args.n, "m": args.m, **given,
+              "p_var_dev": 0.0 if args.p_var_dev is None else args.p_var_dev,
+              "C": DEFAULT_UNIVERSAL_CONSTANT if args.C is None else args.C}
     missing = [k for k, v in config.items() if v is None]  # the last two have defaults
     if missing:
         raise _CliError(f"bound evaluation requires --{', --'.join(missing)}")
@@ -316,7 +318,7 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
         n=args.n, m=args.m, delta=args.delta, eps=args.eps,
         eps1=args.eps1, eps2=args.eps2,
         third_abs_moment_ratio=args.ratio,
-        p_var_dev=args.p_var_dev, C=config["C"],
+        p_var_dev=config["p_var_dev"], C=config["C"],
     )
     first, second = bound_terms(params)
     return {
@@ -414,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--eps2", type=float, default=None)
     p_bound.add_argument("--ratio", type=float, default=None,
                          help="third absolute moment ratio E|X-mu|^3 / sigma^(3/2)")
-    p_bound.add_argument("--p-var-dev", type=float, default=0.0)
+    p_bound.add_argument("--p-var-dev", type=float, default=None)  # 0.0 in an evaluation
     p_bound.add_argument("--C", type=float, default=None)
     add_common(p_bound)
     p_bound.set_defaults(func=_cmd_bound)

@@ -39,10 +39,8 @@ import struct
 __all__ = ["RNG_LAYOUT", "check_seed", "substream"]
 
 # The stream layout, recorded as rng_layout by every report that reads a
-# stream: layouts 1 to 3 drew from Philox, layout 4 drew table1's weight row
-# with numpy's multinomial sampler, and layout 5 drew 64-bit resample
-# indices where layout 6 draws 16-bit ones in fixed pieces (weights).
-RNG_LAYOUT = 6
+# stream; README says what each layout changed.
+RNG_LAYOUT = 7
 
 # Indices per address, each one 32-bit word of the spawn key.
 _MAX_INDICES = 4

@@ -14,19 +14,19 @@ compared against the maximum of B replicate pivots.
 Every random draw comes from a seeded substream (:mod:`pivotboot.rng`)
 addressed by the seed and the unit of work, so reports are byte-identical for
 any worker-thread count and any execution order.  The unit is an outer cell
-of a table or a block of ``BLOCK`` replicates of the coverage, pivot-law and
-replicate-cutoff harnesses: stream layout 6, recorded as ``rng_layout`` in
-every report; the report's kind names the unit.  A unit draws the base
-variates of all its replicates in one call, then their count rows from
-:mod:`~pivotboot.weights`, one call per kind, as the layout fixes the calls:
-a table1 cell its one weight row (a call per redraw), a table2 cell one row
-per inner replicate for g* and then B per replicate for the replicate
-pivots, and every other unit B rows per replicate-cutoff replicate, else
-one.  One set of array kernels scores every
-unit, to the bit as the scalar functions of ``pivots`` and ``intervals`` do,
-ties included (tested).  Each unit counts, per statistic, its hit, valid and
-degenerate replicates; one function band-scores the units (the tables) or
-pools them (the harnesses) into the report.
+of a table or a block of the coverage, pivot-law and replicate-cutoff
+harnesses, ``BLOCK_ENTRIES // n`` replicates (at least one): stream layout 7,
+recorded as ``rng_layout`` in every report; the report's kind names the unit.
+A unit draws the base variates of all its replicates in one call, then their
+count rows from :mod:`~pivotboot.weights`, one call per kind, as the layout
+fixes the calls: a table1 cell its one weight row (a call per redraw), a
+table2 cell one row per inner replicate for g* and then B per replicate for
+the replicate pivots, and every other unit B rows per replicate-cutoff
+replicate, else one.  One set of array kernels scores every unit, to the bit
+as the scalar functions of ``pivots`` and ``intervals`` do, ties included
+(tested).  Each unit counts, per statistic, its hit, valid and degenerate
+replicates; one function band-scores the units (the tables) or pools them
+(the harnesses) into the report.
 """
 
 from __future__ import annotations
@@ -84,18 +84,16 @@ TABLE2_NOMINAL = GENZ_LEVEL_B9
 
 # The divisor n - STUDENTIZE_DDOF of the tables' Studentizing variance.
 STUDENTIZE_DDOF = 1
-# Replicates per block of the coverage, pivot-law and replicate-cutoff
-# harnesses: block k reads the stream (seed, purpose, k).
-BLOCK = 32
+# Block k of the coverage, pivot-law and replicate-cutoff harnesses holds
+# max(1, BLOCK_ENTRIES // n) replicates and reads the stream (seed, purpose, k).
+BLOCK_ENTRIES = 2**14
 # Count entries per chunk of the replicate rows of a table2 cell or a
 # replicate-cutoff block (2 MB as float64), which one call draws.  A chunk
 # holds whole replicates: it bounds memory at any number of them and moves
-# no bytes.  At 2**18 every published and benchmark design (B = 9; table2
-# at n <= 40, harnesses at n <= 800) reads and scores its rows in one chunk,
-# for about 2.4 MB more peak RSS on the benchmark's harness round; at 2**13
-# a block at n = 800 took 32 chunks, whose overhead set the time.  Budgets
-# in between, such as 2**16, cost about 3,900 minor page faults (ru_minflt)
-# per n = 800 block of 200 replicates, against none at 2**18.
+# no bytes.  At 2**18 every published table2 design (B = 9, n <= 40) and
+# every harness block at B <= 16, n <= 2**14 reads and scores its rows in
+# one chunk; at 2**13 a 32-replicate block at n = 800 took 32 chunks, whose
+# overhead set the time.
 _CHUNK = 2**18
 
 # (model, n) design points of the two printed comparison grids.  The
@@ -635,10 +633,10 @@ _RECIPES: dict[str, tuple[Callable, Callable]] = {
 def _harness(purpose: str, statistics: Sequence[str], model: Model,
              score: Callable[[np.ndarray, np.random.Generator], tuple], threads: int,
              **config) -> CoverageReport:
-    """Run ``reps`` replicates in blocks of ``BLOCK`` (see :func:`_report`)
-    and pool each statistic.  The report's config is ``config`` without the
-    None values.  Bad arguments are rejected before any draw: the kernels
-    would score them as degenerate replicates.
+    """Run ``reps`` replicates in blocks of ``BLOCK_ENTRIES // n``, at least
+    one (see :func:`_report`), and pool each statistic.  The report's config
+    is ``config`` without the None values.  Bad arguments are rejected before
+    any draw: the kernels would score them as degenerate replicates.
     """
     config = {"model": model.name, **{k: v for k, v in config.items() if v is not None}}
     reps, n, m = config["reps"], config["n"], config["m"]
@@ -651,7 +649,8 @@ def _harness(purpose: str, statistics: Sequence[str], model: Model,
         raise ValueError("alpha must lie in (0, 1)")
     if not all(math.isfinite(config.get(key, 0.0)) for key in ("x", "threshold")):
         raise ValueError("x and threshold must be finite")
-    sizes = [min(BLOCK, reps - start) for start in range(0, reps, BLOCK)]
+    block = max(1, BLOCK_ENTRIES // n)
+    sizes = [min(block, reps - start) for start in range(0, reps, block)]
     return _report(purpose, config, statistics, model, sizes, score, threads)
 
 

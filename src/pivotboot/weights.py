@@ -52,10 +52,11 @@ __all__ = [
 # n = 1 every draw is degenerate.
 REDRAW_LIMIT = 100
 
-# Stream layout 6 draws each call's resample indices in pieces of whole rows
-# of at most max(_PIECE, m) entries (512 KB as uint16), counted from the
-# call's first row.  The pieces are part of the layout, as simulation.BLOCK
-# is: numpy drops a 32-bit word's unused half at the end of each 16-bit draw.
+# Since stream layout 6 each call's resample indices are drawn in pieces of
+# whole rows of at most max(_PIECE, m) entries (512 KB as uint16), counted
+# from the call's first row.  The pieces are part of the layout, as
+# simulation.BLOCK_ENTRIES is: numpy drops a 32-bit word's unused half at the
+# end of each 16-bit draw.
 _PIECE = 2**18
 # draw_multinomial_batch counts a piece in blocks of whole rows, block *
 # max(n, m) <= _INDEX_BLOCK where n and m allow, so the row offsets fit the

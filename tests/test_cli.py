@@ -1,5 +1,6 @@
 """CLI tests: exit codes, frozen interval values, report determinism."""
 
+import argparse
 import concurrent.futures
 import contextlib
 import hashlib
@@ -521,7 +522,7 @@ class TestManifestAndSerialization:
             code, out, _ = run_cli(capsys, *argv, "--seed", "1", "--timestamp", "T0")
             assert code == 0
             assert json.loads(out)["manifest"]["config"].get("rng_layout") == layout, argv
-        assert RNG_LAYOUT == 6
+        assert RNG_LAYOUT == 7
 
     def test_json_roundtrip_is_byte_identical(self, capsys):
         code, out, _ = run_cli(capsys, "ydist", "--B", "5", "--alpha", "0.2",
@@ -552,16 +553,16 @@ class TestMalformedInputs:
         assert code == 2
 
 
-def run_cli_quietly(argv: list[str]) -> tuple[int, str]:
-    """Exit code (argparse's SystemExit included) and stderr of one
+def run_cli_quietly(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code (argparse's SystemExit included), stdout and stderr of one
     in-process run; capsys cannot serve a hypothesis test."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 # Mostly parseable files, so that runs get past the parser, with up to two
@@ -597,7 +598,7 @@ class TestExitCodeProperty:
                     "--timestamp", "T0"]
             argv += [] if m is None else [f"--m={m}"]
             argv += [] if x is None else [f"--x={x!r}"]
-            code, err = run_cli_quietly(argv)
+            code, _, err = run_cli_quietly(argv)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
 
@@ -607,7 +608,7 @@ class TestExitCodeProperty:
     def test_ydist(self, B, alpha):
         argv = ["ydist", f"--B={B}", "--seed", "3", "--timestamp", "T0"]
         argv += [] if alpha is None else [f"--alpha={alpha!r}"]
-        code, err = run_cli_quietly(argv)
+        code, _, err = run_cli_quietly(argv)
         assert code in (0, 2)
         assert "Traceback" not in err
 
@@ -651,7 +652,7 @@ class TestExitCodeProperty:
         argv += [f"{flag}={value!r}" if isinstance(value, (int, float)) else f"{flag}={value}"
                  for flag, value in values.items() if value is not None]
         start = time.perf_counter()
-        code, err = run_cli_quietly(argv)
+        code, _, err = run_cli_quietly(argv)
         assert time.perf_counter() - start < 20.0
         # table 1 reads no B, so a bad --B breaks only the other tables
         rejected = [flag for flag, _ in broken if flag != "--B" or values["--which"] != "1"]
@@ -689,7 +690,7 @@ class TestExitCodeProperty:
         sizes = {"--n": n, "--m": m}
         argv += [f"{flag}={value!r}" for flag, value in {**sizes, **floats}.items()
                  if value is not None]
-        code, err = run_cli_quietly(argv)
+        code, _, err = run_cli_quietly(argv)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
 
@@ -703,8 +704,8 @@ class TestExitCodeProperty:
     @example(n=10**4, m=2**53)
     @example(n=10**4, m=2**63 - 1)  # a valid int64 total that the float counts lost
     def test_weights(self, n, m):
-        code, err = run_cli_quietly(["weights", f"--n={n}", f"--m={m}", "--seed", "3",
-                                     "--timestamp", "T0"])
+        code, _, err = run_cli_quietly(["weights", f"--n={n}", f"--m={m}", "--seed", "3",
+                                        "--timestamp", "T0"])
         assert code == (0 if n >= 1 and 1 <= m <= 2**53 else 2)
         assert "Traceback" not in err
 
@@ -720,9 +721,151 @@ class TestExitCodeProperty:
             argv = {"weights": ["weights", "--n", "5", "--m", "7"],
                     "ci": ["ci", path, "--method", "population", "--m", "4"],
                     "ydist": ["ydist", "--B", "9"]}[command]
-            code, err = run_cli_quietly(argv + [f"--seed={seed}", "--timestamp", "T0"])
+            code, _, err = run_cli_quietly(argv + [f"--seed={seed}", "--timestamp", "T0"])
         assert code == (0 if -2**63 <= seed < 2**63 else 2)
         assert "Traceback" not in err
+
+
+def payload(out: str):
+    """What a run reports, without the manifest that records its options (a
+    table report's config and seed echo it too); text output as it is."""
+    try:
+        report = json.loads(out)
+    except ValueError:
+        return out
+    del report["manifest"]
+    for key in ("config", "seed"):
+        report.get("report", {}).pop(key, None)
+    return report
+
+
+# Each mode of each command: its arguments, and two values for every option
+# that the command accepts (None leaves the option out, True gives the bare
+# flag).  {d1} and {d2} are data files of five values, {w1} and {w2} weights
+# files of five entries.
+OPTION_CASES = {
+    "ci drawn": (["ci", "{d1}", "--method", "population", "--m", "5", "--seed", "1"], {
+        "data": ("{d1}", "{d2}"),
+        "--method": ("population", "sample"),
+        "--alpha": ("0.1", "0.2"),
+        "--m": ("5", "7"),
+        "--weights-file": (None, "{w1}"),  # exit 2: not with --m
+        "--x": (None, "10.0"),  # exit 2: the mean methods take no --x
+        "--seed": ("1", "2"),
+        "--timestamp": ("T0", "T1"),
+    }),
+    "ci weights-file": (["ci", "{d1}", "--method", "ecdf", "--x", "10.0", "--weights-file",
+                         "{w1}", "--seed", "1"], {
+        "data": ("{d1}", "{d2}"),
+        "--method": ("ecdf", "cdf"),
+        "--alpha": ("0.1", "0.2"),
+        "--m": (None, "5"),  # exit 2: not with --weights-file
+        "--weights-file": ("{w1}", "{w2}"),
+        "--x": ("10.0", "10.6"),
+        "--seed": ("1", "2"),
+        "--timestamp": ("T0", "T1"),
+    }),
+    **{f"table {which}": (["table", "--which", which, "--model", "normal01", "--n", "2",
+                           "--outer", "4", "--inner", "10", "--nominal", "0.8", "--band", "0.2",
+                           "--B", "3", "--seed", "1"], {
+        "--which": (which, "2" if which == "1" else "1"),
+        "--model": ("normal01", "exponential1"),
+        "--n": ("2", "3"),
+        "--m": ("2", "3"),
+        "--outer": ("4", "3"),
+        "--inner": ("10", "11"),
+        "--threshold": ("-10", "10"),
+        "--nominal": ("0.8", "0.1"),
+        "--band": ("0.2", "0.01"),
+        "--B": ("3", "4"),
+        "--threads": ("1", "2"),
+        "--text": (None, True),
+        "--seed": ("1", "2"),
+        "--timestamp": ("T0", "T1"),
+    }) for which in ("1", "2")},
+    "ydist": (["ydist", "--B", "9", "--seed", "1"], {
+        "--B": ("9", "10"),
+        "--alpha": (None, "0.1"),
+        "--seed": ("1", "2"),
+        "--timestamp": ("T0", "T1"),
+    }),
+    **{mode: (["bound", *args, "--seed", "1"], {
+        "--kind": (None, "GStarRate") if kind is None else (kind, "GDoubleStarRate"),
+        "--n": ("10", "3"),
+        "--m": ("4", "5"),
+        # exit 2 in a rate evaluation, which reads none of the bound's parameters
+        **{flag: (None, "0.3") if kind else (value, "0.3") for flag, value in (
+            ("--delta", "0.5"), ("--eps", "0.5"), ("--eps1", "0.1"), ("--eps2", "0.1"),
+            ("--ratio", "1"), ("--p-var-dev", None), ("--C", None))},
+        "--seed": ("1", "2"),
+        "--timestamp": ("T0", "T1"),
+    }) for mode, kind, args in (
+        ("bound", None, ["--n", "10", "--m", "4", "--delta", "0.5", "--eps", "0.5", "--eps1",
+                         "0.1", "--eps2", "0.1", "--ratio", "1"]),
+        ("bound --kind", "GStarRate", ["--kind", "GStarRate", "--n", "10", "--m", "4"]))},
+    "weights": (["weights", "--n", "5", "--m", "5", "--seed", "1"], {
+        "--n": ("5", "6"),
+        "--m": ("5", "6"),
+        "--seed": ("1", "2"),
+        "--timestamp": ("T0", "T1"),
+    }),
+}
+# The options that README lists as leaving what a run reports alone: the
+# manifest's timestamp, the worker count, the seed where no stream is read,
+# and B in table 1, which draws no replicate pivots.
+UNREAD_OPTIONS = {
+    *((mode, "--timestamp") for mode in OPTION_CASES),
+    ("table 1", "--threads"), ("table 2", "--threads"),
+    ("ci weights-file", "--seed"), ("ydist", "--seed"), ("bound", "--seed"),
+    ("bound --kind", "--seed"),
+    ("table 1", "--B"),
+}
+
+
+class TestOptionProperty:
+    """Every option that a command accepts acts: two values give different
+    payloads, or one of them exits 2, or the option is one that README lists
+    as unread (``UNREAD_OPTIONS``), and then the payloads are the same."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        contents = {"d1": "9.5 10.25 11.0 8.75 10.5", "d2": "9.5 10.25 9.0 8.75 12.5",
+                    "w1": "2 0 1 1 1", "w2": "0 2 1 1 1"}
+        for name, text in contents.items():
+            (tmp_path / name).write_text(text.replace(" ", "\n") + "\n")
+        return {name: str(tmp_path / name) for name in contents}
+
+    def test_every_option_has_cases(self):
+        commands = next(action.choices for action in cli._build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for mode, (argv, values) in OPTION_CASES.items():
+            accepted = {action.option_strings[0] if action.option_strings else action.dest
+                        for action in commands[argv[0]]._actions if action.dest != "help"}
+            assert set(values) == accepted, mode
+
+    @pytest.mark.parametrize("mode, option", [(mode, option)
+                                              for mode, (_, values) in OPTION_CASES.items()
+                                              for option in values])
+    def test_option_changes_the_payload_or_exits_2(self, files, mode, option):
+        argv, values = OPTION_CASES[mode]
+        runs = []
+        for value in values[option]:
+            args = [arg.format(**files) for arg in [*argv, "--timestamp", "T0"]]
+            if option == "data":
+                args[1] = value.format(**files)
+            else:
+                if option in args:
+                    at = args.index(option)
+                    del args[at:at + 2]
+                if value is not None:
+                    args += [option] if value is True else [option, value.format(**files)]
+            runs.append(run_cli_quietly(args))
+        (code_a, out_a, _), (code_b, out_b, _) = runs
+        assert code_a == 0  # the first value is the mode's own
+        if (mode, option) in UNREAD_OPTIONS:
+            assert code_b == 0 and payload(out_a) == payload(out_b)
+        else:
+            assert code_b == 2 or (code_b == 0 and payload(out_a) != payload(out_b))
 
 
 def fresh_env() -> dict:
@@ -836,7 +979,7 @@ class TestRuntimeDependencies:
         out = self.fresh_python("-m", "pivotboot.cli", "weights", "--n", "5", "--m", "41",
                                 "--seed", "1", "--timestamp", "T0")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "639d62ec7e3bbc06411c1cc6d683fd385aa10c33fa5ab8186761b313aac0bf1a")
+            "1983013667ace2adf240d3668272f63504f838a7abbad196e4533426def17351")
 
     def test_value_types_load_no_dataclasses(self, tmp_path):
         # the six value types derive from errors.Frozen, so only table imports dataclasses

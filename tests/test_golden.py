@@ -12,7 +12,7 @@ The same holds for the CLI's own streams (``cli.weights``, ``cli.ci``),
 pinned through the stdout of ``pivotboot weights`` and of ``pivotboot ci``
 with drawn weights, and for the stream layout itself: the first draws of
 ``substream`` at zero to four indices, and the first draws of a table1 and a
-table2 outer cell's stream and of a harness block's stream (layout 6): the
+table2 outer cell's stream and of a harness block's stream (layout 7): the
 unit's base variates, then its count rows.  The stdout of ``pivotboot
 ydist`` pins the quadrature of the cutoff calibration.
 
@@ -41,6 +41,7 @@ from pathlib import Path
 
 import pytest
 
+from pivotboot import simulation
 from pivotboot.cli import main
 from pivotboot.jsonio import dumps
 from pivotboot.pivots import PivotKind
@@ -82,59 +83,64 @@ CASES = {
         list(PivotKind), "normal01", 20, 20, 1.644854, 150, 13, x=0.0),
     "pivot_clt/poisson1": lambda: pivot_clt_frequencies(
         list(PivotKind), "poisson1", 6, 6, 1.281648, 150, 13, x=1.0),
+    # blocks of 16, 16 and 8 replicates (2**14 // 1000 = 16)
+    "pivot_clt/normal01/n1000": lambda: pivot_clt_frequencies(
+        list(PivotKind), "normal01", 1000, 1000, 1.644854, 40, 13, x=0.0),
     "refined_ci/lognormal01": lambda: refined_ci_coverage("lognormal01", 20, 20, 9, 0.1, 60, 14),
     "refined_ci/normal01/n2": lambda: refined_ci_coverage("normal01", 2, 2, 4, 0.2, 60, 14),
 }
 
 GOLDEN = {
     "coverage/cdf/normal01":
-        "2aacd6b14c64707cfdcf387ec6f90a2836bf02365f516ff93297ea6853d760f2",
+        "724a0b9fc5af36452302b0c42041310f8781949d1bec379a23ca3873a3164632",
     "coverage/cdf/poisson1":
-        "1a40dee9e48a032b22310e03892eef24c3f787a51dd076bde1e8d8e6dcb6ac75",
+        "41f1613a7bea0ab6702430ac92df0c64390f87697886b439f0a1edfa4532b127",
     "coverage/ecdf/normal01":
-        "1e3ef837982f71ce46f24def9f6a4aa998b40798838c1f7184267bc1e72d420b",
+        "b06f1be754b874f0c5db1fdd39fc2b3fe3971703e058da7b50a67f04e9a81530",
     "coverage/ecdf/poisson1":
-        "a8b9143079071d404bfbe0257dc8f09df94499d86a5542ff60d7afd766ae59ab",
+        "47740dd3a9ffb062e3c3a436525e8cd15af28db2ebb03d2420bb42b2933f0b8f",
     "coverage/finitepop/normal01":
-        "a6b9575a87e1a11eb2e746924f4c1f584041a40d8bf0cb6dc400b81b6545b127",
+        "1a238b51f01618011f9fa11ea5910e4d6f589f192a6f9bcbf98e362d7262de0f",
     "coverage/finitepop/poisson1":
-        "2cb846591a80c39ca6d8645d61afb0f0f273908e16a476e9bac3a9c1b63fcfac",
+        "77740dc96444dda9a75a45293342d1db394c3dc25b9ae0e04259fa2917ed64d9",
     "coverage/population/normal01":
-        "0d409a28d11cc5358fca57b6c10237a1d2de46ec7190933bd1d47f9c06d0e7e9",
+        "48611ec66288bcefc8e7303b0f3d06ae05c97fe867eb3ddcba94b50f2353b3e5",
     "coverage/population/poisson1":
-        "8be0b6be90943f539ede215e7cccbd4c261bc7299900a341c48a591d047d10c6",
+        "ba59b04e10afb8cd46ef054675098905bd387e52cad1062b66c6d82f7c15e25c",
     "coverage/sample/normal01":
-        "7391aded4d4f145acd0c96fcf845216f912a6f02093e8fbb8cc10c8ab75c0983",
+        "3e1a99e2fb3ae347658873bcd28cf5e2ff2b2163cd561b58bdb989e334337e70",
     "coverage/sample/poisson1":
-        "07db7d1251ee3b13bcd61f990c05d13ff9f2ad3a2f6b7bee383d24d477c2592f",
+        "303d6fcaeb008d6ec40181b7e29d81643cf18b72ab36b582c008709f464bbfcb",
     "coverage/superpop/normal01":
-        "65dc661bc7161eda4ff154d2301ff93143b3282ce59f42612776681e98f5c541",
+        "f080d577d87f3000f099cfb5103da45e97851433ae91c52a8d6677b718d2ed8d",
     "coverage/superpop/poisson1":
-        "911558f9b5562c81bbbe5e137c985558425f7d3533068adfd3f3dfb783067921",
+        "a2b3f61b1cf77056626f74b11880b7a474dfeebb8001abc1f3c83ead8968f495",
     "pivot_clt/normal01":
-        "6a50ff0251dbdd4a58d888439a293839df2169e89b847ac1c6a5b3aaede3ac44",
+        "41bf56013eb77f6ac6637ef91f0687345813eb893991979c8e8d1dc7c863b2c1",
     "pivot_clt/poisson1":
-        "73a7e0bc4fd904eb8bb45972c2533454e976556c97d708bdc7782305f55a8a4c",
+        "8ffdb70e33d49607f1682178f0f9cecfa088191e72f230276773b7ce24c618c9",
+    "pivot_clt/normal01/n1000":
+        "b3cfaa2f224fb7f50a5e6c760feb668b197cb8a0514a58027afa94427958caa6",
     "refined_ci/lognormal01":
-        "8c9c73aeb40f499e80e8de6903f2975b164cf23e7481b0f3116265e5692248f4",
+        "1ede3cf3c8d47835873e79142f3f31b8c01adb6b263c874d2a0ce79f8d204b89",
     "refined_ci/normal01/n2":
-        "f6c9a094a49628bb78b497373a2ece18e35e086d664ca0ba31152c2a1b589402",
+        "1f8fc0d60776613cc2bfebcc67bc429781122f0a084f4d6c929839514900d378",
     "table1/exponential1/10":
-        "35c867e2068c2ff7417692fae9253c96c4072d0d5d4d528a766d7ea2831b9d97",
+        "95511a8d09f0029bf7972df57b5ce4abc5f8937add1a94780b768057092fdf81",
     "table1/lognormal01/10":
-        "212774c95db203642e0b191c3797f131c86ae1ae9a40139b6fd23d9942e23037",
+        "022157865189893b0f93992d57f673faf28c3584f514ad7cf8d5f1c8cc675747",
     "table1/normal01/2":
-        "a35e8abdddbc2c8e43b7c4ee4c6229d1e6441ee9f9074dd421d0f77586b7ecd0",
+        "e9b97a7e7725600e4f94566d6e4009b734ec03ff5fb38d41df672620df617213",
     "table1/poisson1/10":
-        "7694cabf735c0a778851f8bfbb837ff22c740416809e3f24057301a101491355",
+        "38a2fc29582283775bceb8f08eaece3043f84bb0a1063b4db42c64ab4a87bf3b",
     "table2/exponential1/10":
-        "0593bf65accdce31fc13c277a7beaf7e60ed2216e2feb61cacac39e1b06308c1",
+        "b6ff9fef3eddc3fda8756e918fa9b1938bcd510929c19bdb4c7670e45e7e22d0",
     "table2/lognormal01/10":
-        "be17da3f2fe76993ce051f8c7012c1a8a7313c056e7e09e140336289a71bdba7",
+        "290f35943e3851f30104e7f4c62b1254711c43181ebae585dc4ae497961af3c4",
     "table2/normal01/2":
-        "214237fb6901a52510b4867ebfd0562f0b1464ce309c758f9f1f4281e74c08fe",
+        "d2b1a5a5a274297f30b8874df603e3fafc8b6f8d7cca10e53b47073aff2beb2c",
     "table2/poisson1/10":
-        "61e665216d75da8870f91c888107cbf9a0dec7061930e6f2fcf7e06480db5863",
+        "9ee248399bcc05175e966f175f5a54d60d119de3146a996aa240d5aaf16204b9",
 }
 
 
@@ -148,7 +154,7 @@ def test_report_bytes_unchanged(case):
 def test_report_records_stream_layout(case):
     # every table cell and harness block reads its own PCG64DXSM stream and
     # draws every count row by draw_multinomial_batch
-    assert CASES[case]().config["rng_layout"] == 6
+    assert CASES[case]().config["rng_layout"] == 7
 
 
 CLI_PINNED = ["--seed", "21", "--timestamp", "2000-01-01T00:00:00+00:00"]
@@ -168,18 +174,18 @@ CLI_CASES = {
     "ydist/B100": ["ydist", "--B", "100"],
 }
 CLI_GOLDEN = {
-    "weights/n10m10": "32442deaa0fbc8fa44dbe1b6086e938dfeb0c577fded3477572346b4fb66a762",
-    "weights/n7m30": "2e262910ac3acc45bf951ac8d85c4df6aab4a6c58ed512b1477b09f80786de19",
-    "weights/n1m3": "3d0ba35a47c60612013d2b8620a666e873462678dbd8b39bdebf664c902a861c",
-    "ci/population": "8180da9d687b1752e1a71af090f8f123a696fe0b3d43d81d8e8af7d6ac17b8f2",
-    "ci/sample": "8ba1b2319e9cb786fe3f6f5788218d71031a6e7a78188739a84b0ff5ffdf4344",
-    "ci/finitepop": "82141f78ab2d120cdcb9190cbe8f38944967a7bcbfcb7152b1bf74829ee43d9c",
-    "ci/superpop": "dc79f85a132e6fb6272aa2eb473154b9868d268418e02efb768a02a88f942cba",
-    "ci/ecdf": "43eca1bd134d4d47625887c400803979104680031f79b11fcbd9a253c84360a6",
-    "ci/cdf": "65e39417dbf8cd95b4b1894c2bbfaa602844f2caa53505859b1833751f7a47ac",
-    "ci/two/redraws": "dbce71164e4fa9e4877d4426f735aab16f433bee34d1ba9ed31e222e763a4838",
-    "ydist/B9/alpha0.1": "e1145919cb1986cbded90bf3243d19f126e2da8704f4d7928a1b17c1aca128ac",
-    "ydist/B100": "71927c48536d6e091b00eda185731a77349a940809e066d2495f62ad768af6cc",
+    "weights/n10m10": "305b8e36a8392a2fb756fa0b6f388140f53d3dd7ba793bf862e6f4e0f7da1e7a",
+    "weights/n7m30": "0160143956b3e68be3e5f665e5f45772cf90cb515bb0082d4459e17cd157afa6",
+    "weights/n1m3": "7dbc13f3b25d2eafa4449c01a5e0c48114fe3f9dc1e0db500b27613c29a01224",
+    "ci/population": "5e0a053ff2ccaada6619b4ff2a0671f867f082ee7cace9a68374909904bfd06a",
+    "ci/sample": "4907ce5aa346438609441d2ba6e4de1b938534e954b5515bfedce5db8321d07e",
+    "ci/finitepop": "a47f59dc01a091fbd1d3a5894251e36257f12247149dd9a753bc82db55afc70a",
+    "ci/superpop": "45d0683bd6edadcc1eaa92d9303d9dc254ab3ace787dc12d2babc84df521c402",
+    "ci/ecdf": "8019658722b57ad43e8f8be7c1774232c9d7515dad1a2d4dc66dbe1b964e626f",
+    "ci/cdf": "070dc1cf7195cd6692fc3f2af3452cf25fb4332e79280feeb7741b0272f45ac0",
+    "ci/two/redraws": "686ae0e6cd9445f7322a68d0a494350d7c58af8b8052e6053c43ec372a694484",
+    "ydist/B9/alpha0.1": "7bdfa50220309b461e80f3c5ba042b2d7759938389265068fe3383d016f71616",
+    "ydist/B100": "ea16f8749d73e479e1a4c5b331b28eed8a942f746835d54979d15f9930818086",
 }
 
 
@@ -191,6 +197,30 @@ def test_cli_output_bytes_unchanged(case, tmp_path, monkeypatch, capsys):
     assert main(CLI_CASES[case] + CLI_PINNED) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == CLI_GOLDEN[case]
+
+
+def test_block_entries_move_only_the_harnesses(tmp_path, monkeypatch, capsys):
+    # Layout 7 changed only how many replicates a harness block holds: the
+    # table cells and the CLI's own streams read no harness block.
+    monkeypatch.chdir(tmp_path)
+    for name, text in CLI_FILES.items():
+        (tmp_path / name).write_text(text)
+
+    def outputs():
+        tables = [dumps(run().to_dict())
+                  for case, run in CASES.items() if case.startswith("table")]
+        drawn = []
+        for case, argv in CLI_CASES.items():
+            if case.startswith(("weights/", "ci/")):  # weights, and ci with drawn weights
+                assert main(argv + CLI_PINNED) == 0
+                drawn.append(capsys.readouterr().out)
+        return tables, drawn, dumps(CASES["pivot_clt/normal01"]().to_dict())
+
+    before = outputs()
+    monkeypatch.setattr(simulation, "BLOCK_ENTRIES", 32 * 20)  # layout 6's blocks at n = 20
+    after = outputs()
+    assert after[:2] == before[:2] and len(after[0]) == 8 and len(after[1]) == 10
+    assert after[2] != before[2]
 
 
 # substream(2024, "layout", *indices).random(4), as float.hex.
@@ -243,15 +273,19 @@ def test_table_cell_layout_unchanged():
 
 def test_harness_block_layout_unchanged():
     # A block of the replicate-cutoff harness on lognormal01, n = m = 5,
-    # B = 3, at seed 2024, block 0 of 32 replicates: the first base
-    # variates, then the first two count rows (index counting, m <= 8n).
+    # B = 3, at seed 2024, block 0 of 2**14 // 5 = 3,276 replicates: the
+    # first base variates, then the first two count rows (index counting,
+    # m <= 8n), then the stream's next draw, which pins the draws they took.
     rng = substream(2024, "refined_ci", 0)
-    base = resolve_model("lognormal01").draw_base(rng, 32 * 5)
+    size = simulation.BLOCK_ENTRIES // 5
+    assert size == 3276
+    base = resolve_model("lognormal01").draw_base(rng, size * 5)
     assert [float.hex(v) for v in base[:4]] == [
         "0x1.00b7dbf3145c2p-1", "0x1.1913ee85110bcp-1",
         "0x1.088ed6532a880p-3", "-0x1.24bbe11c6b372p+0"]
-    counts = draw_multinomial_batch(5, 5, 32 * 3, rng)
-    assert counts[:2].tolist() == [[2, 2, 1, 0, 0], [2, 0, 2, 0, 1]]
+    counts = draw_multinomial_batch(5, 5, size * 3, rng)
+    assert counts[:2].tolist() == [[2, 2, 1, 0, 0], [0, 2, 1, 0, 2]]
+    assert rng.random().hex() == "0x1.6ccbb3358af30p-5"
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -263,22 +264,40 @@ class TestDeterminism:
         finally:
             sys.setswitchinterval(interval)
 
+    # The (purpose, block) of every stream that a harness reads: the designs
+    # below span several blocks, so the threads have blocks to share.
+    @pytest.fixture
+    def blocks_read(self, monkeypatch):
+        read = []
+
+        def recording(seed, purpose, *indices):
+            read.append((purpose, *indices))
+            return substream(seed, purpose, *indices)
+
+        monkeypatch.setattr(simulation, "substream", recording)
+        return read
+
     @pytest.mark.usefixtures("frequent_thread_switches")
-    def test_coverage_thread_invariance(self):
-        for recipe in ("population", "sample", "finitepop", "superpop", "ecdf", "cdf"):
+    def test_coverage_thread_invariance(self, blocks_read):
+        recipes = ("population", "sample", "finitepop", "superpop", "ecdf", "cdf")
+        for recipe in recipes:
             x = 0.0 if recipe in ("ecdf", "cdf") else None
-            reports = {dumps(run_coverage(recipe, "normal01", 20, 20, 0.1, 200, seed=3, x=x,
+            reports = {dumps(run_coverage(recipe, "normal01", 500, 500, 0.1, 200, seed=3, x=x,
                                           threads=threads).to_dict())
                        for threads in (1, 2, 8)}
             assert len(reports) == 1, recipe
+        # 200 replicates in blocks of 32 (2**14 // 500): seven blocks a run
+        assert sorted(blocks_read) == sorted(
+            [(f"coverage.{recipe}", k) for recipe in recipes for k in range(7)] * 3)
 
     @pytest.mark.usefixtures("frequent_thread_switches")
-    def test_pivot_clt_thread_invariance(self):
-        reports = {dumps(pivot_clt_frequencies(list(PivotKind), "lognormal01", 15, 12,
+    def test_pivot_clt_thread_invariance(self, blocks_read):
+        reports = {dumps(pivot_clt_frequencies(list(PivotKind), "lognormal01", 500, 400,
                                                1.644854, 200, seed=4, x=1.0,
                                                threads=threads).to_dict())
                    for threads in (1, 2, 8)}
         assert len(reports) == 1
+        assert sorted(blocks_read) == sorted([("pivot_clt", k) for k in range(7)] * 3)
 
     def test_table2_chunks_do_not_change_the_report(self, monkeypatch):
         # n = 6, B = 3: 18 count entries per replicate; 25 inner replicates
@@ -293,21 +312,24 @@ class TestDeterminism:
             assert report(entries) == whole, entries
 
     @pytest.mark.usefixtures("frequent_thread_switches")
-    def test_refined_ci_thread_invariance(self):
-        # at n = 2, m = 2 about half of all count rows are degenerate
-        for n, m in ((2, 2), (30, 30)):
-            reports = {dumps(refined_ci_coverage("poisson1", n, m, 9, 0.1, 200, seed=5,
+    def test_refined_ci_thread_invariance(self, blocks_read):
+        # at n = 2, m = 2 about half of all count rows are degenerate; blocks
+        # of 8,192 and of 32 replicates
+        for n, m, reps, blocks in ((2, 2, 16_484, 3), (500, 500, 200, 7)):
+            blocks_read.clear()
+            reports = {dumps(refined_ci_coverage("poisson1", n, m, 9, 0.1, reps, seed=5,
                                                  threads=threads).to_dict())
                        for threads in (1, 2, 8)}
             assert len(reports) == 1, (n, m)
+            assert sorted(blocks_read) == sorted([("refined_ci", k) for k in range(blocks)] * 3)
 
 
 def count_rows(n: int, m: int, rows: int, rng: np.random.Generator) -> np.ndarray:
     """One call's count rows as the bootstrap defines them, m uniform
     resample indices in [0, n) counted, and numpy's multinomial sampler past
-    m = 8n.  Stream layout 6 draws a call's indices in pieces of whole rows
-    of at most max(2**18, m) indices from its first row, 16-bit up to n =
-    2**16; every design here fits one piece."""
+    m = 8n.  Since stream layout 6 a call draws its indices in pieces of
+    whole rows of at most max(2**18, m) indices from its first row, 16-bit
+    up to n = 2**16; every design here fits one piece."""
     if m > 8 * n:
         return rng.multinomial(m, [1.0 / n] * n, size=rows)
     assert rows * m <= 2**18 and n <= 2**16
@@ -323,7 +345,7 @@ class TestWhiteBoxConsistency:
     """Recompute tiny table cells with the scalar library functions on the
     same substreams and require identical reports.
 
-    The scalar paths derive stream layout 6 on their own: one stream per
+    The scalar paths derive stream layout 7 on their own: one stream per
     outer cell, read one inner replicate at a time, then each call's count
     rows as :func:`count_rows` draws them: table1's weight row (one call per
     redraw), table2's T g* rows in one call, then its T·B replicate rows in
@@ -457,8 +479,11 @@ class TestWhiteBoxConsistency:
         assert report.frequency("emp_T") == 1.0
 
 
-# Stream layout 6 of the harnesses: replicates in blocks of this many.
-BLOCK = 32
+def block_sizes(n: int, reps: int) -> list[int]:
+    """Stream layout 7 of the harnesses: ``reps`` replicates in blocks of
+    max(1, BLOCK_ENTRIES // n), the last block fewer."""
+    block = max(1, simulation.BLOCK_ENTRIES // n)
+    return [min(block, reps - start) for start in range(0, reps, block)]
 
 
 def block_replicates(model, n: int, m: int, rows: int, seed: int, purpose: str, reps: int):
@@ -466,9 +491,8 @@ def block_replicates(model, n: int, m: int, rows: int, seed: int, purpose: str, 
     order.  Block k's stream ``substream(seed, purpose, k)`` draws the base
     variates of its R replicates in one call, then their R x rows count rows,
     replicate-major, in one call."""
-    for k in range(-(-reps // BLOCK)):
+    for k, size in enumerate(block_sizes(n, reps)):
         rng = substream(seed, purpose, k)
-        size = min(BLOCK, reps - k * BLOCK)
         data = model.transform(model.draw_base(rng, size * n).reshape(size, n))
         counts = count_rows(n, m, size * rows, rng).reshape(size, rows, n)
         for values, row_counts in zip(data, counts):
@@ -500,24 +524,32 @@ def assert_cell(cell, outcomes):
 
 
 class TestHarnessWhiteBox:
-    """Re-derive each harness report by hand on stream layout 6: redraw each
+    """Re-derive each harness report by hand on stream layout 7: redraw each
     block's data and count rows, then score every replicate with the scalar
     interval, pivot or refined-cutoff functions.  The kernels take the
     scalar functions' operations row by row, so their values are equal to
-    the bit and no tie needs excluding."""
+    the bit and no tie needs excluding.  At these n a block of the layout
+    holds every replicate, so the designs also run with ``BLOCK_ENTRIES``
+    patched down to blocks of 50 to 16 replicates, or of one; 32 n gives
+    layout 6's blocks of 32."""
 
     DESIGN = dict(model=st.sampled_from(sorted(MODELS)), n=st.integers(2, 6),
                   m=st.integers(1, 8), reps=st.sampled_from((1, 31, 32, 33, 67)),  # block edges
-                  seed=st.integers(0, 2**32 - 1))
+                  seed=st.integers(0, 2**32 - 1),
+                  entries=st.sampled_from((simulation.BLOCK_ENTRIES, 100, 3)))
 
     @settings(max_examples=25, deadline=None)
     @given(recipe=st.sampled_from(("population", "sample", "finitepop", "superpop", "ecdf",
                                    "cdf")),
            **DESIGN)
-    @example(recipe="population", model="normal01", n=2, m=2, reps=67, seed=2)
+    @example(recipe="population", model="normal01", n=2, m=2, reps=67, seed=2, entries=64)
     # block 0 mixes one-value rows (S* = 0) with ordinary ones; block 1 has no tiny variance
-    @example(recipe="finitepop", model="poisson1", n=3, m=2, reps=33, seed=3)
-    def test_coverage(self, recipe, model, n, m, reps, seed):
+    @example(recipe="finitepop", model="poisson1", n=3, m=2, reps=33, seed=3, entries=96)
+    def test_coverage(self, recipe, model, n, m, reps, seed, entries):
+        with mock.patch.object(simulation, "BLOCK_ENTRIES", entries):
+            self.check_coverage(recipe, model, n, m, reps, seed)
+
+    def check_coverage(self, recipe, model, n, m, reps, seed):
         alpha, x = 0.2, 0.5
         report = run_coverage(recipe, model, n, m, alpha, reps, seed,
                               x=x if recipe in ("ecdf", "cdf") else None)
@@ -541,15 +573,19 @@ class TestHarnessWhiteBox:
                 outcomes.append(None)
                 continue
             outcomes.append(target in interval)
-        assert report.config["rng_layout"] == 6
+        assert report.config["rng_layout"] == 7
         assert_cell(report.cells[0], outcomes)
 
     @settings(max_examples=25, deadline=None)
     @given(**DESIGN)
-    @example(model="poisson1", n=2, m=2, reps=67, seed=13)
+    @example(model="poisson1", n=2, m=2, reps=67, seed=13, entries=64)
     # block 0 mixes one-value rows (S* = 0) with ordinary ones; block 1 has no tiny variance
-    @example(model="poisson1", n=3, m=2, reps=33, seed=1)
-    def test_pivot_clt(self, model, n, m, reps, seed):
+    @example(model="poisson1", n=3, m=2, reps=33, seed=1, entries=96)
+    def test_pivot_clt(self, model, n, m, reps, seed, entries):
+        with mock.patch.object(simulation, "BLOCK_ENTRIES", entries):
+            self.check_pivot_clt(model, n, m, reps, seed)
+
+    def check_pivot_clt(self, model, n, m, reps, seed):
         kinds, threshold, x = list(PivotKind), 0.385320, 0.5
         report = pivot_clt_frequencies(kinds, model, n, m, threshold, reps, seed, x=x)
         model = resolve_model(model)
@@ -569,9 +605,14 @@ class TestHarnessWhiteBox:
 
     @settings(max_examples=25, deadline=None)
     @given(B=st.integers(2, 6), **DESIGN)
-    @example(model="normal01", n=2, m=2, B=4, reps=67, seed=14)  # half the rows degenerate
-    @example(model="poisson1", n=2, m=3, B=3, reps=33, seed=5)
-    def test_refined_ci(self, model, n, m, B, reps, seed):
+    # half the rows degenerate
+    @example(model="normal01", n=2, m=2, B=4, reps=67, seed=14, entries=64)
+    @example(model="poisson1", n=2, m=3, B=3, reps=33, seed=5, entries=64)
+    def test_refined_ci(self, model, n, m, B, reps, seed, entries):
+        with mock.patch.object(simulation, "BLOCK_ENTRIES", entries):
+            self.check_refined_ci(model, n, m, B, reps, seed)
+
+    def check_refined_ci(self, model, n, m, B, reps, seed):
         alpha = 0.2
         report = refined_ci_coverage(model, n, m, B, alpha, reps, seed)
         model = resolve_model(model)
@@ -614,7 +655,8 @@ def test_pivot_law_block_takes_each_inner_product_once(monkeypatch):
         return einsum(a, b)
 
     monkeypatch.setattr(simulation, "_dot", counted)
-    pivot_clt_frequencies(list(PivotKind), "normal01", 20, 20, 1.6, BLOCK, seed=19, x=0.0)
+    reps = simulation.BLOCK_ENTRIES // 20  # one full block
+    pivot_clt_frequencies(list(PivotKind), "normal01", 20, 20, 1.6, reps, seed=19, x=0.0)
     assert len(calls) == 9
 
 
@@ -705,9 +747,10 @@ def test_harness_rejects_bad_arguments_before_any_draw(harness, message, monkeyp
     lambda: pivot_clt_frequencies(list(PivotKind), "normal01", 1, 1, 1.6, 40, seed=1, x=0.0),
     lambda: refined_ci_coverage("normal01", 1, 1, 9, 0.1, 40, seed=1),
 ], ids=["coverage", "pivot_clt", "refined_ci"])
-def test_all_degenerate_replicates_report_zero(harness):
+def test_all_degenerate_replicates_report_zero(harness, monkeypatch):
     # at n = m = 1 every replicate is degenerate; 40 replicates fill one
-    # block and part of a second
+    # block of 32 and part of a second
+    monkeypatch.setattr(simulation, "BLOCK_ENTRIES", 32)
     report = harness()
     for cell in report.cells:
         assert (cell.frequency, cell.degenerate_count) == (0.0, 40), cell.statistic
@@ -771,7 +814,7 @@ class TestRefinedCoverage:
 
     def test_chunks_do_not_change_the_report(self, monkeypatch):
         # lognormal01 at n = m = 30, B = 9: 270 count entries per replicate;
-        # 70 replicates fill two blocks and part of a third
+        # 70 replicates fill part of one block
         def report(entries):
             monkeypatch.setattr(simulation, "_CHUNK", entries)
             return dumps(refined_ci_coverage("lognormal01", 30, 30, 9, 0.1, 70, 3).to_dict())
@@ -782,11 +825,11 @@ class TestRefinedCoverage:
         for entries in chunks:
             assert report(entries) == whole, entries
 
-    @pytest.mark.parametrize("n, reps, calls", [
-        (800, 64, 2),                          # the largest published design: one per block
-        (simulation._CHUNK // 8, 3, 3),        # 9n > _CHUNK: one per replicate
+    @pytest.mark.parametrize("n, reps", [
+        (800, 64),                    # the largest published design: 20 replicates a block
+        (simulation._CHUNK // 8, 3),  # 9n > _CHUNK: one replicate a block
     ])
-    def test_count_draws_per_block(self, monkeypatch, n, reps, calls):
+    def test_count_draws_per_block(self, monkeypatch, n, reps):
         rows = []  # the rows of each chunk read
 
         def counted(n, m, count, chunk, rng):
@@ -796,7 +839,7 @@ class TestRefinedCoverage:
 
         monkeypatch.setattr(simulation, "draw_multinomial_chunks", counted)
         refined_ci_coverage("lognormal01", n, n, 9, 0.1, reps, seed=18)
-        assert len(rows) == calls and sum(rows) == 9 * reps
+        assert rows == [9 * size for size in block_sizes(n, reps)]  # one chunk per block
 
     def test_smoke_and_determinism(self):
         a = refined_ci_coverage("normal01", 25, 25, 9, 0.1, 300, seed=13)
