@@ -11,7 +11,7 @@ Examples:
 import argparse
 import sys
 
-from pivotboot.intervals import RECIPES
+from pivotboot import RECIPES
 from pivotboot.jsonio import dumps
 from pivotboot.simulation import run_coverage
 

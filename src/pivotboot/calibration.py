@@ -31,7 +31,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import DomainError, Frozen, NonIntegerRankError
+from .errors import DomainError, Frozen, NonIntegerRankError, float_tuple
 from .gaussian import normal_cdf, normal_pdf
 
 __all__ = ["YDistribution", "GENZ_LEVEL_B9", "orthant_probability",
@@ -49,12 +49,7 @@ class YDistribution(Frozen):
     __slots__ = ("pmf", "B")
 
     def __init__(self, pmf: tuple[float, ...]) -> None:
-        try:
-            pmf = tuple(map(float, pmf))
-        except TypeError as exc:
-            raise ValueError("pmf must be a non-empty 1-D sequence") from exc
-        if not all(map(math.isfinite, pmf)):
-            raise ValueError("pmf must be finite")
+        pmf = float_tuple(pmf, "pmf")
         if len(pmf) < 3:
             raise ValueError("pmf must have B + 1 entries with B >= 2")
         if min(pmf) < 0 or abs(math.fsum(pmf) - 1.0) > 1e-10:

@@ -142,14 +142,15 @@ def _read_numbers(path: str, what: str) -> list[float]:
     return values
 
 
-def _weights_from_file(path: str, n: int) -> WeightVector:
+def _weights_from_file(path: str, n: int):
+    """The n values of a weights file, as a ``weights.WeightVector``."""
     values = _read_numbers(path, "weights")
     if len(values) != n:
         raise _CliError(f"weights file has {len(values)} entries, data has {n}")
     return WeightVector(values)
 
 
-def _draw_nondegenerate(n: int, m: int, seed: int) -> tuple[CenteredWeights, int]:
+def _draw_nondegenerate(n: int, m: int, seed: int):
     """The first count row of the ``cli.ci`` stream whose counts are not all
     equal, centered, and the number of rows redrawn before it.  The rows
     load numpy only where the stream hands over to it
@@ -344,7 +345,9 @@ def _cmd_weights(args: argparse.Namespace) -> dict:
     }
 
 
-def _parse_rate_kind(text: str) -> RateKind:
+def _parse_rate_kind(text: str):
+    """The ``bounds.RateKind`` that ``text`` names, in any case, with or
+    without dashes, underscores and a ``rate`` suffix."""
     from .bounds import RateKind
 
     squashed = text.lower().replace("-", "").replace("_", "")

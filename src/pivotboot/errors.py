@@ -1,9 +1,12 @@
-"""Typed errors raised by the statistics layer, and the base of its value types.
+"""Typed errors raised by the statistics layer, and the base of its value
+types with the float conversion they share.
 
 Zero-denominator and invalid-configuration cases raise instead of
 propagating NaN so that simulation harnesses can count degenerate draws
 explicitly.
 """
+
+import math
 
 
 class Frozen:
@@ -37,6 +40,23 @@ class Frozen:
     def __repr__(self) -> str:
         fields = map("{}={!r}".format, self.__slots__, self.__getstate__())
         return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+def float_tuple(values, name: str) -> tuple[float, ...]:
+    """``values``, a non-empty 1-D sequence (or numpy array) of finite
+    numbers, as a tuple of floats; :class:`ValueError` naming ``name``
+    otherwise.  Each value type keeps its values this way and derives its
+    other fields from the tuple, which no later edit of the caller's
+    sequence reaches."""
+    try:
+        values = tuple(map(float, values.tolist() if hasattr(values, "tolist") else values))
+    except TypeError as exc:  # a scalar, or rows of a 2-D sequence
+        raise ValueError(f"{name} must be a non-empty 1-D sequence") from exc
+    if not values:
+        raise ValueError(f"{name} must be a non-empty 1-D sequence")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite")
+    return values
 
 
 class PivotbootError(Exception):

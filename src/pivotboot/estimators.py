@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 
 from .errors import (DegenerateWeightsError, DimensionMismatchError, Frozen,
-                     ZeroBootstrapVarianceError, ZeroVarianceError)
-from .weights import CenteredWeights, WeightVector, dot, float_tuple, total
+                     ZeroBootstrapVarianceError, ZeroVarianceError, float_tuple)
+from .weights import CenteredWeights, WeightVector, dot, total
 
 __all__ = [
     "Sample",

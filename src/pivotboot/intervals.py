@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 
-from . import RECIPES
 from .errors import DegenerateScaleError, Frozen
 from .estimators import (
     Sample,
@@ -34,10 +33,8 @@ from .gaussian import normal_quantile
 from .weights import CenteredWeights
 
 __all__ = [
-    "RECIPES",
     "IntervalTarget",
     "Interval",
-    "normal_quantile",
     "ci_population_mean",
     "ci_sample_mean",
     "ci_finite_pop_mean",

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import _cutoff_index
-from .errors import DomainError
+from .errors import DomainError, float_tuple
 from .estimators import Sample, sample_std
 from .pivots import t_star
 from .weights import (WeightVector, center, draw_multinomial_batch, draw_multinomial_weights,
-                      float_tuple, nondegenerate)
+                      nondegenerate)
 
 __all__ = ["ReplicateSet", "draw_replicates", "refined_contains"]
 

@@ -39,10 +39,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import RECIPES
 from .calibration import GENZ_LEVEL_B9, _cutoff_index
 from .estimators import Sample
 from .gaussian import normal_cdf, normal_quantile
-from .intervals import RECIPES
 from .pivots import EMPIRICAL_KINDS, PivotKind
 from .rng import RNG_LAYOUT, check_seed, substream
 from .weights import draw_multinomial_batch, draw_multinomial_chunks, nondegenerate
@@ -92,8 +92,8 @@ BLOCK_ENTRIES = 2**14
 # holds whole replicates: it bounds memory at any number of them and moves
 # no bytes.  At 2**18 every published table2 design (B = 9, n <= 40) and
 # every harness block at B <= 16, n <= 2**14 reads and scores its rows in
-# one chunk; at 2**13 a 32-replicate block at n = 800 took 32 chunks, whose
-# overhead set the time.
+# one chunk; at 2**13 a block of 2**14 data entries at B = 9 would take
+# about 20 chunks at n = 50-800, each paying its own call overhead.
 _CHUNK = 2**18
 
 # (model, n) design points of the two printed comparison grids.  The

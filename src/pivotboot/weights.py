@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterator
 
-from .errors import DegenerateWeightsError, Frozen
+from .errors import DegenerateWeightsError, Frozen, float_tuple
 
 __all__ = [
     "REDRAW_LIMIT",
@@ -44,7 +44,6 @@ __all__ = [
     "total",
     "max_ratio",
     "expected_sum_squares",
-    "float_tuple",
 ]
 
 # Redraw budget of nondegenerate(): at most this many redraws of a
@@ -71,23 +70,6 @@ _INDEX_BLOCK = 2**14
 _PYTHON_INDICES = 2**16
 # numpy's einsum reduces in buffers of this many entries (dot).
 _EINSUM_BUFFER = 8192
-
-
-def float_tuple(values, name: str) -> tuple[float, ...]:
-    """``values``, a non-empty 1-D sequence (or numpy array) of finite
-    numbers, as a tuple of floats; :class:`ValueError` naming ``name``
-    otherwise.  Each value type keeps its values this way and derives its
-    other fields from the tuple, which no later edit of the caller's
-    sequence reaches."""
-    try:
-        values = tuple(map(float, values.tolist() if hasattr(values, "tolist") else values))
-    except TypeError as exc:  # a scalar, or rows of a 2-D sequence
-        raise ValueError(f"{name} must be a non-empty 1-D sequence") from exc
-    if not values:
-        raise ValueError(f"{name} must be a non-empty 1-D sequence")
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} must be finite")
-    return values
 
 
 def dot(a, b) -> float:

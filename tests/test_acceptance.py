@@ -9,7 +9,6 @@ import importlib.util
 import itertools
 import math
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +42,8 @@ from pivotboot.weights import (
     draw_multinomial_weights,
     expected_sum_squares,
 )
+
+from helpers import bound_oracle
 
 ACCEPTANCE_SEED = 20260809
 # Reports do not depend on the thread count (criterion 9 checks that), and
@@ -252,27 +253,6 @@ def test_criterion_6_refined_ci_validity():
     )
 
 
-def _bound_oracle(n, m, delta, eps, eps1, eps2, ratio):
-    dn = (delta - (eps1 / eps) ** 2 + eps2) / (0.56 * ratio)
-    q = 1 - Fraction(1, n)
-    sixth = 15 * Fraction(m, n) ** 3 + 25 * Fraction(m, n) ** 2 + Fraction(m, n)
-    first = dn ** (-2) * (1 - eps) ** (-3) * float(
-        q ** (-3) * Fraction(n + n * n, m**3) * sixth
-    )
-    bracket = (
-        q / (n**3 * m**3)
-        + q**4 / m**3
-        + (m - 1) * q**2 / (n * m**3)
-        + Fraction(4 * (n - 1), n**3 * m)
-        + Fraction(1, m**2)
-        - Fraction(1, n * m**2)
-        + Fraction(n - 1, n**3 * m**3)
-        + Fraction(4 * (n - 1), n**2 * m**3)
-        - q**2 / m**2
-    )
-    return first + eps ** (-2) * float(Fraction(m**2) / q * bracket)
-
-
 def test_criterion_7_bound_determinism_and_scaling():
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     worst = 0.0
@@ -290,7 +270,7 @@ def test_criterion_7_bound_determinism_and_scaling():
         p = BoundParams(n=n, m=m, delta=delta, eps=eps, eps1=eps1, eps2=eps2,
                         third_abs_moment_ratio=ratio)
         mine = berry_esseen_bound(p)
-        oracle = _bound_oracle(n, m, delta, eps, eps1, eps2, ratio)
+        oracle = sum(bound_oracle(n, m, delta, eps, eps1, eps2, ratio))
         worst = max(worst, abs(mine - oracle) / abs(oracle))
         checked += 1
 

@@ -17,16 +17,9 @@ from pivotboot.estimators import (
     weighted_mean_estimator,
 )
 from pivotboot.rng import substream
-from pivotboot.weights import (
-    WeightVector,
-    center,
-    draw_multinomial_batch,
-)
+from pivotboot.weights import center, draw_multinomial_batch
 
-
-def mw(counts) -> WeightVector:
-    arr = np.asarray(counts, dtype=float)
-    return WeightVector(arr)
+from helpers import mw
 
 
 class TestSample:

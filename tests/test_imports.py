@@ -1,8 +1,8 @@
-"""Every name a module of the package imports at module level is used in that
-module: read, or listed in its ``__all__``; every private module-level
-definition is read somewhere in the package; no module reaches BLAS or
-LAPACK; no module but ``weights`` draws count rows; and no public callable
-takes the weights twice."""
+"""Every name a module of the package imports at module level is read in
+that module, so none is imported only to be re-exported; every private
+module-level definition is read somewhere in the package; no module reaches
+BLAS or LAPACK; no module but ``weights`` draws count rows; every function's
+annotations resolve; and no public callable takes the weights twice."""
 
 import ast
 import importlib
@@ -40,15 +40,10 @@ def imported_names(tree: ast.Module) -> set[str]:
 
 
 def used_names(tree: ast.Module) -> set[str]:
-    """Names read anywhere in the module, and the strings of its ``__all__``."""
-    used = {node.id for node in ast.walk(tree)
+    """Names read anywhere in the module; a string in its ``__all__`` is not
+    a read."""
+    return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
-            used.update(item.value for item in ast.walk(node.value)
-                        if isinstance(item, ast.Constant) and isinstance(item.value, str))
-    return used
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
@@ -141,12 +136,42 @@ def test_only_weights_draws_count_rows(path):
     assert (calls != []) == (path.name == "weights.py"), calls
 
 
+def package_modules():
+    """Every module of the package, imported."""
+    for path in sorted(SRC.glob("*.py")):
+        yield importlib.import_module(
+            "pivotboot" if path.stem == "__init__" else f"pivotboot.{path.stem}")
+
+
+def defined_functions():
+    """(qualified name, function) of every function and method that a module
+    of the package defines, properties and cached properties included."""
+    for module in package_modules():
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if isinstance(obj, type) else [obj]
+            for member in members:
+                function = getattr(member, "fget", None) or getattr(member, "func", member)
+                function = getattr(function, "__func__", function)
+                if inspect.isfunction(function):
+                    yield f"{module.__name__}.{function.__qualname__}", function
+
+
+def test_every_annotation_resolves():
+    unresolved = []
+    for name, function in defined_functions():
+        try:
+            typing.get_type_hints(function)
+        except NameError:
+            unresolved.append(name)
+    assert unresolved == []
+
+
 def public_callables():
     """(qualified name, object) of every public callable that a module of the
     package defines, exception types (builtin signatures) aside."""
-    for path in sorted(SRC.glob("*.py")):
-        module = importlib.import_module(
-            "pivotboot" if path.stem == "__init__" else f"pivotboot.{path.stem}")
+    for module in package_modules():
         for attr, obj in vars(module).items():
             if (callable(obj) and not attr.startswith("_")
                     and getattr(obj, "__module__", None) == module.__name__

@@ -29,13 +29,9 @@ from pivotboot.intervals import (
 from pivotboot.multi_bootstrap import draw_replicates
 from pivotboot.pivots import PivotKind, empirical_pivot, g_star, starred_variant, t_star
 from pivotboot.rng import substream
-from pivotboot.weights import (CenteredWeights, WeightVector, center,
-                               draw_multinomial_weights)
+from pivotboot.weights import CenteredWeights, center, draw_multinomial_weights
 
-
-def mw(counts) -> WeightVector:
-    arr = np.asarray(counts, dtype=float)
-    return WeightVector(arr)
+from helpers import mw
 
 
 class TestNormalQuantile:

@@ -121,6 +121,11 @@ class TestYDistribution:
         with pytest.raises(ValueError, match="^replicate values must be finite$"):
             ReplicateSet([0.5, bad])
 
+    @pytest.mark.parametrize("bad", [[], 0.5, [[0.25, 0.25, 0.5]]])
+    def test_pmf_not_a_sequence_rejected(self, bad):
+        with pytest.raises(ValueError, match="^pmf must be a non-empty 1-D sequence$"):
+            YDistribution(bad)
+
     @pytest.mark.parametrize("make, array", [
         (YDistribution, [0.5, 0.5]),  # B = 1
         (YDistribution, [1.5, -0.5, 0.0]),  # a negative entry
