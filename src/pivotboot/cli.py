@@ -162,7 +162,7 @@ def _draw_nondegenerate(n: int, m: int, seed: int):
     return center(WeightVector(counts)), redraws
 
 
-def _cmd_ci(args: argparse.Namespace) -> dict:
+def _cmd_ci(args: argparse.Namespace, seed: int) -> tuple[dict, dict]:
     data = _read_numbers(args.data, "data")
     if len(data) < 2:
         raise _CliError(f"data file {args.data!r} must contain at least 2 values")
@@ -179,7 +179,6 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
 
     sample = Sample.from_values(data)
     n = sample.n
-    seed = _resolve_seed(args.seed)
 
     redraws = 0
     if args.weights_file is not None:
@@ -215,8 +214,7 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
         from .rng import RNG_LAYOUT
 
         config["rng_layout"] = RNG_LAYOUT
-    return {
-        "manifest": _manifest("ci", config, seed, args.timestamp),
+    return config, {
         "interval": {
             "lo": interval.lo,
             "hi": interval.hi,
@@ -238,10 +236,9 @@ def _render_table(report_dict: dict) -> str:
                      for line in (header, row))
 
 
-def _cmd_table(args: argparse.Namespace) -> dict | str:
+def _cmd_table(args: argparse.Namespace, seed: int) -> tuple[dict, dict | str]:
     from .simulation import SimConfig
 
-    seed = _resolve_seed(args.seed)
     cfg = SimConfig(
         model=args.model,
         n=args.n,
@@ -256,16 +253,12 @@ def _cmd_table(args: argparse.Namespace) -> dict | str:
     )
     runner = run_table1 if args.which == 1 else run_table2
     report = runner(cfg, threads=args.threads)
-    payload = {
-        "manifest": _manifest(f"table{args.which}", dict(report.config), seed, args.timestamp),
-        "report": report.to_dict(),
-    }
     if args.text:
-        return _render_table(payload["report"])
-    return payload
+        return dict(report.config), _render_table(report.to_dict())
+    return dict(report.config), {"report": report.to_dict()}
 
 
-def _cmd_ydist(args: argparse.Namespace) -> dict:
+def _cmd_ydist(args: argparse.Namespace, seed: int) -> tuple[dict, dict]:
     from .calibration import GENZ_LEVEL_B9, orthant_probability_closed_form, y_quantile
 
     dist = y_distribution(args.B)
@@ -286,15 +279,13 @@ def _cmd_ydist(args: argparse.Namespace) -> dict:
         if args.B == 9 and y == 8:
             # Genz-algorithm evaluation of the same level, kept for reference.
             result["nominal_genz_reference"] = GENZ_LEVEL_B9
-    seed = _resolve_seed(args.seed)
-    return {"manifest": _manifest("ydist", config, seed, args.timestamp), **result}
+    return config, result
 
 
-def _cmd_bound(args: argparse.Namespace) -> dict:
+def _cmd_bound(args: argparse.Namespace, seed: int) -> tuple[dict, dict]:
     from .bounds import (DEFAULT_UNIVERSAL_CONSTANT, BoundParams, bound_terms, convergence_rate,
                          delta_n)
 
-    seed = _resolve_seed(args.seed)
     given = {"delta": args.delta, "eps": args.eps, "eps1": args.eps1, "eps2": args.eps2,
              "ratio": args.ratio, "p_var_dev": args.p_var_dev, "C": args.C}
     if args.kind is not None:
@@ -305,10 +296,7 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
         if unread:
             raise _CliError(f"rate evaluation takes no {', '.join(unread)}")
         config = {"kind": kind.value, "n": args.n, "m": args.m}
-        return {
-            "manifest": _manifest("bound", config, seed, args.timestamp),
-            "rate": convergence_rate(kind, args.n, args.m),
-        }
+        return config, {"rate": convergence_rate(kind, args.n, args.m)}
     config = {"n": args.n, "m": args.m, **given,
               "p_var_dev": 0.0 if args.p_var_dev is None else args.p_var_dev,
               "C": DEFAULT_UNIVERSAL_CONSTANT if args.C is None else args.C}
@@ -322,8 +310,7 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
         p_var_dev=config["p_var_dev"], C=config["C"],
     )
     first, second = bound_terms(params)
-    return {
-        "manifest": _manifest("bound", config, seed, args.timestamp),
+    return config, {
         "delta_n": delta_n(params),
         "first_term": first,
         "second_term": second,
@@ -331,14 +318,12 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
     }
 
 
-def _cmd_weights(args: argparse.Namespace) -> dict:
+def _cmd_weights(args: argparse.Namespace, seed: int) -> tuple[dict, dict]:
     from .rng import RNG_LAYOUT
 
-    seed = _resolve_seed(args.seed)
     w = draw_multinomial_weights(args.n, args.m, substream(seed, "cli.weights"))
     config = {"n": args.n, "m": args.m, "rng_layout": RNG_LAYOUT}
-    return {
-        "manifest": _manifest("weights", config, seed, args.timestamp),
+    return config, {
         "counts": [int(c) for c in w.counts],
         "m": int(w.m),
         "scheme": "multinomial",
@@ -437,8 +422,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.func(args)
-        text = result if isinstance(result, str) else dumps(result)
+        seed = _resolve_seed(args.seed)  # a bad seed is reported before any other error
+        config, payload = args.func(args, seed)
+        if isinstance(payload, str):  # table --text
+            text = payload
+        else:
+            command = f"table{args.which}" if args.subcommand == "table" else args.subcommand
+            text = dumps({"manifest": _manifest(command, config, seed, args.timestamp), **payload})
     except DegenerateWeightsError as exc:
         print(f"pivotboot: error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -2,8 +2,9 @@
 types with the float conversion they share.
 
 Zero-denominator and invalid-configuration cases raise instead of
-propagating NaN so that simulation harnesses can count degenerate draws
-explicitly.
+propagating NaN: the command line maps the errors to exit codes, and the
+harnesses' valid masks, which count degenerate draws, are tested against
+the scalar functions that raise them.
 """
 
 import math

@@ -13,12 +13,9 @@ Order-statistic conventions (both count from the smallest replicate):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from .calibration import _cutoff_index
-from .errors import DomainError, float_tuple
+from .errors import DomainError, Frozen, float_tuple
 from .estimators import Sample, sample_std
 from .pivots import t_star
 from .weights import (WeightVector, center, draw_multinomial_batch, draw_multinomial_weights,
@@ -27,27 +24,21 @@ from .weights import (WeightVector, center, draw_multinomial_batch, draw_multino
 __all__ = ["ReplicateSet", "draw_replicates", "refined_contains"]
 
 
-@dataclass(frozen=True)
-class ReplicateSet:
+class ReplicateSet(Frozen):
     """Values of the signed-weight pivot over B independent weight draws."""
 
-    values: np.ndarray
-    degenerate_redraws: int = 0
-    B: int = field(init=False)
+    __slots__ = ("values", "degenerate_redraws", "B")
 
-    def __post_init__(self) -> None:
-        values = np.array(float_tuple(self.values, "replicate values"))
-        values.setflags(write=False)
-        if values.size < 2:
+    def __init__(self, values: tuple[float, ...], degenerate_redraws: int = 0) -> None:
+        values = float_tuple(values, "replicate values")
+        if len(values) < 2:
             raise ValueError("a replicate set needs B >= 2 values")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "B", values.size)
+        self.__setstate__((values, degenerate_redraws, len(values)))
 
 
-def draw_replicates(
-    s: Sample, B: int, m: int, stream: np.random.Generator
-) -> ReplicateSet:
-    """Compute the signed-weight pivot on B independent multinomial draws.
+def draw_replicates(s: Sample, B: int, m: int, stream) -> ReplicateSet:
+    """Compute the signed-weight pivot on B independent multinomial draws
+    from ``stream``, a numpy generator.
 
     Each of the B slots takes the stream's next weight row (one batch call
     draws the first B) and evaluates :func:`~pivotboot.pivots.t_star` on it.
@@ -75,5 +66,4 @@ def refined_contains(t_value: float, reps: ReplicateSet, alpha: float) -> bool:
     module docstring for the convention).  A value equal to the cutoff
     counts as inside: ``t_value <= cutoff``.
     """
-    ordered = np.sort(reps.values)
-    return bool(t_value <= ordered[_cutoff_index(reps.B, alpha)])
+    return bool(t_value <= sorted(reps.values)[_cutoff_index(reps.B, alpha)])

@@ -21,8 +21,9 @@ the *2 family absolute weights on indicators centered at a known CDF value.
 Each pivot takes the centered weights alone: S*, F*(x) and m are read from
 the weight vector they carry.
 
-Zero denominators raise typed errors rather than yielding NaN, so that
-simulation harnesses can count degenerate draws.
+Zero denominators raise typed errors rather than yielding NaN: the command
+line maps them to exit codes, and the harnesses' valid masks, which count
+degenerate draws, are tested against them.
 """
 
 from __future__ import annotations

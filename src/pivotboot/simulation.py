@@ -41,7 +41,6 @@ import numpy as np
 
 from . import RECIPES
 from .calibration import GENZ_LEVEL_B9, _cutoff_index
-from .estimators import Sample
 from .gaussian import normal_cdf, normal_quantile
 from .pivots import EMPIRICAL_KINDS, PivotKind
 from .rng import RNG_LAYOUT, check_seed, substream
@@ -69,7 +68,6 @@ __all__ = [
     "TABLE2_NOMINAL",
     "TABLE1_CELLS",
     "TABLE2_CELLS",
-    "sample_model",
     "run_table1",
     "run_table2",
     "run_coverage",
@@ -151,7 +149,7 @@ class Model:
     Sampling is split into a base draw (uniform or standard normal, one
     generator call) and a vectorized transform, so a table cell or a
     harness block draws the base variates of all its replicates in one call
-    and transforms them as one array; ``sample`` composes the two.
+    and transforms them as one array (:func:`_report`).
     """
 
     name: str
@@ -165,9 +163,6 @@ class Model:
         if self.base == "uniform":
             return rng.random(size)
         return rng.standard_normal(size)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.transform(self.draw_base(rng, size))
 
 
 MODELS: dict[str, Model] = {
@@ -194,19 +189,12 @@ MODELS: dict[str, Model] = {
 }
 
 
-def resolve_model(model: str | Model) -> Model:
-    """The model of that name (any case); a :class:`Model` is returned as is."""
-    if isinstance(model, Model):
-        return model
-    found = MODELS.get(model.lower())
+def resolve_model(name: str) -> Model:
+    """The model of that name (any case)."""
+    found = MODELS.get(name.lower())
     if found is None:
-        raise ValueError(f"unknown model {model!r}; choose from {sorted(MODELS)}")
+        raise ValueError(f"unknown model {name!r}; choose from {sorted(MODELS)}")
     return found
-
-
-def sample_model(model: str | Model, n: int, stream: np.random.Generator) -> Sample:
-    """Draw an i.i.d. sample of size n from a named model."""
-    return Sample.from_values(resolve_model(model).sample(stream, n))
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +642,7 @@ def _harness(purpose: str, statistics: Sequence[str], model: Model,
     return _report(purpose, config, statistics, model, sizes, score, threads)
 
 
-def run_coverage(interval_recipe: str, model: str | Model, n: int, m: int, alpha: float,
+def run_coverage(interval_recipe: str, model: str, n: int, m: int, alpha: float,
                  reps: int, seed: int, x: float | None = None,
                  threads: int = 1) -> CoverageReport:
     """Empirical coverage of one interval recipe over joint replicates.
@@ -683,7 +671,7 @@ def run_coverage(interval_recipe: str, model: str | Model, n: int, m: int, alpha
                     recipe=interval_recipe, n=n, m=m, alpha=alpha, reps=reps, seed=seed, x=x)
 
 
-def pivot_clt_frequencies(kinds: Sequence[PivotKind], model: str | Model, n: int, m: int,
+def pivot_clt_frequencies(kinds: Sequence[PivotKind], model: str, n: int, m: int,
                           threshold: float, reps: int, seed: int, x: float | None = None,
                           threads: int = 1) -> CoverageReport:
     """Empirical frequency of each pivot staying below ``threshold`` under
@@ -704,7 +692,7 @@ def pivot_clt_frequencies(kinds: Sequence[PivotKind], model: str | Model, n: int
                     m=m, threshold=threshold, reps=reps, seed=seed, x=x)
 
 
-def refined_ci_coverage(model: str | Model, n: int, m: int, B: int, alpha: float, reps: int,
+def refined_ci_coverage(model: str, n: int, m: int, B: int, alpha: float, reps: int,
                         seed: int, threads: int = 1) -> CoverageReport:
     """Coverage of the replicate-cutoff bound: frequency with which the
     Studentized mean stays below the refined order statistic of B replicate

@@ -538,6 +538,14 @@ class TestManifestAndSerialization:
         assert err.startswith("pivotboot: error: PIVOTBOOT_SEED must lie in [-2**63, 2**63)")
         assert err.count("\n") == 1
 
+    def test_bad_seed_is_reported_before_bad_data(self, capsys, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("1.5\n")
+        code, out, err = run_cli(capsys, "ci", str(path), "--method", "population",
+                                 "--seed", str(2**63))
+        assert (code, out) == (2, "")
+        assert err == f"pivotboot: error: --seed must lie in [-2**63, 2**63), got {2**63}\n"
+
 
 class TestMalformedInputs:
     def test_bad_alpha_exits_2(self, capsys, data_file):
@@ -1005,6 +1013,12 @@ class TestRuntimeDependencies:
         probe = ("import sys, pivotboot.simulation, pivotboot.multi_bootstrap; "
                  "print('pivotboot.stream' in sys.modules)")
         assert self.fresh_python("-c", probe).strip() == "False"
+
+    def test_replicate_cutoffs_load_no_numpy(self):
+        # ReplicateSet derives from errors.Frozen and sorts its tuple in Python
+        probe = ("import sys, pivotboot.multi_bootstrap; "
+                 "print(sorted(m for m in ('numpy', 'dataclasses') if m in sys.modules))")
+        assert self.fresh_python("-c", probe).strip() == "[]"
 
     def test_table_loads_numpy(self):
         code, loaded = self.loaded_by("table", "--which", "1", "--model", "poisson1", "--n", "5",

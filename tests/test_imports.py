@@ -1,8 +1,9 @@
-"""Every name a module of the package imports at module level is read in
-that module, so none is imported only to be re-exported; every private
-module-level definition is read somewhere in the package; no module reaches
-BLAS or LAPACK; no module but ``weights`` draws count rows; every function's
-annotations resolve; and no public callable takes the weights twice."""
+"""Every name a module of the package or of its tests imports at module
+level is read in that module, so none is imported only to be re-exported or
+left behind by an edit; every private module-level definition is read
+somewhere in the package; no module reaches BLAS or LAPACK; no module but
+``weights`` draws count rows; every function's annotations resolve; and no
+public callable takes the weights twice."""
 
 import ast
 import importlib
@@ -14,7 +15,8 @@ import pytest
 
 from pivotboot.weights import CenteredWeights, WeightVector
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pivotboot"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pivotboot"
 
 # simulation.py calls none of these; it binds them only because the
 # benchmark's traced mode (perfbench/layers.instrument) patches them by these
@@ -46,7 +48,8 @@ def used_names(tree: ast.Module) -> set[str]:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda path: path.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = imported_names(tree) - used_names(tree)

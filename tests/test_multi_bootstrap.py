@@ -190,7 +190,7 @@ class TestDrawReplicates:
         s = Sample.from_values([0.3, -1.2, 0.7, 2.2, -0.4])
         a = draw_replicates(s, 4, 5, substream(31, "reps"))
         b = draw_replicates(s, 4, 5, substream(31, "reps"))
-        assert np.array_equal(a.values, b.values)
+        assert a.values == b.values
         assert a.degenerate_redraws == b.degenerate_redraws
 
     def test_two_point_support(self):
@@ -199,7 +199,7 @@ class TestDrawReplicates:
         values = []
         for r in range(500):
             reps = draw_replicates(s, 2, 2, substream(32, "reps", r))
-            values.extend(reps.values.tolist())
+            values.extend(reps.values)
         root2 = math.sqrt(2.0)
         assert all(abs(abs(v) - root2) < 1e-12 for v in values)
 
@@ -209,7 +209,7 @@ class TestDrawReplicates:
         for r in range(20_000):
             reps = draw_replicates(s, 5, 2, substream(33, "reps", r))
             total += reps.B
-            positive += int((reps.values > 0).sum())
+            positive += sum(v > 0 for v in reps.values)
         p = positive / total
         se = math.sqrt(0.25 / total)
         assert abs(p - 0.5) <= 3 * se
@@ -258,7 +258,7 @@ class TestDrawReplicates:
         s = Sample.from_values(substream(seed, "pin.data").standard_normal(n))
         stream = substream(seed, "pin.weights")
         reps = draw_replicates(s, B, m, stream)
-        assert [v.hex() for v in reps.values.tolist()] == values
+        assert [v.hex() for v in reps.values] == values
         assert reps.degenerate_redraws == redraws
         assert stream.random().hex() == next_draw
 

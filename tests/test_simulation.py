@@ -38,10 +38,14 @@ from pivotboot.simulation import (
     run_coverage,
     run_table1,
     run_table2,
-    sample_model,
 )
-from pivotboot.weights import (WeightVector, center, draw_multinomial_batch,
-                               draw_multinomial_chunks)
+from pivotboot.weights import WeightVector, center, draw_multinomial_chunks
+
+
+def draw(model, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` values of ``model`` drawn as the harnesses draw them: its
+    base variates in one call, then its transform."""
+    return model.transform(model.draw_base(rng, size))
 
 
 def sequential_poisson1(u: np.ndarray) -> np.ndarray:
@@ -102,22 +106,22 @@ class TestModels:
             resolve_model("cauchy")
 
     def test_poisson_draws_are_nonnegative_integers(self):
-        values = np.array(sample_model("poisson1", 500, substream(1, "model")).values)
+        values = draw(resolve_model("poisson1"), substream(1, "model"), 500)
         assert np.all(values >= 0)
         assert np.array_equal(values, np.round(values))
 
     def test_pooled_moments(self):
         reps = 1_000_000
-        z = resolve_model("normal01").sample(substream(2, "model"), reps)
+        z = draw(resolve_model("normal01"), substream(2, "model"), reps)
         assert abs(z.mean()) <= 3 / math.sqrt(reps)
-        e = resolve_model("exponential1").sample(substream(3, "model"), reps)
+        e = draw(resolve_model("exponential1"), substream(3, "model"), reps)
         centered = (e - 1.0) ** 2
         se = centered.std(ddof=1) / math.sqrt(reps)
         assert abs(centered.mean() - 1.0) <= 3 * se
-        p = resolve_model("poisson1").sample(substream(4, "model"), reps)
+        p = draw(resolve_model("poisson1"), substream(4, "model"), reps)
         se_p = p.std(ddof=1) / math.sqrt(reps)
         assert abs(p.mean() - 1.0) <= 3 * se_p
-        ln = resolve_model("lognormal01").sample(substream(5, "model"), reps)
+        ln = draw(resolve_model("lognormal01"), substream(5, "model"), reps)
         se_ln = ln.std(ddof=1) / math.sqrt(reps)
         assert abs(ln.mean() - math.exp(0.5)) <= 3 * se_ln
 
@@ -179,12 +183,6 @@ class TestModels:
                               env=env, timeout=30)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1.0", "1.0"]
-
-    def test_sample_composes_base_and_transform(self):
-        model = resolve_model("poisson1")
-        a = model.sample(substream(6, "model"), 64)
-        base = model.draw_base(substream(6, "model"), 64)
-        assert np.array_equal(a, model.transform(base))
 
 
 class TestTableSmoke:
@@ -682,7 +680,7 @@ def test_replicate_block_moments_equal_the_g_block_moments(model, n, T, seed):
     # A table2 cell's replicate blocks take its g* block's mean and standard
     # deviation; their own reductions of the same rows give the same bits.
     model = MODELS[model]
-    data = model.sample(substream(seed, "data"), T * n).reshape(T, n)
+    data = draw(model, substream(seed, "data"), T * n).reshape(T, n)
     g = simulation._Block(model, data, np.ones((1, n)), n)
     rows = simulation._Block(model, data[:, None], np.ones((T, 3, n)), n)
     assert np.array_equal(rows.mean[:, 0], g.mean) and np.array_equal(rows.std[:, 0], g.std)

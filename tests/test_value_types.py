@@ -1,6 +1,6 @@
-"""The six value types that the scalar layer and the command line build:
-equality and hashing over every field of the same class, their printed
-form, immutability, and copy and pickle round trips."""
+"""The seven value types that the scalar layer, the replicate cutoffs and
+the command line build: equality and hashing over every field of the same
+class, their printed form, immutability, and copy and pickle round trips."""
 
 import copy
 import pickle
@@ -11,6 +11,7 @@ from pivotboot.bounds import BoundParams
 from pivotboot.calibration import YDistribution
 from pivotboot.estimators import Sample
 from pivotboot.intervals import Interval, IntervalTarget
+from pivotboot.multi_bootstrap import ReplicateSet
 from pivotboot.weights import CenteredWeights, WeightVector
 
 
@@ -39,6 +40,8 @@ def instances():
             lambda: BoundParams(50, 60.0, 0.5, 0.5, 0.1, 0.1, 1.0),
             "BoundParams(n=50, m=60, delta=0.5, eps=0.5, eps1=0.1, eps2=0.1, "
             "third_abs_moment_ratio=1.0, p_var_dev=0.0, C=0.56)"),
+        "ReplicateSet": (lambda: ReplicateSet([0.5, -1, 2.0], degenerate_redraws=1),
+                         "ReplicateSet(values=(0.5, -1.0, 2.0), degenerate_redraws=1, B=3)"),
     }
 
 
@@ -50,6 +53,7 @@ OTHERS = {
     "Interval": lambda: Interval(0.25, 1.5, 0.9, IntervalTarget.CDF_VALUE, "ci_cdf"),
     "YDistribution": lambda: YDistribution([0.25, 0.5, 0.25]),
     "BoundParams": lambda: BoundParams(50, 60, 0.5, 0.5, 0.1, 0.1, 1.0, C=0.5),
+    "ReplicateSet": lambda: ReplicateSet([0.5, -1, 2.0]),
 }
 
 # The fields of each type, in order: the constructor's, then the derived ones.
@@ -61,6 +65,7 @@ FIELDS = {
     "YDistribution": ("pmf", "B"),
     "BoundParams": ("n", "m", "delta", "eps", "eps1", "eps2", "third_abs_moment_ratio",
                     "p_var_dev", "C"),
+    "ReplicateSet": ("values", "degenerate_redraws", "B"),
 }
 
 NAMES = sorted(FIELDS)
